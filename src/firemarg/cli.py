@@ -21,6 +21,7 @@ from .errors import FiremargError
 from .neighborhoods import VARIANTS, NeighborhoodSpec
 from .pipeline import (
     _specs_from_config,
+    choose_water_cut,
     predict_tables,
     read_prediction_csv,
     read_truth_csv,
@@ -205,7 +206,8 @@ def cmd_predict(args) -> int:
     result = predict_tables(ds, cnt_spec, bap_spec, config.k2_bap,
                             pair_rule=config.pair_rule,
                             water_rule=config.water_rule,
-                            water_cut=config.water_cut, workers=workers)
+                            water_cut=choose_water_cut(ds, config),
+                            workers=workers)
     out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     for table, name in ((result.cnt, "predictions_cnt.csv"),

@@ -43,10 +43,6 @@ def default_ba_thresholds() -> np.ndarray:
     ], dtype=float)
 
 
-def default_thresholds() -> tuple[np.ndarray, np.ndarray]:
-    return default_cnt_thresholds(), default_ba_thresholds()
-
-
 @dataclass(frozen=True)
 class SliceIndex:
     """Latitude-sorted view of one (month, year) slice for radius queries."""

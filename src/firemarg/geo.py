@@ -1,5 +1,6 @@
 """Spherical geometry: great-circle distance, grid-cell surface area,
-and rescaling of burnt area to a proportion of burnable cell area.
+and rescaling of burnt-area thresholds to a proportion of burnable cell
+area.
 
 All distances are kilometres, all areas square kilometres, all angles
 degrees at the API boundary (radians internally).
@@ -8,8 +9,6 @@ degrees at the API boundary (radians internally).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,59 +64,6 @@ def zone_area_km2(lon_center: float, lat_center: float,
             f"cell [{lat_lo}, {lat_hi}] crosses a pole; latitudes must stay in [-90, 90]")
     dlam = math.radians(lon_width_deg)
     return radius_km ** 2 * dlam * (math.sin(math.radians(lat_hi)) - math.sin(math.radians(lat_lo)))
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Geometry of one grid cell plus the fraction of it inside the study
-    region.
-
-    ``area_km2`` is the full spherical cell area; ``true_area_km2`` is the
-    burnable part (area times the in-region fraction).
-    """
-
-    lon_center: float
-    lat_center: float
-    lon_width_deg: float = 0.5
-    lat_height_deg: float = 0.5
-    area_fraction: float = 1.0
-    radius_km: float = EARTH_RADIUS_KM
-
-    def __post_init__(self):
-        if not 0.0 < self.area_fraction <= 1.0:
-            raise GeometryError(
-                f"area_fraction must lie in (0, 1], got {self.area_fraction}")
-
-    @property
-    def area_km2(self) -> float:
-        return zone_area_km2(self.lon_center, self.lat_center,
-                             self.lon_width_deg, self.lat_height_deg, self.radius_km)
-
-    @property
-    def true_area_km2(self) -> float:
-        return self.area_km2 * self.area_fraction
-
-
-def burnt_area_proportion(ba: float, true_area_km2: float,
-                          unit_scale: float = ACRES_PER_KM2) -> float:
-    """Burnt area as a fraction of the cell's burnable capacity, in [0, 1].
-
-    ``unit_scale`` converts km^2 to the unit of ``ba`` (default acres).
-    A value marginally above 1 (within rounding) is clamped with a warning;
-    anything larger is a data inconsistency.
-    """
-    if ba < 0:
-        raise DataError(f"burnt area must be nonnegative, got {ba}")
-    if true_area_km2 <= 0 or unit_scale <= 0:
-        raise DataError("true_area_km2 and unit_scale must be positive")
-    value = ba / (true_area_km2 * unit_scale)
-    if value > 1.0 + BAP_CLAMP_RTOL:
-        raise DataError(
-            f"burnt area {ba} exceeds cell capacity {true_area_km2 * unit_scale:.6g}")
-    if value > 1.0:
-        warnings.warn("burnt fraction marginally above 1; clamped", stacklevel=2)
-        value = 1.0
-    return value
 
 
 def rescaled_thresholds(thresholds, capacity: float):

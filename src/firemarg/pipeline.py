@@ -336,6 +336,14 @@ def _specs_from_config(config: RunConfig):
     return cnt_spec, bap_spec
 
 
+def choose_water_cut(ds: Dataset, config: RunConfig) -> float:
+    """The lc18 cut of the water rule: calibrated on the data when
+    config.calibrate_water is set, config.water_cut otherwise."""
+    if config.calibrate_water:
+        return calibrate_water_cut(ds, target_prob=config.water_target)
+    return config.water_cut
+
+
 def run_all(config: RunConfig) -> RunArtifacts:
     """ingest -> rules -> tune -> predict -> score, all artifacts on disk."""
     stage = "ingest"
@@ -353,9 +361,7 @@ def run_all(config: RunConfig) -> RunArtifacts:
         bad = anomalous_rows(ds)
         if bad.size:
             log.warning("%d rows disagree about zero across variables", bad.size)
-        water_cut = config.water_cut
-        if config.calibrate_water:
-            water_cut = calibrate_water_cut(ds, target_prob=config.water_target)
+        water_cut = choose_water_cut(ds, config)
 
         stage = "tune"
         tuning = None

@@ -119,8 +119,7 @@ def _cv_sample(ds, surrogate, variable, spec):
     return pool[~np.isnan(pool)]
 
 
-def _fit_cnt_cached(ds, surrogate, spec, cache):
-    sample = _cv_sample(ds, surrogate, "cnt", spec)
+def _fit_cnt_cached(sample, surrogate, cache):
     key = ("cnt", surrogate, sample.tobytes())
     if cache is not None and key in cache:
         return cache[key]
@@ -130,8 +129,7 @@ def _fit_cnt_cached(ds, surrogate, spec, cache):
     return model
 
 
-def _fit_bap_cached(ds, surrogate, spec, k2, cache):
-    sample = _cv_sample(ds, surrogate, "ba", spec)
+def _fit_bap_cached(sample, surrogate, k2, cache):
     key = ("bap", surrogate, sample.tobytes(), k2)
     if cache is not None and key in cache:
         return cache[key]
@@ -157,25 +155,37 @@ def ba_cdf_row(model: BaMixture, ba_thresholds, capacity: float) -> np.ndarray:
     return np.maximum.accumulate(row)
 
 
+def cv_samples(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan) -> dict:
+    """Fitting sample of each distinct surrogate in the plan under spec."""
+    surrogates = dict.fromkeys(surrogate for _, surrogate in plan.pairs)
+    return {surrogate: _cv_sample(ds, surrogate, plan.variable, spec)
+            for surrogate in surrogates}
+
+
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
              config: ScoreConfig, k2: float | None = None,
-             cache: dict | None = None) -> float:
+             cache: dict | None = None, samples: dict | None = None) -> float:
     """Total score of the candidate parameters over the CV plan.
 
     Duplicate surrogates are scored once per occurrence. A pair is
     skipped only when the surrogate is the lone observation in its
-    month pool, which no radius can change.
+    month pool, which no radius can change. samples, when given, maps
+    each surrogate to its fitting sample under spec (see
+    `cv_samples`), so candidates that share a radius share the
+    neighborhood queries.
     """
     scores = []
     for _, surrogate in plan.pairs:
+        sample = (samples[surrogate] if samples is not None
+                  else _cv_sample(ds, surrogate, plan.variable, spec))
         if plan.variable == "cnt":
-            model = _fit_cnt_cached(ds, surrogate, spec, cache)
+            model = _fit_cnt_cached(sample, surrogate, cache)
             if model is None:
                 continue
             row = cnt_cdf_row(model, config.thresholds)
             observed = float(ds.cnt[surrogate])
         else:
-            model = _fit_bap_cached(ds, surrogate, spec, k2, cache)
+            model = _fit_bap_cached(sample, surrogate, k2, cache)
             if model is None:
                 continue
             row = ba_cdf_row(model, config.thresholds, float(ds.capacity[surrogate]))
@@ -220,8 +230,12 @@ def select_parameters(ds: Dataset, cnt_grid: TuningGrid, bap_grid: TuningGrid,
     bap_scores = []
     for radius in bap_grid.radii:
         spec = replace(base_spec, radius_km=float(radius))
+        # built once per radius and shared by its quantiles; the next
+        # radius replaces them, so memory does not grow with the grid
+        samples = cv_samples(ds, spec, ba_plan)
         for q in bap_grid.quantiles:
-            total = cv_score(ds, spec, ba_plan, ba_cfg, k2=float(q), cache=cache)
+            total = cv_score(ds, spec, ba_plan, ba_cfg, k2=float(q), cache=cache,
+                             samples=samples)
             bap_scores.append((float(radius), float(q), total))
     bap_best = min(bap_scores, key=lambda t: (t[2], t[0], t[1]))
 

@@ -2,7 +2,8 @@
 
 GPD CDF values were frozen from scipy.stats.genpareto (shape c = xi,
 loc = threshold, scale = sigma); the implementation never calls
-scipy.stats, so the two routes stay independent.
+scipy.stats, so the two routes stay independent. The GPD fit is checked
+against a Nelder-Mead reference on the unprofiled likelihood.
 """
 
 import math
@@ -11,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from firemarg.burnt_area import (
+    XI_EXP_EPS,
+    XI_HI,
+    XI_LO,
     BaMixture,
     GpdParams,
     fit_gpd,
@@ -70,6 +75,73 @@ class TestGpdCdf:
         assert np.all((vals >= 0) & (vals <= 1))
 
 
+def _nm_neg_loglik(theta, excess):
+    log_sigma, xi = theta
+    if not XI_LO < xi <= XI_HI:
+        return np.inf
+    sigma = np.exp(log_sigma)
+    if not np.isfinite(sigma) or sigma <= 0:
+        return np.inf
+    t = excess / sigma
+    if abs(xi) < XI_EXP_EPS:
+        return excess.size * log_sigma + float(np.sum(t))
+    arg = 1.0 + xi * t
+    if np.any(arg <= 0.0):
+        return np.inf
+    return excess.size * log_sigma + (1.0 + 1.0 / xi) * float(np.sum(np.log(arg)))
+
+
+def _pwm_start(excess):
+    y = np.sort(excess)
+    n = y.size
+    a0 = y.mean()
+    p = (np.arange(1, n + 1) - 0.35) / n
+    a1 = float(np.sum(y * (1.0 - p))) / n
+    denom = a0 - 2.0 * a1
+    if denom <= 0:
+        xi0, sigma0 = 0.0, a0
+    else:
+        xi0 = 2.0 - a0 / denom
+        sigma0 = 2.0 * a0 * a1 / denom
+    xi0 = float(np.clip(xi0, XI_LO + 0.05, XI_HI))
+    sigma0 = max(sigma0, 1e-12)
+    if xi0 < 0:
+        sigma0 = max(sigma0, -xi0 * y[-1] * 1.0001)
+    return np.array([np.log(sigma0), xi0])
+
+
+def nelder_mead_fit_gpd(values, threshold):
+    """Reference GPD fit: Nelder-Mead on (log sigma, xi) from a
+    probability-weighted-moments start, as `fit_gpd` ran before sigma
+    was profiled out. Raises GpdFitError where that fit did."""
+    excess = np.asarray(values, dtype=float) - threshold
+    theta0 = _pwm_start(excess)
+    f0 = _nm_neg_loglik(theta0, excess)
+    res = minimize(
+        _nm_neg_loglik, theta0, args=(excess,), method="Nelder-Mead",
+        options={"maxiter": 500, "xatol": 1e-6,
+                 "fatol": 1e-8 * max(1.0, abs(f0))})
+    if not res.success or not np.isfinite(res.fun) or res.fun > f0:
+        raise GpdFitError("optimizer did not converge")
+    return GpdParams(sigma=float(np.exp(res.x[0])), xi=float(res.x[1]),
+                     threshold=float(threshold))
+
+
+def gpd_loglik(params, values):
+    """GPD log-likelihood of the values, written independently of both
+    fits; xi = -1 is the uniform law on (u, u + sigma]."""
+    x = (np.asarray(values, dtype=float) - params.threshold) / params.sigma
+    n = x.size
+    if params.xi == -1.0:
+        return -n * math.log(params.sigma) if x.max() <= 1.0 else -math.inf
+    if params.xi == 0.0:
+        return -n * math.log(params.sigma) - float(np.sum(x))
+    if np.any(params.xi * x <= -1.0):
+        return -math.inf
+    return (-n * math.log(params.sigma)
+            - (1.0 + 1.0 / params.xi) * float(np.sum(np.log1p(params.xi * x))))
+
+
 class TestFitGpd:
     def test_consistency(self):
         ok = 0
@@ -110,6 +182,73 @@ class TestFitGpd:
         rng = np.random.default_rng(3)
         vals = sample_gpd(GpdParams(0.7, 0.4, 0.0), 500, rng)
         assert fit_gpd(vals, 0.0) == fit_gpd(vals, 0.0)
+
+
+def _exceedance_corpus():
+    """200 seeded exceedance sets (values, threshold), n 10-200: GPD
+    draws with xi of either sign, lognormal draws, lognormal draws
+    capped so that several tie at the maximum, and short-tailed
+    uniform and beta draws."""
+    rng = np.random.default_rng(2024)
+    corpus = []
+    for k in range(200):
+        n = int(rng.integers(10, 201))
+        u = float(rng.uniform(0.0, 0.5))
+        kind = k % 5
+        if kind == 0:
+            excess = sample_gpd(GpdParams(rng.uniform(0.01, 0.2),
+                                          rng.uniform(-0.6, 0.8)), n, rng)
+        elif kind == 1:
+            excess = rng.lognormal(-4.0, rng.uniform(0.3, 1.5), n)
+        elif kind == 2:
+            excess = np.minimum(rng.lognormal(-4.0, 1.0, n), 0.03)
+        elif kind == 3:
+            excess = rng.uniform(0.0, rng.uniform(0.01, 0.3), n)
+        else:
+            excess = 0.1 * rng.beta(rng.uniform(0.8, 2.0), rng.uniform(0.5, 3.0), n)
+        values = u + excess
+        corpus.append((values[values > u], u))
+    return corpus
+
+
+def test_profile_fit_is_no_worse_than_nelder_mead():
+    edges = 0
+    for values, u in _exceedance_corpus():
+        new = fit_gpd(values, u)
+        try:
+            ref = nelder_mead_fit_gpd(values, u)
+        except GpdFitError:
+            continue
+        assert gpd_loglik(new, values) >= gpd_loglik(ref, values) - 1e-6
+        edges += new.xi == XI_LO
+    assert edges > 0
+
+
+def test_edge_fits_give_valid_mixture_rows():
+    # a uniform tail above u often has its likelihood supremum at the
+    # xi -> -1 edge, which fit_gpd returns as the uniform law itself
+    rng = np.random.default_rng(77)
+    edges = 0
+    for _ in range(100):
+        tail = rng.uniform(0.2, rng.uniform(0.25, 0.9), int(rng.integers(10, 60)))
+        bulk = np.minimum(rng.lognormal(-4.0, 1.0, int(rng.integers(50, 250))), 0.2)
+        sample = np.concatenate([np.zeros(int(rng.integers(0, 40))), bulk, tail])
+        m = fit_mixture(sample, k2=1.0 - tail.size / sample.size)
+        if m.kind != "mixture" or m.gpd.xi != XI_LO:
+            continue
+        edges += 1
+        assert isinstance(m.gpd, GpdParams)
+        excess = sample[sample > m.u] - m.u
+        assert m.gpd.upper_endpoint >= m.u + excess.max()
+        grid = np.sort(np.concatenate([[0.0, m.u], rng.uniform(0.0, 1.0, 80),
+                                       sample[sample > m.u]]))
+        row = m.cdf(grid)
+        assert np.all((row >= 0.0) & (row <= 1.0))
+        assert np.all(np.diff(row) >= 0.0)
+        at_u = m.cdf(m.u)
+        assert abs(at_u - (1.0 - m.lam)) <= 1e-9
+        assert abs(m.cdf(np.nextafter(m.u, np.inf)) - at_u) <= 1e-9
+    assert edges >= 10
 
 
 def test_threshold_order_statistic():

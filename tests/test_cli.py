@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 
 import numpy as np
@@ -70,6 +72,43 @@ def test_predict_score_run_agree(tmp_path, synth_dir, capsys):
         pred_bytes = fh.read()
     with open(os.path.join(run_dir, "predictions_cnt.csv"), "rb") as fh:
         assert fh.read() == pred_bytes
+
+
+def test_predict_calibrates_water_cut_as_run_does(tmp_path):
+    out = str(tmp_path / "synth")
+    assert main(["synth", "--out", out, "--seed", "3", "--water-frac", "0.1",
+                 "--rate", "0.14"]) == 0
+    data = os.path.join(out, "data.csv")
+    with open(data, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, rows = reader.fieldnames, list(reader)
+    # ten masked land rows become water above the calibrated cut (0.5)
+    # but stay below the configured one (0.94)
+    land = [r for r in rows
+            if "NA" in (r["cnt"], r["ba"]) and float(r["lc18"]) < 0.5][:10]
+    assert len(land) == 10
+    for r in land:
+        r["lc18"] = "0.7"
+    with open(data, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+    config = tmp_path / "water.ini"
+    config.write_text(format_config(RunConfig(calibrate_water=True,
+                                              water_target=0.5)))
+    flags = ["--data", data, "--config", str(config), "--k1", "150",
+             "--k2", "0.8", "--workers", "1"]
+    pred_dir, run_dir = str(tmp_path / "pred"), str(tmp_path / "run")
+    assert main(["predict", "--out", pred_dir] + flags) == 0
+    assert main(["run", "--out", run_dir] + flags) == 0
+
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        assert json.load(fh)["water_cut"] < RunConfig().water_cut
+    for name in ("predictions_cnt.csv", "predictions_ba.csv"):
+        with open(os.path.join(pred_dir, name), "rb") as fh:
+            pred_bytes = fh.read()
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            assert fh.read() == pred_bytes
 
 
 def test_no_rules_changes_predictions(tmp_path, synth_dir):

@@ -12,12 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firemarg.errors import DataError, GeometryError
+from firemarg.errors import GeometryError
 from firemarg.geo import (
-    ACRES_PER_KM2,
     EARTH_RADIUS_KM,
-    CellGeometry,
-    burnt_area_proportion,
     haversine_km,
     rescaled_thresholds,
     zone_area_km2,
@@ -109,40 +106,6 @@ def test_zone_area_tiles_the_sphere():
 def test_zone_area_rejects_pole_crossing():
     with pytest.raises(GeometryError):
         zone_area_km2(0.0, 89.9, 0.5, 0.5)
-
-
-def test_cell_geometry_true_area():
-    cell = CellGeometry(lon_center=-100.25, lat_center=37.75, area_fraction=0.4)
-    assert cell.true_area_km2 == pytest.approx(0.4 * cell.area_km2, rel=1e-15)
-    with pytest.raises(GeometryError):
-        CellGeometry(lon_center=0.0, lat_center=0.0, area_fraction=0.0)
-    with pytest.raises(GeometryError):
-        CellGeometry(lon_center=0.0, lat_center=0.0, area_fraction=1.5)
-
-
-class TestBurntAreaProportion:
-    def test_basic(self):
-        cap_km2 = 2000.0
-        # 500 acres on a 2000 km^2 burnable cell
-        got = burnt_area_proportion(500.0, cap_km2)
-        assert got == pytest.approx(500.0 / (2000.0 * ACRES_PER_KM2), rel=1e-15)
-
-    def test_zero(self):
-        assert burnt_area_proportion(0.0, 100.0) == 0.0
-
-    def test_clamps_rounding_overflow(self):
-        cap = 100.0 * ACRES_PER_KM2
-        with pytest.warns(UserWarning):
-            assert burnt_area_proportion(cap * (1.0 + 1e-12), 100.0) == 1.0
-
-    def test_rejects_true_overflow(self):
-        cap = 100.0 * ACRES_PER_KM2
-        with pytest.raises(DataError):
-            burnt_area_proportion(cap * 1.01, 100.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DataError):
-            burnt_area_proportion(-1.0, 100.0)
 
 
 def test_rescaled_thresholds_flags_saturated():

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from firemarg import tuning
 from firemarg.burnt_area import fit_mixture
 from firemarg.counts import fit_zinb
 from firemarg.data import build_dataset
@@ -15,6 +18,7 @@ from firemarg.tuning import (
     TuningGrid,
     ba_cdf_row,
     build_cv_plan,
+    cv_samples,
     cv_score,
     select_parameters,
 )
@@ -155,6 +159,44 @@ def test_cache_never_changes_scores():
             assert cv_score(ds, spec, ba_plan, ba_cfg, k2=q, cache=cache) == \
                 cv_score(ds, spec, ba_plan, ba_cfg, k2=q)
     assert len(cache) > 0
+
+
+def test_precomputed_samples_give_identical_scores():
+    ds = _ds(nx=5, ny=5, seed=13, cnt_missing_frac=0.25, ba_missing_frac=0.25)
+    for variable, k2s in (("cnt", (None,)), ("ba", (0.4, 0.7))):
+        plan = build_cv_plan(ds, variable)
+        cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
+        for radius in (60.0, 150.0):
+            spec = NeighborhoodSpec(radius_km=radius)
+            samples = cv_samples(ds, spec, plan)
+            for k2 in k2s:
+                assert cv_score(ds, spec, plan, cfg, k2=k2, samples=samples) == \
+                    cv_score(ds, spec, plan, cfg, k2=k2)
+
+
+def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
+    # the burnt-area quantiles share each radius's samples, so the
+    # neighborhood queries carry no quantile factor
+    ds = _ds(nx=5, ny=5, seed=29, cnt_missing_frac=0.25, ba_missing_frac=0.25)
+    radii = (100.0, 150.0)
+    plans, queries = {}, Counter()
+    plan_fn, query_fn = tuning.build_cv_plan, tuning.build_neighborhood
+
+    def plan(ds, variable):
+        plans[variable] = plan_fn(ds, variable)
+        return plans[variable]
+
+    def query(*args, **kwargs):
+        queries[list(plans)[-1]] += 1
+        return query_fn(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "build_cv_plan", plan)
+    monkeypatch.setattr(tuning, "build_neighborhood", query)
+    select_parameters(ds, TuningGrid(radii=radii),
+                      TuningGrid(radii=radii, quantiles=(0.3, 0.5, 0.7)))
+    assert queries["ba"] > 0
+    for variable in ("cnt", "ba"):
+        assert queries[variable] <= len(radii) * len(plans[variable].pairs)
 
 
 def test_identical_members_give_identical_scores():
