@@ -225,17 +225,18 @@ def fit_mixture(sample, k2: float, min_exceed: int = MIN_EXCEED) -> BaMixture:
     reaches k2 (threshold degenerates to 0), when fewer than min_exceed
     values lie strictly above the threshold, or when the tail fit fails.
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
+    srt = np.sort(np.asarray(sample, dtype=float))
+    n = srt.size
+    if n == 0:
         raise DataError("sample must be nonempty")
-    if np.any(sample < 0) or np.any(sample > 1) or np.any(~np.isfinite(sample)):
+    # NaN and +inf sort last and -inf first, so the two ends bound them all
+    if not (srt[0] >= 0.0 and srt[-1] <= 1.0):
         raise DataError("burnt-area proportions must lie in [0, 1]")
     if not 0.0 < k2 < 1.0:
         raise DataError(f"k2 must lie in (0,1), got {k2}")
 
-    srt = np.sort(sample)
-    n = srt.size
-    z = float(np.count_nonzero(srt == 0.0)) / n
+    n_zero = int(np.searchsorted(srt, 0.0, side="right"))
+    z = n_zero / n
     lam = 1.0 - k2
     u = threshold_order_statistic(srt, k2)
 
@@ -246,16 +247,15 @@ def fit_mixture(sample, k2: float, min_exceed: int = MIN_EXCEED) -> BaMixture:
     # u == 0 exactly when the zero count reaches the k2 order statistic
     if u <= 0.0:
         return empirical("zero mass at or above the k2 level")
-    exceed = srt[srt > u]
+    exceed = srt[np.searchsorted(srt, u, side="right"):]
     if exceed.size < min_exceed:
         return empirical("too few exceedances")
     try:
         gpd = fit_gpd(exceed, threshold=u, min_exceed=min_exceed)
     except GpdFitError as exc:
         return empirical(str(exc))
-    positives = srt[srt > 0.0]
     return BaMixture(kind="mixture", sample_size=n, z=z, u=u, lam=lam,
-                     sample=srt, positives=positives, gpd=gpd)
+                     sample=srt, positives=srt[n_zero:], gpd=gpd)
 
 
 def sample_gpd(params: GpdParams, n: int, rng) -> np.ndarray:

@@ -40,7 +40,8 @@ from .rules import (
     resolve_forced,
     saturation_flags,
 )
-from .scoring import ScoreConfig, pooled_ecdf_row, score_one
+# score_one stays importable here: bench/tracer.py wraps it by name
+from .scoring import ScoreConfig, pooled_ecdf_row, score_one, score_rows  # noqa: F401
 from .tuning import TuningGrid, TuningResult, ba_cdf_row, cnt_cdf_row, select_parameters
 
 log = logging.getLogger(__name__)
@@ -96,9 +97,19 @@ def _predict_one(ds: Dataset, i: int, variable: str, spec: NeighborhoodSpec,
     return row, diag
 
 
+# The Dataset of a pool worker, set once by _init_worker when the
+# worker starts, so chunk payloads carry only indices and settings.
+_WORKER_DS: Dataset | None = None
+
+
+def _init_worker(ds: Dataset) -> None:
+    global _WORKER_DS
+    _WORKER_DS = ds
+
+
 def _predict_block(payload):
-    ds, indices, variable, spec, k2 = payload
-    return [(int(i),) + _predict_one(ds, int(i), variable, spec, k2)
+    indices, variable, spec, k2 = payload
+    return [(int(i),) + _predict_one(_WORKER_DS, int(i), variable, spec, k2)
             for i in indices]
 
 
@@ -110,9 +121,10 @@ def _predict_variable(ds: Dataset, variable: str, spec: NeighborhoodSpec,
         return np.zeros((0, grid.size)), []
     if workers > 1 and missing.size > 1:
         chunks = np.array_split(missing, min(workers * 4, missing.size))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(ds,)) as pool:
             blocks = list(pool.map(_predict_block,
-                                   [(ds, c, variable, spec, k2) for c in chunks]))
+                                   [(c, variable, spec, k2) for c in chunks]))
         results = {i: (row, diag) for block in blocks for i, row, diag in block}
     else:
         results = {}
@@ -208,15 +220,11 @@ def score_tables(cnt_table: PredictionTable, ba_table: PredictionTable,
     for table, truth, weights in ((cnt_table, cnt_truth, cnt_weights),
                                   (ba_table, ba_truth, ba_weights)):
         config = ScoreConfig(table.thresholds, weights)
-        scores = []
-        skipped = 0
-        for pos, i in enumerate(table.indices):
-            if int(i) not in truth:
-                skipped += 1
-                continue
-            scores.append(score_one(table.rows[pos], truth[int(i)], config))
-        totals[table.variable] = (float(np.sum(scores)) if scores else 0.0,
-                                  len(scores), skipped)
+        scored = [pos for pos, i in enumerate(table.indices) if int(i) in truth]
+        observed = [truth[int(table.indices[pos])] for pos in scored]
+        scores = score_rows(table.rows[scored], observed, config)
+        totals[table.variable] = (float(np.sum(scores)), len(scored),
+                                  table.indices.size - len(scored))
     return ScoreReport(cnt_score=totals["cnt"][0], ba_score=totals["ba"][0],
                        cnt_scored=totals["cnt"][1], ba_scored=totals["ba"][1],
                        cnt_skipped=totals["cnt"][2], ba_skipped=totals["ba"][2])

@@ -10,10 +10,17 @@ widen along the same ladder the predictor uses, so each candidate is
 scored on the full plan. The candidate combination with the smallest
 total score wins; ties go to the smaller parameters.
 
-Fits are memoized by (surrogate, exact fitting sample, k2): nearby
-radius candidates often produce identical neighborhoods on a regular
-grid and clustered masks map many validation cells onto one surrogate,
-so the cache carries most of the grid search.
+Each (variable, radius) is evaluated in one pass (`cv_score`): every
+distinct surrogate's sample is built once, its CDF rows for all
+candidate tail levels are stacked, and one vectorised `score_rows` call
+scores them; each level's total is then summed over the plan's pairs in
+order. A burnt-area sample is sorted once and shared by the levels, and
+the levels whose fit falls back to the empirical CDF share one row.
+
+Fits are memoized by (variable, k2, exact fitting sample). The key has
+no surrogate: a fit depends on its sample alone, and nearby radius
+candidates often produce identical neighborhoods on a regular grid, so
+the cache carries most of the grid search.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from .neighborhoods import (
     build_neighborhood,
     cnt_sample,
 )
-from .scoring import ScoreConfig, score_one
+# score_one stays importable here: bench/tracer.py wraps it by name
+from .scoring import ScoreConfig, score_one, score_rows  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -119,21 +127,23 @@ def _cv_sample(ds, surrogate, variable, spec):
     return pool[~np.isnan(pool)]
 
 
-def _fit_cnt_cached(sample, surrogate, cache):
-    key = ("cnt", surrogate, sample.tobytes())
+def _fit_cached(sample, variable, k2, cache):
+    """Model of one CV sample: the ZINB count model ("cnt") or the
+    burnt-area mixture at level k2 ("ba"); None for an empty sample.
+
+    A fit depends on its sample alone, so the key carries the sample's
+    bytes and k2 but no surrogate: every surrogate and radius with that
+    sample shares the entry.
+    """
+    key = (variable, k2, sample.tobytes())
     if cache is not None and key in cache:
         return cache[key]
-    model = fit_zinb(sample) if sample.size else None
-    if cache is not None:
-        cache[key] = model
-    return model
-
-
-def _fit_bap_cached(sample, surrogate, k2, cache):
-    key = ("bap", surrogate, sample.tobytes(), k2)
-    if cache is not None and key in cache:
-        return cache[key]
-    model = fit_mixture(sample, k2) if sample.size else None
+    if not sample.size:
+        model = None
+    elif variable == "cnt":
+        model = fit_zinb(sample)
+    else:
+        model = fit_mixture(sample, k2)
     if cache is not None:
         cache[key] = model
     return model
@@ -163,35 +173,52 @@ def cv_samples(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan) -> dict:
 
 
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
-             config: ScoreConfig, k2: float | None = None,
-             cache: dict | None = None, samples: dict | None = None) -> float:
-    """Total score of the candidate parameters over the CV plan.
+             config: ScoreConfig, k2=None, cache: dict | None = None):
+    """Total score over the CV plan of the count model (plan variable
+    "cnt", k2 unused) or of the burnt-area model at level k2.
 
-    Duplicate surrogates are scored once per occurrence. A pair is
-    skipped only when the surrogate is the lone observation in its
-    month pool, which no radius can change. samples, when given, maps
-    each surrogate to its fitting sample under spec (see
-    `cv_samples`), so candidates that share a radius share the
-    neighborhood queries.
+    k2 may be a sequence of levels; the totals then come back as a
+    tuple in the same order, from one pass over the plan: each
+    distinct surrogate's sample is built (`cv_samples`) and sorted
+    once, its rows for all levels go through
+    the fit cache, the empirical fallbacks share one row (the
+    empirical CDF does not depend on k2), and one `score_rows` call
+    scores every (level, surrogate). Duplicate surrogates are scored
+    once per occurrence, and each total is np.sum over the plan's
+    pairs in order. A pair is skipped only when the surrogate is the
+    lone observation in its month pool, which no radius can change.
     """
-    scores = []
-    for _, surrogate in plan.pairs:
-        sample = (samples[surrogate] if samples is not None
-                  else _cv_sample(ds, surrogate, plan.variable, spec))
+    if plan.variable == "cnt":
+        scalar, levels = True, (None,)
+    elif k2 is None:
+        raise DataError("burnt-area CV needs a k2 level")
+    else:
+        scalar, levels = np.ndim(k2) == 0, tuple(np.atleast_1d(k2).tolist())
+    samples = cv_samples(ds, spec, plan)
+    column = ds.cnt if plan.variable == "cnt" else ds.ba
+    live = [s for s, sample in samples.items() if sample.size]
+    rows = np.empty((len(levels), len(live), config.thresholds.size))
+    for j, surrogate in enumerate(live):
         if plan.variable == "cnt":
-            model = _fit_cnt_cached(sample, surrogate, cache)
-            if model is None:
+            model = _fit_cached(samples[surrogate], "cnt", None, cache)
+            rows[0, j] = cnt_cdf_row(model, config.thresholds)
+            continue
+        sample = np.sort(samples[surrogate])
+        capacity = float(ds.capacity[surrogate])
+        empirical = None
+        for q, level in enumerate(levels):
+            model = _fit_cached(sample, "ba", level, cache)
+            if model.kind != "empirical":
+                rows[q, j] = ba_cdf_row(model, config.thresholds, capacity)
                 continue
-            row = cnt_cdf_row(model, config.thresholds)
-            observed = float(ds.cnt[surrogate])
-        else:
-            model = _fit_bap_cached(sample, surrogate, k2, cache)
-            if model is None:
-                continue
-            row = ba_cdf_row(model, config.thresholds, float(ds.capacity[surrogate]))
-            observed = float(ds.ba[surrogate])
-        scores.append(score_one(row, observed, config))
-    return float(np.sum(scores)) if scores else 0.0
+            if empirical is None:
+                empirical = ba_cdf_row(model, config.thresholds, capacity)
+            rows[q, j] = empirical
+    scores = score_rows(rows, column[live], config)
+    column_of = {surrogate: j for j, surrogate in enumerate(live)}
+    pairs = [column_of[s] for _, s in plan.pairs if s in column_of]
+    totals = tuple(float(np.sum(level_scores)) for level_scores in scores[:, pairs])
+    return totals[0] if scalar else totals
 
 
 @dataclass(frozen=True)
@@ -227,16 +254,13 @@ def select_parameters(ds: Dataset, cnt_grid: TuningGrid, bap_grid: TuningGrid,
     cnt_best = min(cnt_scores, key=lambda t: (t[1], t[0]))[0]
 
     ba_plan = build_cv_plan(ds, "ba")
+    quantiles = tuple(float(q) for q in bap_grid.quantiles)
     bap_scores = []
     for radius in bap_grid.radii:
         spec = replace(base_spec, radius_km=float(radius))
-        # built once per radius and shared by its quantiles; the next
-        # radius replaces them, so memory does not grow with the grid
-        samples = cv_samples(ds, spec, ba_plan)
-        for q in bap_grid.quantiles:
-            total = cv_score(ds, spec, ba_plan, ba_cfg, k2=float(q), cache=cache,
-                             samples=samples)
-            bap_scores.append((float(radius), float(q), total))
+        totals = cv_score(ds, spec, ba_plan, ba_cfg, k2=quantiles, cache=cache)
+        bap_scores += [(float(radius), q, total)
+                       for q, total in zip(quantiles, totals)]
     bap_best = min(bap_scores, key=lambda t: (t[2], t[0], t[1]))
 
     return TuningResult(

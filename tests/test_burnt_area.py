@@ -299,6 +299,13 @@ class TestFitMixture:
             fit_mixture(np.array([0.1, -0.1]), 0.5)
         with pytest.raises(DataError):
             fit_mixture(np.array([0.1, 0.2]), 1.0)
+        # NaN and +inf sort last, -inf first: each must still be caught
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in (0, 2, 4):
+                sample = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+                sample[where] = bad
+                with pytest.raises(DataError):
+                    fit_mixture(sample, 0.5)
 
 
 def _mixed_sample(rng, n=600, zero_frac=0.3):

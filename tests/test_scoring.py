@@ -12,6 +12,7 @@ from firemarg.scoring import (
     expected_score,
     pooled_ecdf_row,
     score_one,
+    score_rows,
     score_set,
     validate_row,
 )
@@ -66,9 +67,40 @@ def test_row_validation():
         score_one([0.5, 0.4, 0.9], 1.0, cfg)
     with pytest.raises(DataError):
         score_one([0.0, 0.5, 1.2], 1.0, cfg)
+    good = [0.1, 0.5, 0.9]
+    for bad in ([0.1, np.nan, 0.9], [0.0, 0.5, 1.2], [-0.1, 0.5, 0.9],
+                [0.5, 0.4, 0.9], [0.1, 0.5]):
+        with pytest.raises(DataError):
+            score_one(bad, 1.0, cfg)
+        if len(bad) == len(good):
+            # one bad row anywhere in a batch rejects the batch
+            with pytest.raises(DataError):
+                score_rows([[good, good], [good, bad]], 1.0, cfg)
+        else:
+            with pytest.raises(DataError):
+                score_rows([bad, bad], [1.0, 2.0], cfg)
     # tiny float noise is tolerated and clipped
     row = validate_row([0.0, 0.5, 1.0 + 1e-12], 3)
     assert row[2] == 1.0
+
+
+def test_score_rows_equals_score_one_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for k in (1, 3, 8, 9, 17, 28, 40):
+        cfg = ScoreConfig(np.cumsum(rng.uniform(0.1, 2.0, k)),
+                          rng.uniform(0.0, 4.0, k))
+        rows = np.sort(rng.random((4, 6, k)), axis=-1)
+        rows[0, 0] = 1.0                       # rows at the bounds
+        rows[0, 1] = 0.0
+        observed = rng.uniform(-1.0, cfg.thresholds[-1] + 1.0, (4, 6))
+        observed[1, :2] = cfg.thresholds[:1]   # ties with a threshold
+        batch = score_rows(rows, observed, cfg)
+        assert batch.shape == (4, 6)
+        for idx in np.ndindex(4, 6):
+            assert batch[idx] == score_one(rows[idx], observed[idx], cfg)
+        # a scalar observation broadcasts over the rows
+        assert np.array_equal(score_rows(rows[2], observed[2, 0], cfg),
+                              [score_one(r, observed[2, 0], cfg) for r in rows[2]])
 
 
 def test_score_set_additive_and_empty():

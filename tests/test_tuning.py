@@ -161,19 +161,6 @@ def test_cache_never_changes_scores():
     assert len(cache) > 0
 
 
-def test_precomputed_samples_give_identical_scores():
-    ds = _ds(nx=5, ny=5, seed=13, cnt_missing_frac=0.25, ba_missing_frac=0.25)
-    for variable, k2s in (("cnt", (None,)), ("ba", (0.4, 0.7))):
-        plan = build_cv_plan(ds, variable)
-        cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
-        for radius in (60.0, 150.0):
-            spec = NeighborhoodSpec(radius_km=radius)
-            samples = cv_samples(ds, spec, plan)
-            for k2 in k2s:
-                assert cv_score(ds, spec, plan, cfg, k2=k2, samples=samples) == \
-                    cv_score(ds, spec, plan, cfg, k2=k2)
-
-
 def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
     # the burnt-area quantiles share each radius's samples, so the
     # neighborhood queries carry no quantile factor
@@ -197,6 +184,80 @@ def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
     assert queries["ba"] > 0
     for variable in ("cnt", "ba"):
         assert queries[variable] <= len(radii) * len(plans[variable].pairs)
+
+
+def test_bap_scores_equal_a_per_pair_reference_loop(monkeypatch):
+    # the quantiles hit all three fit_mixture outcomes: zero mass at the
+    # k2 level, too few exceedances, and a GPD tail
+    ds = _ds(nx=8, ny=8, seed=37, cnt_missing_frac=0.2, ba_missing_frac=0.2)
+    radii, quantiles = (60.0, 300.0), (0.1, 0.5, 0.9)
+    outcomes = Counter()
+
+    def fit(sample, k2):
+        model = fit_mixture(sample, k2)
+        outcomes[model.fallback_reason or model.kind] += 1
+        return model
+
+    monkeypatch.setattr(tuning, "fit_mixture", fit)
+    result = select_parameters(ds, TuningGrid(radii=radii),
+                               TuningGrid(radii=radii, quantiles=quantiles))
+    assert set(outcomes) == {"zero mass at or above the k2 level",
+                             "too few exceedances", "mixture"}
+
+    plan = build_cv_plan(ds, "ba")
+    cfg = ScoreConfig(ds.ba_thresholds)
+    expected = []
+    for radius in radii:
+        samples = cv_samples(ds, NeighborhoodSpec(radius_km=radius), plan)
+        for q in quantiles:
+            scores = []
+            for _, s in plan.pairs:
+                model = fit_mixture(samples[s], q)
+                row = ba_cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
+                scores.append(score_one(row, float(ds.ba[s]), cfg))
+            expected.append((radius, q, float(np.sum(scores))))
+    assert result.bap_scores == tuple(expected)
+
+
+def test_select_parameters_scores_each_radius_in_one_call(monkeypatch):
+    ds = _ds(nx=5, ny=5, seed=29, cnt_missing_frac=0.25, ba_missing_frac=0.25)
+    radii = (100.0, 150.0, 200.0)
+    calls = Counter()
+    score_fn = tuning.cv_score
+
+    def counted(ds, spec, plan, *args, **kwargs):
+        calls[plan.variable] += 1
+        return score_fn(ds, spec, plan, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "cv_score", counted)
+    result = select_parameters(ds, TuningGrid(radii=radii),
+                               TuningGrid(radii=radii, quantiles=(0.3, 0.5, 0.7)))
+    assert calls == {"cnt": len(radii), "ba": len(radii)}
+    assert len(result.bap_scores) == 3 * len(radii)
+
+
+def test_identical_samples_share_one_cache_entry(monkeypatch):
+    # the fit depends on the sample alone, not on the surrogate
+    ds = _ds(nx=5, ny=5, seed=13, cnt_missing_frac=0.25, ba_missing_frac=0.25)
+    spec = NeighborhoodSpec(radius_km=100.0)
+    for variable, k2, column in (("cnt", None, ds.cnt), ("ba", (0.4, 0.7), ds.bap)):
+        observed = np.flatnonzero(~np.isnan(column))
+        a, b = int(observed[0]), int(observed[1])
+        sample = column[observed[2:30]]
+        monkeypatch.setattr(tuning, "_cv_sample",
+                            lambda ds, surrogate, variable, spec: sample.copy())
+        plan = CvPlan(variable, ((0, a), (1, b)))
+        cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
+        cache = {}
+        cv_score(ds, spec, plan, cfg, k2=k2, cache=cache)
+        assert len(cache) == (1 if k2 is None else len(k2))
+
+
+def test_burnt_area_cv_needs_a_level():
+    ds = _ds(nx=4, ny=4, seed=9, ba_missing_frac=0.2)
+    with pytest.raises(DataError):
+        cv_score(ds, NeighborhoodSpec(), build_cv_plan(ds, "ba"),
+                 ScoreConfig(ds.ba_thresholds))
 
 
 def test_identical_members_give_identical_scores():
