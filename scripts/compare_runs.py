@@ -9,9 +9,9 @@ the workload's scene is built once with SRC_A's `bench/workloads.py`
 directory. Each tree's `pipeline.run_all` is then called on those files
 in a fresh process, with the workload's run settings. For every run it
 prints the wall time of the call and the sha256 of predictions_cnt.csv,
-predictions_ba.csv, tuning.csv and scores.csv ("absent" for a file the
-run did not write). It exits with status 1 when any digest differs
-between the trees.
+predictions_ba.csv, tuning.csv, scores.csv, diagnostics.csv and
+manifest.json ("absent" for a file the run did not write). It exits
+with status 1 when any digest differs between the trees.
 """
 
 import argparse
@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 OUTPUTS = ("predictions_cnt.csv", "predictions_ba.csv", "tuning.csv",
-           "scores.csv")
+           "scores.csv", "diagnostics.csv", "manifest.json")
 
 # argv: tree, workload, seed, data path, truth path; prints the run settings
 SCENE = """

@@ -2,14 +2,14 @@
 the Nelder-Mead reference.
 
 This builds the benchmark's `tune-grid` scene for one seed, runs
-`select_parameters` on it as `firemarg run` does with k1/k2 unset, and
-records every distinct exceedance set that `fit_mixture` hands to
-`fit_gpd`. It then fits each set with `burnt_area.fit_gpd` and with the
-Nelder-Mead reference kept in tests/test_burnt_area.py, and prints the
-time per fit of each, the range of the log-likelihood gap (new minus
-reference), the sets below the reference by more than 1e-6, and how
-many new fits are edge fits (xi = -1, the uniform law), with how many of
-those the reference only approached.
+`pipeline.tune_parameters` on it as `firemarg run` does with k1/k2
+unset, and records every distinct exceedance set that `fit_mixture`
+hands to `fit_gpd`. It then fits each set with `burnt_area.fit_gpd`
+and with the Nelder-Mead reference kept in tests/test_burnt_area.py,
+and prints the time per fit of each, the range of the log-likelihood
+gap (new minus reference), the sets below the reference by more than
+1e-6, and how many new fits are edge fits (xi = -1, the uniform law),
+with how many of those the reference only approached.
 
     PYTHONPATH=src python scripts/gpd_fit_corpus.py --seed 301
 """
@@ -27,9 +27,8 @@ sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 from firemarg import burnt_area  # noqa: E402
 from firemarg.config import RunConfig  # noqa: E402
 from firemarg.errors import GpdFitError  # noqa: E402
-from firemarg.neighborhoods import NeighborhoodSpec  # noqa: E402
+from firemarg.pipeline import tune_parameters  # noqa: E402
 from firemarg.synth import generate  # noqa: E402
-from firemarg.tuning import TuningGrid, select_parameters  # noqa: E402
 from test_burnt_area import gpd_loglik, nelder_mead_fit_gpd  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -51,11 +50,7 @@ def record_corpus(seed: int) -> list:
 
     burnt_area.fit_gpd = recording
     try:
-        select_parameters(
-            ds, TuningGrid(radii=config.radii),
-            TuningGrid(radii=config.radii, quantiles=config.quantiles),
-            base_spec=NeighborhoodSpec(variant=config.variant,
-                                       radius_km=config.radii[0]))
+        tune_parameters(ds, config)
     finally:
         burnt_area.fit_gpd = original
     return [(values, threshold) for (_, threshold), values in corpus.items()]

@@ -26,7 +26,7 @@ from .pipeline import (
     score_tables,
 )
 from .rules import ForcedPrediction, calibrate_water_cut
-from .scoring import ScoreConfig, score_one, score_rows, score_set
+from .scoring import ScoreConfig, score_one, score_rows
 from .synth import GroundTruth, SyntheticSpec, generate
 from .tuning import CvPlan, TuningGrid, TuningResult, build_cv_plan, select_parameters
 
@@ -40,6 +40,6 @@ __all__ = [
     "build_dataset", "build_neighborhood", "calibrate_water_cut",
     "dependence_report", "fit_gpd", "fit_mixture", "fit_zinb", "format_config",
     "generate", "haversine_km", "ingest", "load_config", "predict_tables",
-    "run_all", "score_one", "score_rows", "score_set", "score_tables",
+    "run_all", "score_one", "score_rows", "score_tables",
     "select_parameters", "zone_area_km2", "__version__",
 ]

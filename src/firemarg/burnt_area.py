@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GpdFitError
+from .geo import rescaled_thresholds
 
 MIN_EXCEED = 10
 XI_LO, XI_HI = -1.0, 5.0
@@ -256,6 +257,22 @@ def fit_mixture(sample, k2: float, min_exceed: int = MIN_EXCEED) -> BaMixture:
         return empirical(str(exc))
     return BaMixture(kind="mixture", sample_size=n, z=z, u=u, lam=lam,
                      sample=srt, positives=srt[n_zero:], gpd=gpd)
+
+
+def cdf_row(model, thresholds, capacity: float) -> np.ndarray:
+    """CDF row of a fitted model on an absolute threshold grid.
+
+    A count model's CDF already is its row. A burnt-area mixture lives
+    on the proportion scale: the grid is divided by the cell capacity,
+    and thresholds at or above capacity are certainties, pinned to 1
+    regardless of the fitted tail.
+    """
+    if not isinstance(model, BaMixture):
+        return model.cdf(thresholds)
+    scaled, forced = rescaled_thresholds(thresholds, capacity)
+    row = model.cdf(scaled)
+    row[forced] = 1.0
+    return np.maximum.accumulate(row)
 
 
 def sample_gpd(params: GpdParams, n: int, rng) -> np.ndarray:

@@ -15,27 +15,26 @@ import sys
 import numpy as np
 
 from .config import RunConfig, format_config, load_config, with_overrides
-from .data import Dataset, ingest, write_csv
+from .data import write_csv
 from .dependence import dependence_report, quadrant_split
 from .errors import FiremargError
-from .neighborhoods import VARIANTS, NeighborhoodSpec
+from .neighborhoods import VARIANTS
 from .pipeline import (
-    _specs_from_config,
     choose_water_cut,
-    predict_tables,
+    load_dataset,
+    predict_missing,
     read_prediction_csv,
     read_truth_csv,
     run_all,
     score_tables,
-    write_diagnostics_csv,
-    write_prediction_csv,
+    tune_parameters,
+    write_predictions,
     write_score_csv,
     write_truth_csv,
     write_tuning_csv,
 )
 from .rules import anomalous_rows
 from .synth import SyntheticSpec, generate
-from .tuning import TuningGrid, select_parameters
 
 log = logging.getLogger(__name__)
 
@@ -80,16 +79,6 @@ def _config_from_args(args, **extra) -> RunConfig:
     return with_overrides(config, **overrides)
 
 
-def _load_dataset(path: str, config: RunConfig) -> Dataset:
-    return ingest(path,
-                  cnt_thresholds=config.cnt_thresholds,
-                  ba_thresholds=config.ba_thresholds,
-                  radius_km=config.earth_radius_km,
-                  unit_scale=config.unit_scale,
-                  lon_width=config.lon_width,
-                  lat_height=config.lat_height)
-
-
 def cmd_config(args) -> int:
     if args.defaults:
         print(format_config(), end="")
@@ -99,8 +88,7 @@ def cmd_config(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    ds = _load_dataset(args.data or config.data_path, config)
+    ds = load_dataset(_config_from_args(args, data_path=args.data))
     bad = anomalous_rows(ds)
     print(f"rows: {ds.n}")
     print(f"slices: {len(ds.spatial_index)}")
@@ -139,8 +127,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    config = _config_from_args(args)
-    ds = _load_dataset(args.data or config.data_path, config)
+    config = _config_from_args(args, data_path=args.data)
+    ds = load_dataset(config)
     levels = tuple(float(t) for t in args.levels.replace(",", " ").split())
     paired = ~np.isnan(ds.cnt) & ~np.isnan(ds.ba)
     regions = {"ALL": np.flatnonzero(paired)}
@@ -173,21 +161,10 @@ def cmd_explore(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = _config_from_args(args)
-    ds = _load_dataset(args.data or config.data_path, config)
-    base_spec = NeighborhoodSpec(variant=config.variant,
-                                 radius_km=config.radii[0],
-                                 year_half_width=config.ky,
-                                 cluster_covariate=config.cluster_covariate)
-    result = select_parameters(ds, TuningGrid(radii=config.radii),
-                               TuningGrid(radii=config.radii,
-                                          quantiles=config.quantiles),
-                               base_spec=base_spec,
-                               cnt_weights=config.cnt_weights,
-                               ba_weights=config.ba_weights)
-    out_dir = args.out or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "tuning.csv")
+    config = _config_from_args(args, data_path=args.data, out_dir=args.out)
+    result = tune_parameters(load_dataset(config), config)
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "tuning.csv")
     write_tuning_csv(result, path)
     print(f"selected k1_cnt={result.cnt_radius:g} km, "
           f"k1_bap={result.bap_radius:g} km, k2_bap={result.bap_quantile:g}")
@@ -196,28 +173,15 @@ def cmd_tune(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, data_path=args.data, out_dir=args.out)
     if config.k1_cnt is None or config.k1_bap is None or config.k2_bap is None:
         raise FiremargError("k1/k2 not set: run `tune` first, set them in the "
                             "config, or pass --k1/--k2")
-    ds = _load_dataset(args.data or config.data_path, config)
-    cnt_spec, bap_spec = _specs_from_config(config)
-    workers = config.workers or os.cpu_count() or 1
-    result = predict_tables(ds, cnt_spec, bap_spec, config.k2_bap,
-                            pair_rule=config.pair_rule,
-                            water_rule=config.water_rule,
-                            water_cut=choose_water_cut(ds, config),
-                            workers=workers)
-    out_dir = args.out or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    for table, name in ((result.cnt, "predictions_cnt.csv"),
-                        (result.ba, "predictions_ba.csv")):
-        path = os.path.join(out_dir, name)
-        write_prediction_csv(table, path)
-        print(f"wrote {path} ({table.indices.size} rows)")
-    diag_path = os.path.join(out_dir, "diagnostics.csv")
-    write_diagnostics_csv(result.diagnostics, diag_path)
-    print(f"wrote {diag_path}")
+    ds = load_dataset(config)
+    result = predict_missing(ds, config, choose_water_cut(ds, config))
+    os.makedirs(config.out_dir, exist_ok=True)
+    for path in write_predictions(result, config.out_dir).values():
+        print(f"wrote {path}")
     return 0
 
 

@@ -56,6 +56,8 @@ class RunConfig:
             raise DataError(f"unknown variant {self.variant!r}")
         if self.variant == "cluster" and not self.cluster_covariate:
             raise DataError("cluster variant needs cluster_covariate")
+        if self.variant == "temporal" and self.ky < 1:
+            raise DataError("temporal variant needs ky >= 1")
         if self.k2_bap is not None and not 0.0 < self.k2_bap < 1.0:
             raise DataError("k2_bap must lie in (0,1)")
         if self.ky < 0 or self.workers < 0:

@@ -12,6 +12,10 @@ Queries go through the dataset's per-(month, year) latitude-sorted
 index: a latitude band is a necessary condition for the distance bound
 (great-circle distance >= R * |delta lat|), so only band candidates pay
 for an exact haversine evaluation.
+
+`fitting_sample` is the one sampling ladder that prediction and
+cross-validation fit on: the neighborhood, widened to the (month, year)
+slice and then the same-month pool when it has no observed value.
 """
 
 from __future__ import annotations
@@ -150,21 +154,31 @@ def build_neighborhood(ds: Dataset, center: int, spec: NeighborhoodSpec) -> Neig
     return cluster_neighborhood(ds, center, spec.radius_km, spec.cluster_covariate)
 
 
-def cnt_sample(ds: Dataset, neighborhood: Neighborhood,
-               exclude: int | None = None) -> np.ndarray:
-    """Non-missing count values over the members (optionally minus one id)."""
-    return _sample(ds.cnt, neighborhood.members, exclude)
+def _ladder(ds: Dataset, center: int, spec: NeighborhoodSpec):
+    """(source, candidate ids) of each rung, narrowest first."""
+    yield "neighborhood", build_neighborhood(ds, center, spec).members
+    yield "slice", ds.spatial_index[(int(ds.month[center]), int(ds.year[center]))].ids
+    yield "month", np.flatnonzero(ds.month == ds.month[center])
 
 
-def bap_sample(ds: Dataset, neighborhood: Neighborhood,
-               exclude: int | None = None) -> np.ndarray:
-    """Non-missing burnt-area proportions over the members."""
-    return _sample(ds.bap, neighborhood.members, exclude)
+def fitting_sample(ds: Dataset, center: int, variable: str,
+                   spec: NeighborhoodSpec) -> tuple[np.ndarray, str]:
+    """Observed values of `variable` ("cnt" counts, "ba" burnt-area
+    proportions) that the model of one index is fitted on, with the
+    rung they came from: "neighborhood", "slice" or "month".
 
-
-def _sample(column: np.ndarray, members: np.ndarray, exclude) -> np.ndarray:
-    vals = column[members]
-    keep = ~np.isnan(vals)
-    if exclude is not None:
-        keep &= members != exclude
-    return vals[keep]
+    A neighborhood with no observed member widens to the center's
+    (month, year) slice, then to the same-month pool across years. The
+    center itself is always left out: a predicted index's own value is
+    missing anyway, and a CV surrogate must not see its own value.
+    Prediction and cross-validation share this ladder, so every radius
+    scores every CV pair. The sample is empty only when the month has
+    no other observed value.
+    """
+    column = ds.cnt if variable == "cnt" else ds.bap
+    for source, ids in _ladder(ds, center, spec):
+        sample = column[ids[ids != center]]
+        sample = sample[~np.isnan(sample)]
+        if sample.size:
+            break
+    return sample, source

@@ -1,6 +1,8 @@
 """End-to-end prediction: per-index model fits, rule overrides, the
 pooled-empirical benchmark, scoring against withheld truth, and the
-`run` orchestration that writes all artifacts.
+`run` orchestration that writes all artifacts. Its stages
+(`load_dataset`, `tune_parameters`, `predict_missing`) are what the
+`ingest`, `explore`, `tune` and `predict` commands call.
 
 Burnt-area rows are modelled in proportion space and emitted against
 the absolute threshold grid; the rescaling by cell capacity stays
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,18 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .burnt_area import fit_mixture
+from .burnt_area import cdf_row
 from .config import RunConfig, config_hash
-from .counts import fit_zinb
 from .data import Dataset, PredictionTable, ingest
 from .errors import DataError, FiremargError
-from .neighborhoods import (
-    NeighborhoodSpec,
-    bap_sample,
-    build_neighborhood,
-    cnt_sample,
-)
+from .neighborhoods import NeighborhoodSpec, fitting_sample
 from .rules import (
+    DEFAULT_WATER_CUT,
     anomalous_rows,
     apply_overrides,
     calibrate_water_cut,
@@ -40,9 +38,14 @@ from .rules import (
     resolve_forced,
     saturation_flags,
 )
-# score_one stays importable here: bench/tracer.py wraps it by name
-from .scoring import ScoreConfig, pooled_ecdf_row, score_one, score_rows  # noqa: F401
-from .tuning import TuningGrid, TuningResult, ba_cdf_row, cnt_cdf_row, select_parameters
+from .scoring import ScoreConfig, pooled_ecdf_row, score_rows
+from .tuning import TuningGrid, TuningResult, fit_model, select_parameters
+
+# bench/tracer.py wraps these names in this module; nothing here calls them
+from .burnt_area import fit_mixture  # noqa: F401
+from .counts import fit_zinb  # noqa: F401
+from .neighborhoods import build_neighborhood  # noqa: F401
+from .scoring import score_one  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -58,39 +61,14 @@ class Diagnostic:
     forced: str          # rule kinds applied to the row, "+"-joined
 
 
-def _sample_for(ds: Dataset, i: int, variable: str, spec: NeighborhoodSpec):
-    """Fitting sample for one missing index, widening when empty.
-
-    The neighborhood can be empty of observed values (small radius, all
-    neighbors masked); fall back to the full (month, year) slice, then
-    to the same-month pool across years.
-    """
-    column = ds.cnt if variable == "cnt" else ds.bap
-    nb = build_neighborhood(ds, i, spec)
-    sample = (cnt_sample if variable == "cnt" else bap_sample)(ds, nb)
-    if sample.size:
-        return sample, "neighborhood"
-    ids = ds.spatial_index[(int(ds.month[i]), int(ds.year[i]))].ids
-    sample = column[ids]
-    sample = sample[~np.isnan(sample)]
-    if sample.size:
-        return sample, "slice"
-    sample = column[ds.month == ds.month[i]]
-    sample = sample[~np.isnan(sample)]
-    if sample.size:
-        return sample, "month"
-    raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
-
-
 def _predict_one(ds: Dataset, i: int, variable: str, spec: NeighborhoodSpec,
                  k2: float | None):
-    sample, source = _sample_for(ds, i, variable, spec)
-    if variable == "cnt":
-        model = fit_zinb(sample)
-        row = cnt_cdf_row(model, ds.cnt_thresholds)
-    else:
-        model = fit_mixture(sample, k2)
-        row = ba_cdf_row(model, ds.ba_thresholds, float(ds.capacity[i]))
+    sample, source = fitting_sample(ds, i, variable, spec)
+    if not sample.size:
+        raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
+    model = fit_model(sample, variable, k2)
+    grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
+    row = cdf_row(model, grid, float(ds.capacity[i]))
     diag = Diagnostic(index=i, variable=variable, source=source,
                       sample_size=int(sample.size), model=model.kind,
                       fallback=model.fallback_reason or "", forced="")
@@ -146,7 +124,7 @@ class PredictResult:
 def predict_tables(ds: Dataset, cnt_spec: NeighborhoodSpec,
                    bap_spec: NeighborhoodSpec, k2: float,
                    pair_rule: bool = True, water_rule: bool = True,
-                   water_cut: float | None = None,
+                   water_cut: float = DEFAULT_WATER_CUT,
                    workers: int = 1) -> PredictResult:
     """Model-based CDF rows for every missing index, rules applied last."""
     cnt_rows, cnt_diags = _predict_variable(ds, "cnt", cnt_spec, None, workers)
@@ -160,8 +138,7 @@ def predict_tables(ds: Dataset, cnt_spec: NeighborhoodSpec,
     if pair_rule:
         rule_lists.append(deduce_from_pair(ds))
     if water_rule:
-        kwargs = {} if water_cut is None else {"water_cut": water_cut}
-        rule_lists.append(deduce_from_water(ds, **kwargs))
+        rule_lists.append(deduce_from_water(ds, water_cut=water_cut))
     rule_lists.append(saturation_flags(ds))
     resolved = resolve_forced(*rule_lists)
     cnt_table = apply_overrides(cnt_table, resolved)
@@ -311,19 +288,31 @@ def write_truth_csv(indices_cnt, cnt_values: dict, indices_ba, ba_values: dict,
 
 
 def read_truth_csv(path: str) -> tuple[dict, dict]:
-    cnt: dict = {}
-    ba: dict = {}
+    """Withheld (cnt, ba) values by index. Each must be finite and
+    nonnegative, and a count a whole number: a NaN truth would score as
+    if it lay above every threshold."""
+    truth: dict = {"cnt": {}, "ba": {}}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["index", "cnt", "ba"]:
             raise DataError(f"{path}: not a truth file")
         for rec in reader:
             i = int(rec["index"])
-            if rec["cnt"] not in ("", "NA"):
-                cnt[i] = float(rec["cnt"])
-            if rec["ba"] not in ("", "NA"):
-                ba[i] = float(rec["ba"])
-    return cnt, ba
+            for variable, values in truth.items():
+                raw = rec[variable]
+                if raw in ("", "NA"):
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = math.nan
+                whole = variable == "ba" or value.is_integer()
+                if not (math.isfinite(value) and value >= 0 and whole):
+                    kind = "whole number" if variable == "cnt" else "number"
+                    raise DataError(f"{path}:{reader.line_num}: {variable} truth "
+                                    f"{raw!r} is not a finite nonnegative {kind}")
+                values[i] = value
+    return truth["cnt"], truth["ba"]
 
 
 @dataclass(frozen=True)
@@ -336,14 +325,6 @@ class RunArtifacts:
     paths: dict
 
 
-def _specs_from_config(config: RunConfig):
-    base = dict(variant=config.variant, year_half_width=config.ky,
-                cluster_covariate=config.cluster_covariate)
-    cnt_spec = NeighborhoodSpec(radius_km=float(config.k1_cnt), **base)
-    bap_spec = NeighborhoodSpec(radius_km=float(config.k1_bap), **base)
-    return cnt_spec, bap_spec
-
-
 def choose_water_cut(ds: Dataset, config: RunConfig) -> float:
     """The lc18 cut of the water rule: calibrated on the data when
     config.calibrate_water is set, config.water_cut otherwise."""
@@ -352,17 +333,63 @@ def choose_water_cut(ds: Dataset, config: RunConfig) -> float:
     return config.water_cut
 
 
+def load_dataset(config: RunConfig) -> Dataset:
+    """Stage ingest: config.data_path on the config's threshold grids
+    and cell geometry."""
+    return ingest(config.data_path,
+                  cnt_thresholds=config.cnt_thresholds,
+                  ba_thresholds=config.ba_thresholds,
+                  radius_km=config.earth_radius_km,
+                  unit_scale=config.unit_scale,
+                  lon_width=config.lon_width,
+                  lat_height=config.lat_height)
+
+
+def _spec(config: RunConfig, radius_km: float) -> NeighborhoodSpec:
+    return NeighborhoodSpec(variant=config.variant, radius_km=float(radius_km),
+                            year_half_width=config.ky,
+                            cluster_covariate=config.cluster_covariate)
+
+
+def tune_parameters(ds: Dataset, config: RunConfig) -> TuningResult:
+    """Stage tune: cross-validation over the config's radius and
+    quantile grids, with its neighborhood variant and score weights."""
+    return select_parameters(
+        ds, TuningGrid(radii=config.radii),
+        TuningGrid(radii=config.radii, quantiles=config.quantiles),
+        base_spec=_spec(config, config.radii[0]),
+        cnt_weights=config.cnt_weights, ba_weights=config.ba_weights)
+
+
+def _workers(config: RunConfig) -> int:
+    return config.workers or os.cpu_count() or 1
+
+
+def predict_missing(ds: Dataset, config: RunConfig, water_cut: float) -> PredictResult:
+    """Stage predict: predict_tables at the config's k1/k2 (all set),
+    with its rules and the given water cut."""
+    return predict_tables(ds, _spec(config, config.k1_cnt),
+                          _spec(config, config.k1_bap), config.k2_bap,
+                          pair_rule=config.pair_rule,
+                          water_rule=config.water_rule,
+                          water_cut=water_cut, workers=_workers(config))
+
+
+def write_predictions(result: PredictResult, out_dir: str) -> dict:
+    """Both prediction tables and the diagnostics, by file name."""
+    paths = {name: os.path.join(out_dir, name) for name in
+             ("predictions_cnt.csv", "predictions_ba.csv", "diagnostics.csv")}
+    write_prediction_csv(result.cnt, paths["predictions_cnt.csv"])
+    write_prediction_csv(result.ba, paths["predictions_ba.csv"])
+    write_diagnostics_csv(result.diagnostics, paths["diagnostics.csv"])
+    return paths
+
+
 def run_all(config: RunConfig) -> RunArtifacts:
     """ingest -> rules -> tune -> predict -> score, all artifacts on disk."""
     stage = "ingest"
     try:
-        ds = ingest(config.data_path,
-                    cnt_thresholds=config.cnt_thresholds,
-                    ba_thresholds=config.ba_thresholds,
-                    radius_km=config.earth_radius_km,
-                    unit_scale=config.unit_scale,
-                    lon_width=config.lon_width,
-                    lat_height=config.lat_height)
+        ds = load_dataset(config)
         os.makedirs(config.out_dir, exist_ok=True)
 
         stage = "rules"
@@ -373,18 +400,8 @@ def run_all(config: RunConfig) -> RunArtifacts:
 
         stage = "tune"
         tuning = None
-        need = (config.k1_cnt is None or config.k1_bap is None
-                or config.k2_bap is None)
-        if need:
-            base_spec = NeighborhoodSpec(
-                variant=config.variant, radius_km=config.radii[0],
-                year_half_width=config.ky,
-                cluster_covariate=config.cluster_covariate)
-            tuning = select_parameters(
-                ds, TuningGrid(radii=config.radii),
-                TuningGrid(radii=config.radii, quantiles=config.quantiles),
-                base_spec=base_spec,
-                cnt_weights=config.cnt_weights, ba_weights=config.ba_weights)
+        if config.k1_cnt is None or config.k1_bap is None or config.k2_bap is None:
+            tuning = tune_parameters(ds, config)
             config = replace(
                 config,
                 k1_cnt=config.k1_cnt if config.k1_cnt is not None else tuning.cnt_radius,
@@ -392,12 +409,7 @@ def run_all(config: RunConfig) -> RunArtifacts:
                 k2_bap=config.k2_bap if config.k2_bap is not None else tuning.bap_quantile)
 
         stage = "predict"
-        cnt_spec, bap_spec = _specs_from_config(config)
-        workers = config.workers or os.cpu_count() or 1
-        result = predict_tables(ds, cnt_spec, bap_spec, config.k2_bap,
-                                pair_rule=config.pair_rule,
-                                water_rule=config.water_rule,
-                                water_cut=water_cut, workers=workers)
+        result = predict_missing(ds, config, water_cut)
 
         stage = "score"
         report = None
@@ -408,12 +420,8 @@ def run_all(config: RunConfig) -> RunArtifacts:
                                   ba_weights=config.ba_weights)
 
         stage = "write"
-        paths = {name: os.path.join(config.out_dir, name) for name in
-                 ("predictions_cnt.csv", "predictions_ba.csv",
-                  "diagnostics.csv", "manifest.json")}
-        write_prediction_csv(result.cnt, paths["predictions_cnt.csv"])
-        write_prediction_csv(result.ba, paths["predictions_ba.csv"])
-        write_diagnostics_csv(result.diagnostics, paths["diagnostics.csv"])
+        paths = write_predictions(result, config.out_dir)
+        paths["manifest.json"] = os.path.join(config.out_dir, "manifest.json")
         if tuning is not None:
             paths["tuning.csv"] = os.path.join(config.out_dir, "tuning.csv")
             write_tuning_csv(tuning, paths["tuning.csv"])
@@ -425,7 +433,7 @@ def run_all(config: RunConfig) -> RunArtifacts:
             "version": __version__,
             "config_hash": config_hash(config),
             "seed": config.seed,
-            "workers": workers,
+            "workers": _workers(config),
             "selected": {"k1_cnt": config.k1_cnt, "k1_bap": config.k1_bap,
                          "k2_bap": config.k2_bap, "variant": config.variant,
                          "ky": config.ky},

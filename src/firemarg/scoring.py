@@ -48,39 +48,26 @@ class ScoreConfig:
         object.__setattr__(self, "weights", w)
 
 
-def _checked_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows along the last axis in [0, 1] (to ROW_TOL) and non-decreasing,
-    clipped into [0, 1]."""
-    if np.any(~np.isfinite(rows)) or np.any(rows < -ROW_TOL) or np.any(rows > 1 + ROW_TOL):
-        raise DataError("row values must lie in [0, 1]")
-    if np.any(np.diff(rows, axis=-1) < -ROW_TOL):
-        raise DataError("row must be non-decreasing across thresholds")
-    return np.clip(rows, 0.0, 1.0)
-
-
-def validate_row(row, n_thresholds: int) -> np.ndarray:
-    """Check one predicted CDF row: right length, in [0,1], non-decreasing."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (n_thresholds,):
-        raise DataError(f"row has shape {row.shape}, expected ({n_thresholds},)")
-    return _checked_rows(row)
-
-
 def score_rows(rows, observed, config: ScoreConfig) -> np.ndarray:
     """Score of each predicted CDF row (the last axis of rows) against
     its observation.
 
     rows has shape (..., K) for K thresholds and observed broadcasts to
-    rows.shape[:-1]; the result has that shape. Every row passes the
-    checks of validate_row, with the same errors. Each row's weighted
-    squared errors are summed alone along the last axis, so a row
-    scores the same bits in any batch.
+    rows.shape[:-1]; the result has that shape. Every row must lie in
+    [0, 1] to ROW_TOL (and is then clipped into it) and must not
+    decrease by more than ROW_TOL. Each row's weighted squared errors
+    are summed alone along the last axis, so a row scores the same bits
+    in any batch.
     """
     rows = np.asarray(rows, dtype=float)
     k = config.thresholds.size
     if rows.ndim == 0 or rows.shape[-1] != k:
         raise DataError(f"row has shape {rows.shape}, expected (..., {k})")
-    rows = _checked_rows(rows)
+    if np.any(~np.isfinite(rows)) or np.any(rows < -ROW_TOL) or np.any(rows > 1 + ROW_TOL):
+        raise DataError("row values must lie in [0, 1]")
+    if np.any(np.diff(rows, axis=-1) < -ROW_TOL):
+        raise DataError("row must be non-decreasing across thresholds")
+    rows = np.clip(rows, 0.0, 1.0)
     observed = np.broadcast_to(np.asarray(observed, dtype=float), rows.shape[:-1])
     indicator = (observed[..., None] <= config.thresholds).astype(float)
     return np.sum(config.weights * (indicator - rows) ** 2, axis=-1)
@@ -92,29 +79,6 @@ def score_one(predicted_cdf, observed: float, config: ScoreConfig) -> float:
         raise DataError(f"row has shape {np.shape(predicted_cdf)}, "
                         f"expected ({config.thresholds.size},)")
     return float(score_rows(predicted_cdf, observed, config))
-
-
-def score_set(rows, observed, config: ScoreConfig) -> float:
-    """Sum of score_one over parallel sequences of rows and observations.
-
-    Duplicated indices are scored once per occurrence; callers pass one
-    row per occurrence. np.sum's pairwise reduction keeps the total
-    independent of how callers batch the rows.
-    """
-    observed = np.asarray(observed, dtype=float)
-    if len(rows) != observed.size:
-        raise DataError(f"{len(rows)} rows vs {observed.size} observations")
-    if observed.size == 0:
-        return 0.0
-    if np.any(np.isnan(observed)):
-        raise DataError("observed values must not be missing")
-    try:
-        rows = np.asarray(rows, dtype=float)
-    except ValueError as exc:
-        raise DataError(f"rows must form an (N, K) array: {exc}") from exc
-    if rows.ndim != 2:
-        raise DataError(f"rows have shape {rows.shape}, expected (N, K)")
-    return float(np.sum(score_rows(rows, observed, config)))
 
 
 def expected_score(forecast_row, support, probs, config: ScoreConfig) -> float:

@@ -3,12 +3,15 @@ tail threshold level.
 
 Each missing index is stood in for by its spatially nearest non-missing
 observation in the same (month, year) slice. Candidate parameters are
-scored by fitting the marginal model on the surrogate's neighborhood
-(with the surrogate's own value left out), predicting the CDF row, and
-scoring it against the surrogate's observed value. Empty neighborhoods
-widen along the same ladder the predictor uses, so each candidate is
-scored on the full plan. The candidate combination with the smallest
-total score wins; ties go to the smaller parameters.
+scored by fitting the marginal model to the surrogate's
+`neighborhoods.fitting_sample` (which leaves the surrogate's own value
+out), evaluating its CDF row, and scoring that row against the
+surrogate's observed value. Prediction uses the same ladder, the same
+`fit_model` and the same `burnt_area.cdf_row`, so CV scores exactly
+the model that prediction emits; an empty neighborhood widens along
+that ladder, so each candidate is scored on the full plan. The
+candidate combination with the smallest total score wins; ties go to
+the smaller parameters.
 
 Each (variable, radius) is evaluated in one pass (`cv_score`): every
 distinct surrogate's sample is built once, its CDF rows for all
@@ -30,19 +33,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burnt_area import BaMixture, fit_mixture
-from .counts import CountModel, fit_zinb
+from .burnt_area import cdf_row, fit_mixture
+from .counts import fit_zinb
 from .data import Dataset
 from .errors import DataError
-from .geo import haversine_km, rescaled_thresholds
-from .neighborhoods import (
-    NeighborhoodSpec,
-    bap_sample,
-    build_neighborhood,
-    cnt_sample,
-)
-# score_one stays importable here: bench/tracer.py wraps it by name
-from .scoring import ScoreConfig, score_one, score_rows  # noqa: F401
+from .geo import haversine_km
+from .neighborhoods import NeighborhoodSpec, fitting_sample
+from .scoring import ScoreConfig, score_rows
+
+# bench/tracer.py wraps these names in this module; nothing here calls them
+from .neighborhoods import build_neighborhood  # noqa: F401
+from .scoring import score_one  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -102,34 +103,15 @@ def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
     return CvPlan(variable=variable, pairs=tuple(pairs), skipped=tuple(skipped))
 
 
-def _cv_sample(ds, surrogate, variable, spec):
-    """Fitting sample for one surrogate, mirroring the prediction ladder.
-
-    An empty neighborhood widens to the (month, year) slice and then to
-    the same-month pool, always without the surrogate itself. Every
-    radius therefore scores every pair; a candidate can never win the
-    grid search by leaving pairs unscored.
-    """
-    column = ds.cnt if variable == "cnt" else ds.bap
-    nb = build_neighborhood(ds, surrogate, spec)
-    sample = (cnt_sample if variable == "cnt" else bap_sample)(
-        ds, nb, exclude=surrogate)
-    if sample.size:
-        return sample
-    ids = ds.spatial_index[(int(ds.month[surrogate]), int(ds.year[surrogate]))].ids
-    pool = column[ids[ids != surrogate]]
-    pool = pool[~np.isnan(pool)]
-    if pool.size:
-        return pool
-    keep = ds.month == ds.month[surrogate]
-    keep[surrogate] = False
-    pool = column[keep]
-    return pool[~np.isnan(pool)]
+def fit_model(sample, variable: str, k2: float | None):
+    """The marginal model of one fitting sample: the ZINB count model
+    ("cnt", k2 unused) or the burnt-area mixture at level k2 ("ba").
+    Prediction and cross-validation both fit through here."""
+    return fit_zinb(sample) if variable == "cnt" else fit_mixture(sample, k2)
 
 
 def _fit_cached(sample, variable, k2, cache):
-    """Model of one CV sample: the ZINB count model ("cnt") or the
-    burnt-area mixture at level k2 ("ba"); None for an empty sample.
+    """fit_model of one CV sample, memoized in cache (if given).
 
     A fit depends on its sample alone, so the key carries the sample's
     bytes and k2 but no surrogate: every surrogate and radius with that
@@ -138,38 +120,10 @@ def _fit_cached(sample, variable, k2, cache):
     key = (variable, k2, sample.tobytes())
     if cache is not None and key in cache:
         return cache[key]
-    if not sample.size:
-        model = None
-    elif variable == "cnt":
-        model = fit_zinb(sample)
-    else:
-        model = fit_mixture(sample, k2)
+    model = fit_model(sample, variable, k2)
     if cache is not None:
         cache[key] = model
     return model
-
-
-def cnt_cdf_row(model: CountModel, thresholds) -> np.ndarray:
-    return np.asarray(model.cdf(thresholds), dtype=float)
-
-
-def ba_cdf_row(model: BaMixture, ba_thresholds, capacity: float) -> np.ndarray:
-    """Evaluate a burnt-area-proportion model on the absolute grid.
-
-    Thresholds at or above the cell capacity are certainties and pinned
-    to 1 regardless of the fitted tail.
-    """
-    scaled, forced = rescaled_thresholds(ba_thresholds, capacity)
-    row = np.asarray(model.cdf(scaled), dtype=float)
-    row[forced] = 1.0
-    return np.maximum.accumulate(row)
-
-
-def cv_samples(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan) -> dict:
-    """Fitting sample of each distinct surrogate in the plan under spec."""
-    surrogates = dict.fromkeys(surrogate for _, surrogate in plan.pairs)
-    return {surrogate: _cv_sample(ds, surrogate, plan.variable, spec)
-            for surrogate in surrogates}
 
 
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
@@ -179,8 +133,10 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
 
     k2 may be a sequence of levels; the totals then come back as a
     tuple in the same order, from one pass over the plan: each
-    distinct surrogate's sample is built (`cv_samples`) and sorted
-    once, its rows for all levels go through
+    distinct surrogate's `fitting_sample` is built once (and, for
+    burnt area, sorted once, so the cache key is its multiset; count
+    samples keep their order, because `fit_zinb`'s sums are not
+    order-free to the last bit), its rows for all levels go through
     the fit cache, the empirical fallbacks share one row (the
     empirical CDF does not depend on k2), and one `score_rows` call
     scores every (level, surrogate). Duplicate surrogates are scored
@@ -194,26 +150,25 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
         raise DataError("burnt-area CV needs a k2 level")
     else:
         scalar, levels = np.ndim(k2) == 0, tuple(np.atleast_1d(k2).tolist())
-    samples = cv_samples(ds, spec, plan)
-    column = ds.cnt if plan.variable == "cnt" else ds.ba
+    samples = {}
+    for _, surrogate in plan.pairs:
+        if surrogate not in samples:
+            sample, _ = fitting_sample(ds, surrogate, plan.variable, spec)
+            samples[surrogate] = sample if plan.variable == "cnt" else np.sort(sample)
     live = [s for s, sample in samples.items() if sample.size]
     rows = np.empty((len(levels), len(live), config.thresholds.size))
     for j, surrogate in enumerate(live):
-        if plan.variable == "cnt":
-            model = _fit_cached(samples[surrogate], "cnt", None, cache)
-            rows[0, j] = cnt_cdf_row(model, config.thresholds)
-            continue
-        sample = np.sort(samples[surrogate])
         capacity = float(ds.capacity[surrogate])
         empirical = None
         for q, level in enumerate(levels):
-            model = _fit_cached(sample, "ba", level, cache)
+            model = _fit_cached(samples[surrogate], plan.variable, level, cache)
             if model.kind != "empirical":
-                rows[q, j] = ba_cdf_row(model, config.thresholds, capacity)
+                rows[q, j] = cdf_row(model, config.thresholds, capacity)
                 continue
             if empirical is None:
-                empirical = ba_cdf_row(model, config.thresholds, capacity)
+                empirical = cdf_row(model, config.thresholds, capacity)
             rows[q, j] = empirical
+    column = ds.cnt if plan.variable == "cnt" else ds.ba
     scores = score_rows(rows, column[live], config)
     column_of = {surrogate: j for j, surrogate in enumerate(live)}
     pairs = [column_of[s] for _, s in plan.pairs if s in column_of]

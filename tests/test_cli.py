@@ -154,6 +154,21 @@ def test_tune_command(tmp_path, synth_dir, capsys):
     assert len(lines) == 1 + 2 + 2       # two cnt radii, two ba combinations
 
 
+def test_tune_writes_the_tuning_csv_of_run(tmp_path, synth_dir):
+    data = os.path.join(synth_dir, "data.csv")
+    config_path = tmp_path / "t.ini"
+    config_path.write_text(format_config(RunConfig(
+        radii=(100.0, 150.0), quantiles=(0.4, 0.6), workers=1)))
+    tune_dir, run_dir = str(tmp_path / "tune"), str(tmp_path / "run")
+    for command, out in (("tune", tune_dir), ("run", run_dir)):
+        assert main([command, "--data", data, "--config", str(config_path),
+                     "--out", out]) == 0
+    with open(os.path.join(tune_dir, "tuning.csv"), "rb") as fh:
+        tuned = fh.read()
+    with open(os.path.join(run_dir, "tuning.csv"), "rb") as fh:
+        assert fh.read() == tuned
+
+
 def test_explore_command(tmp_path, synth_dir):
     data = os.path.join(synth_dir, "data.csv")
     out = str(tmp_path / "dep.csv")

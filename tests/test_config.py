@@ -79,6 +79,8 @@ def test_validation():
         RunConfig(variant="radial")
     with pytest.raises(DataError):
         RunConfig(variant="cluster")
+    with pytest.raises(DataError, match="ky >= 1"):
+        RunConfig(variant="temporal", ky=0)
     with pytest.raises(DataError):
         RunConfig(k2_bap=1.0)
     with pytest.raises(DataError):

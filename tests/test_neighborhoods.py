@@ -13,11 +13,10 @@ from firemarg.geo import haversine_km
 from firemarg.neighborhoods import (
     Neighborhood,
     NeighborhoodSpec,
-    bap_sample,
     bisect_split,
     build_neighborhood,
     cluster_neighborhood,
-    cnt_sample,
+    fitting_sample,
     spatial_neighborhood,
     temporal_neighborhood,
 )
@@ -222,15 +221,39 @@ class TestSpecAndSamples:
         cols = make_grid_columns(nx=5, ny=5, cnt_missing_frac=0.3,
                                  ba_missing_frac=0.3, seed=11)
         ds = build_dataset(**cols)
-        nb = spatial_neighborhood(ds, 0, 10000.0)
-        cs = cnt_sample(ds, nb)
+        spec = NeighborhoodSpec(radius_km=10000.0)
+        members = spatial_neighborhood(ds, 0, 10000.0).members[1:]
+        cs, source = fitting_sample(ds, 0, "cnt", spec)
+        assert source == "neighborhood"
         assert not np.any(np.isnan(cs))
-        assert cs.size == np.count_nonzero(~np.isnan(ds.cnt[nb.members]))
-        bs = bap_sample(ds, nb)
-        assert bs.size == np.count_nonzero(~np.isnan(ds.bap[nb.members]))
+        assert cs.size == np.count_nonzero(~np.isnan(ds.cnt[members]))
+        bs, _ = fitting_sample(ds, 0, "ba", spec)
+        assert bs.size == np.count_nonzero(~np.isnan(ds.bap[members]))
 
     def test_sample_exclusion(self, multi_ds):
         nb = spatial_neighborhood(multi_ds, 10, 200.0)
-        full = cnt_sample(multi_ds, nb)
-        reduced = cnt_sample(multi_ds, nb, exclude=10)
-        assert reduced.size == full.size - 1
+        sample, _ = fitting_sample(multi_ds, 10, "cnt",
+                                   NeighborhoodSpec(radius_km=200.0))
+        assert not np.isnan(multi_ds.cnt[10])
+        assert sample.size == np.count_nonzero(~np.isnan(multi_ds.cnt[nb.members])) - 1
+
+    @pytest.mark.parametrize("variable", ["cnt", "ba"])
+    def test_fitting_sample_ladder(self, variable):
+        # one parallel, ~46 km between cells; ids 0-4 in 2000, 5-9 in
+        # 2001, all in month 6; the center (1) is observed on every rung
+        spec = NeighborhoodSpec(radius_km=50.0)
+        rungs = (((), "neighborhood", [0, 2]),
+                 ((0, 2), "slice", [3, 4]),
+                 ((0, 2, 3, 4), "month", [5, 6, 7, 8, 9]),
+                 ((0, 2, 3, 4, 5, 6, 7, 8, 9), "month", []))
+        for masked, source, expected in rungs:
+            cols = make_grid_columns(nx=5, ny=1, years=(2000, 2001), seed=8)
+            cols["cnt"] = np.arange(10.0) + 1.0
+            cols["ba"] = np.arange(10.0) + 1.0
+            cols[variable][list(masked)] = np.nan
+            ds = build_dataset(**cols)
+            column = ds.cnt if variable == "cnt" else ds.bap
+            sample, got = fitting_sample(ds, 1, variable, spec)
+            assert got == source
+            assert column[1] not in sample
+            np.testing.assert_array_equal(np.sort(sample), np.sort(column[expected]))

@@ -7,7 +7,7 @@ import pytest
 from firemarg.config import RunConfig
 from firemarg.counts import ZinbParams
 from firemarg.data import PredictionTable, build_dataset, write_csv
-from firemarg.errors import FiremargError
+from firemarg.errors import DataError, FiremargError
 from firemarg.neighborhoods import NeighborhoodSpec
 from firemarg.pipeline import (
     benchmark_tables,
@@ -21,7 +21,6 @@ from firemarg.pipeline import (
 )
 from firemarg.scoring import ScoreConfig, pooled_ecdf_row, score_one
 from firemarg.synth import SyntheticSpec, generate
-from firemarg.tuning import cnt_cdf_row
 
 from conftest import make_grid_columns
 
@@ -199,6 +198,20 @@ def test_truth_csv_round_trip(tmp_path):
     cnt, ba = read_truth_csv(str(path))
     assert cnt == {3: 2.0, 5: 0.0}
     assert ba == {5: 17.25, 9: 0.0}
+
+
+def test_truth_csv_rejects_bad_values(tmp_path):
+    # a NaN truth would score as if it lay above every threshold
+    path = tmp_path / "truth.csv"
+    for line, bad in (("3,nan,NA", "cnt truth 'nan'"),
+                      ("4,-2,inf", "cnt truth '-2'"),
+                      ("4,2,inf", "ba truth 'inf'"),
+                      ("5,2.5,NA", "cnt truth '2.5' is not a finite nonnegative whole"),
+                      ("6,NA,-0.5", "ba truth '-0.5'"),
+                      ("7,two,NA", "cnt truth 'two'")):
+        path.write_text("index,cnt,ba\n1,0,0.25\n" + line + "\n")
+        with pytest.raises(DataError, match=f"truth.csv:3: {bad}"):
+            read_truth_csv(str(path))
 
 
 @pytest.fixture

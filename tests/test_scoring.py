@@ -13,8 +13,6 @@ from firemarg.scoring import (
     pooled_ecdf_row,
     score_one,
     score_rows,
-    score_set,
-    validate_row,
 )
 
 
@@ -79,9 +77,9 @@ def test_row_validation():
         else:
             with pytest.raises(DataError):
                 score_rows([bad, bad], [1.0, 2.0], cfg)
-    # tiny float noise is tolerated and clipped
-    row = validate_row([0.0, 0.5, 1.0 + 1e-12], 3)
-    assert row[2] == 1.0
+    # tiny float noise is tolerated and clipped: the row scores as if
+    # its last value were exactly 1
+    assert score_rows([1.0, 1.0, 1.0 + 1e-12], 0.0, cfg) == 0.0
 
 
 def test_score_rows_equals_score_one_bit_for_bit():
@@ -101,24 +99,6 @@ def test_score_rows_equals_score_one_bit_for_bit():
         # a scalar observation broadcasts over the rows
         assert np.array_equal(score_rows(rows[2], observed[2, 0], cfg),
                               [score_one(r, observed[2, 0], cfg) for r in rows[2]])
-
-
-def test_score_set_additive_and_empty():
-    cfg = ScoreConfig(thresholds=np.array([0.0, 2.0]))
-    rows = [[0.1, 0.6], [0.3, 0.9], [0.0, 0.2]]
-    obs = [1.0, 0.0, 5.0]
-    total = score_set(rows, obs, cfg)
-    split = score_set(rows[:1], obs[:1], cfg) + score_set(rows[1:], obs[1:], cfg)
-    assert total == pytest.approx(split)
-    assert score_set([], [], cfg) == 0.0
-
-
-def test_score_set_counts_duplicates_per_occurrence():
-    cfg = ScoreConfig(thresholds=np.array([0.0, 2.0]))
-    row = [0.2, 0.7]
-    one = score_set([row], [1.0], cfg)
-    twice = score_set([row, row], [1.0, 1.0], cfg)
-    assert twice == pytest.approx(2 * one)
 
 
 def test_zero_weight_threshold_is_inert():

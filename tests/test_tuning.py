@@ -3,22 +3,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from firemarg import tuning
-from firemarg.burnt_area import fit_mixture
+from firemarg import neighborhoods, tuning
+from firemarg.burnt_area import cdf_row, fit_mixture
 from firemarg.counts import fit_zinb
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
 from firemarg.geo import haversine_km
-from firemarg.neighborhoods import NeighborhoodSpec, spatial_neighborhood
+from firemarg.neighborhoods import NeighborhoodSpec, fitting_sample, spatial_neighborhood
 from firemarg.scoring import ScoreConfig, score_one
 from firemarg.tuning import (
     DEFAULT_QUANTILES,
     DEFAULT_RADII,
     CvPlan,
     TuningGrid,
-    ba_cdf_row,
     build_cv_plan,
-    cv_samples,
     cv_score,
     select_parameters,
 )
@@ -167,7 +165,7 @@ def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
     ds = _ds(nx=5, ny=5, seed=29, cnt_missing_frac=0.25, ba_missing_frac=0.25)
     radii = (100.0, 150.0)
     plans, queries = {}, Counter()
-    plan_fn, query_fn = tuning.build_cv_plan, tuning.build_neighborhood
+    plan_fn, query_fn = tuning.build_cv_plan, neighborhoods.build_neighborhood
 
     def plan(ds, variable):
         plans[variable] = plan_fn(ds, variable)
@@ -178,7 +176,7 @@ def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
         return query_fn(*args, **kwargs)
 
     monkeypatch.setattr(tuning, "build_cv_plan", plan)
-    monkeypatch.setattr(tuning, "build_neighborhood", query)
+    monkeypatch.setattr(neighborhoods, "build_neighborhood", query)
     select_parameters(ds, TuningGrid(radii=radii),
                       TuningGrid(radii=radii, quantiles=(0.3, 0.5, 0.7)))
     assert queries["ba"] > 0
@@ -208,12 +206,12 @@ def test_bap_scores_equal_a_per_pair_reference_loop(monkeypatch):
     cfg = ScoreConfig(ds.ba_thresholds)
     expected = []
     for radius in radii:
-        samples = cv_samples(ds, NeighborhoodSpec(radius_km=radius), plan)
+        spec = NeighborhoodSpec(radius_km=radius)
         for q in quantiles:
             scores = []
             for _, s in plan.pairs:
-                model = fit_mixture(samples[s], q)
-                row = ba_cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
+                model = fit_mixture(fitting_sample(ds, s, "ba", spec)[0], q)
+                row = cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
                 scores.append(score_one(row, float(ds.ba[s]), cfg))
             expected.append((radius, q, float(np.sum(scores))))
     assert result.bap_scores == tuple(expected)
@@ -244,8 +242,9 @@ def test_identical_samples_share_one_cache_entry(monkeypatch):
         observed = np.flatnonzero(~np.isnan(column))
         a, b = int(observed[0]), int(observed[1])
         sample = column[observed[2:30]]
-        monkeypatch.setattr(tuning, "_cv_sample",
-                            lambda ds, surrogate, variable, spec: sample.copy())
+        monkeypatch.setattr(tuning, "fitting_sample",
+                            lambda ds, center, variable, spec: (sample.copy(),
+                                                                "neighborhood"))
         plan = CvPlan(variable, ((0, a), (1, b)))
         cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
         cache = {}
@@ -325,7 +324,7 @@ def test_ba_cdf_row_saturates_at_capacity():
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
     model = fit_mixture(sample, 0.5)
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
-    row = ba_cdf_row(model, thresholds, capacity=150.0)
+    row = cdf_row(model, thresholds, capacity=150.0)
     assert row[0] == pytest.approx(0.2)          # zero mass
     assert np.all(row[thresholds >= 150.0] == 1.0)
     assert row[3] < 1.0
