@@ -25,15 +25,15 @@ from .pipeline import (
     run_all,
     score_tables,
 )
-from .rules import ForcedPrediction, calibrate_water_cut
+from .rules import calibrate_water_cut
 from .scoring import ScoreConfig, score_one, score_rows
 from .synth import GroundTruth, SyntheticSpec, generate
 from .tuning import CvPlan, TuningGrid, TuningResult, build_cv_plan, select_parameters
 
 __all__ = [
     "BaMixture", "CountModel", "CvPlan", "DataError", "Dataset",
-    "DependenceReport", "FiremargError", "ForcedPrediction", "GeometryError",
-    "GpdFitError", "GpdParams", "GroundTruth", "IngestError", "Neighborhood",
+    "DependenceReport", "FiremargError", "GeometryError", "GpdFitError",
+    "GpdParams", "GroundTruth", "IngestError", "Neighborhood",
     "NeighborhoodSpec", "PredictResult", "PredictionTable", "RunArtifacts",
     "RunConfig", "ScoreConfig", "ScoreReport", "SyntheticSpec", "TuningGrid",
     "TuningResult", "ZinbParams", "benchmark_tables", "build_cv_plan",

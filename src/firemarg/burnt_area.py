@@ -265,7 +265,9 @@ def cdf_row(model, thresholds, capacity: float) -> np.ndarray:
     A count model's CDF already is its row. A burnt-area mixture lives
     on the proportion scale: the grid is divided by the cell capacity,
     and thresholds at or above capacity are certainties, pinned to 1
-    regardless of the fitted tail.
+    regardless of the fitted tail. This is the one capacity pin, for
+    predicted and CV rows alike; `rules.saturation_flags` only labels
+    the rows it touched.
     """
     if not isinstance(model, BaMixture):
         return model.cdf(thresholds)

@@ -35,6 +35,7 @@ from .rules import (
     calibrate_water_cut,
     deduce_from_pair,
     deduce_from_water,
+    forced_labels,
     resolve_forced,
     saturation_flags,
 )
@@ -134,22 +135,16 @@ def predict_tables(ds: Dataset, cnt_spec: NeighborhoodSpec,
     ba_table = PredictionTable("ba", ds.ba_missing.copy(),
                                ds.ba_thresholds, ba_rows)
 
-    rule_lists = []
-    if pair_rule:
-        rule_lists.append(deduce_from_pair(ds))
-    if water_rule:
-        rule_lists.append(deduce_from_water(ds, water_cut=water_cut))
-    rule_lists.append(saturation_flags(ds))
-    resolved = resolve_forced(*rule_lists)
+    resolved = resolve_forced(
+        ds, pair=deduce_from_pair(ds) if pair_rule else None,
+        water=deduce_from_water(ds, water_cut=water_cut) if water_rule else None)
     cnt_table = apply_overrides(cnt_table, resolved)
     ba_table = apply_overrides(ba_table, resolved)
 
-    forced: dict = {}
-    for (index, variable, _), fp in resolved.items():
-        forced.setdefault((index, variable), []).append(fp.kind)
-    diags = tuple(
-        replace(d, forced="+".join(sorted(forced.get((d.index, d.variable), []))))
-        for d in cnt_diags + ba_diags)
+    labels = (forced_labels(resolved["cnt"])
+              + forced_labels(resolved["ba"], saturation_flags(ds).any(axis=1)))
+    diags = tuple(replace(d, forced=label)
+                  for d, label in zip(cnt_diags + ba_diags, labels))
     return PredictResult(cnt=cnt_table, ba=ba_table, diagnostics=diags)
 
 
@@ -386,10 +381,13 @@ def write_predictions(result: PredictResult, out_dir: str) -> dict:
 
 
 def run_all(config: RunConfig) -> RunArtifacts:
-    """ingest -> rules -> tune -> predict -> score, all artifacts on disk."""
+    """ingest -> rules -> tune -> predict -> score, all artifacts on disk.
+    The truth CSV, when given, is read and checked at ingest, so a bad
+    one fails before any fit."""
     stage = "ingest"
     try:
         ds = load_dataset(config)
+        truth = None if config.truth_path is None else read_truth_csv(config.truth_path)
         os.makedirs(config.out_dir, exist_ok=True)
 
         stage = "rules"
@@ -413,9 +411,8 @@ def run_all(config: RunConfig) -> RunArtifacts:
 
         stage = "score"
         report = None
-        if config.truth_path is not None:
-            cnt_truth, ba_truth = read_truth_csv(config.truth_path)
-            report = score_tables(result.cnt, result.ba, cnt_truth, ba_truth,
+        if truth is not None:
+            report = score_tables(result.cnt, result.ba, *truth,
                                   cnt_weights=config.cnt_weights,
                                   ba_weights=config.ba_weights)
 

@@ -4,23 +4,26 @@ Two sources of certainty exist before any model is fitted: the paired
 variable (zero burnt area forces a zero count and vice versa; a
 positive value forces the other variable positive) and water cells
 (land-cover class 18 above a cut is practically certain to be zero for
-both variables). A third, geometric rule marks every rescaled
-burnt-area threshold at or above the cell capacity as probability 1.
+both variables). Each rule is a boolean mask over a variable's missing
+indices, in index order; `resolve_forced` merges the masks and
+`apply_overrides` writes them into the predicted rows after model
+fitting. Deduced values are never inserted into neighborhood samples.
 
-Rule outputs are overrides applied to predicted rows after model
-fitting; deduced values are never inserted into neighborhood samples.
+A third, geometric certainty, probability 1 at every burnt-area
+threshold at or above the cell capacity, has one pin: `cdf_row` sets
+those entries when it builds the row. `saturation_flags` only finds
+them, for the `tail_one` label.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, PredictionTable
 from .errors import DataError
-from .geo import rescaled_thresholds
 
 log = logging.getLogger(__name__)
 
@@ -33,61 +36,40 @@ DEFAULT_WATER_TARGET = 0.999
 WATER_LC = 18
 
 
-@dataclass(frozen=True)
-class ForcedPrediction:
-    index: int
-    variable: str              # "cnt" or "ba"
-    kind: str                  # ALL_ONE | ZERO_AT_ZERO | TAIL_ONE
-    source: str                # "pair" | "water" | "saturation"
-    tail_flags: np.ndarray | None = None   # TAIL_ONE only
+class RowRules(NamedTuple):
+    """Rule masks over one variable's missing indices, in index order."""
+    all_one: np.ndarray        # the value is surely zero: the row is all 1
+    zero_at_zero: np.ndarray   # the value is surely positive: 0 at threshold 0
 
 
-def deduce_from_pair(ds: Dataset) -> list[ForcedPrediction]:
+def deduce_from_pair(ds: Dataset) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Cross-variable deduction where exactly one of the pair is known.
 
-    A known zero on either side forces the other to zero (CDF is 1
-    everywhere); a known positive forces the other positive (CDF is 0
-    at threshold 0). Indices missing both variables yield nothing.
+    Per variable, the masks (partner known zero, partner known positive)
+    over its missing indices. A known zero on either side forces the
+    other to zero (CDF is 1 everywhere); a known positive forces the
+    other positive (CDF is 0 at threshold 0). A missing partner is NaN
+    and in neither mask, so indices missing both variables yield nothing.
     """
-    forced = []
-    for i in ds.cnt_missing:
-        bap = ds.bap[i]
-        if np.isnan(bap):
-            continue
-        kind = ALL_ONE if bap == 0.0 else ZERO_AT_ZERO
-        forced.append(ForcedPrediction(int(i), "cnt", kind, "pair"))
-    for i in ds.ba_missing:
-        cnt = ds.cnt[i]
-        if np.isnan(cnt):
-            continue
-        kind = ALL_ONE if cnt == 0.0 else ZERO_AT_ZERO
-        forced.append(ForcedPrediction(int(i), "ba", kind, "pair"))
-    return forced
+    return {variable: (known == 0.0, known > 0.0) for variable, known in
+            (("cnt", ds.bap[ds.cnt_missing]), ("ba", ds.cnt[ds.ba_missing]))}
 
 
-def deduce_from_water(ds: Dataset, water_cut: float = DEFAULT_WATER_CUT) -> list[ForcedPrediction]:
-    """Force zeros for missing values on water cells: lc18 strictly
-    above the cut."""
+def deduce_from_water(ds: Dataset, water_cut: float = DEFAULT_WATER_CUT) -> dict[str, np.ndarray]:
+    """Per variable, the mask of its missing indices on water cells
+    (lc18 strictly above the cut), where both variables are forced to
+    zero."""
     water = ds.land_cover[:, WATER_LC - 1] > water_cut
-    forced = []
-    for i in ds.cnt_missing:
-        if water[i]:
-            forced.append(ForcedPrediction(int(i), "cnt", ALL_ONE, "water"))
-    for i in ds.ba_missing:
-        if water[i]:
-            forced.append(ForcedPrediction(int(i), "ba", ALL_ONE, "water"))
-    return forced
+    return {"cnt": water[ds.cnt_missing], "ba": water[ds.ba_missing]}
 
 
-def saturation_flags(ds: Dataset) -> list[ForcedPrediction]:
-    """TAIL_ONE overrides for burnt-area thresholds at or above capacity."""
-    forced = []
-    for i in ds.ba_missing:
-        _, flags = rescaled_thresholds(ds.ba_thresholds, float(ds.capacity[i]))
-        if np.any(flags):
-            forced.append(ForcedPrediction(int(i), "ba", TAIL_ONE, "saturation",
-                                           tail_flags=flags))
-    return forced
+def saturation_flags(ds: Dataset) -> np.ndarray:
+    """Burnt-area thresholds at or above capacity: one row per index of
+    ds.ba_missing, one column per threshold. `cdf_row` has already
+    pinned these entries to 1; a row with any flag is labelled
+    TAIL_ONE."""
+    t = ds.ba_thresholds
+    return (t > 0) & (t / ds.capacity[ds.ba_missing, None] >= 1.0)
 
 
 def anomalous_rows(ds: Dataset) -> np.ndarray:
@@ -138,50 +120,55 @@ def calibrate_water_cut(ds: Dataset, target_prob: float = DEFAULT_WATER_TARGET,
     return DEFAULT_WATER_CUT
 
 
-def resolve_forced(*rule_lists) -> dict[tuple[int, str], ForcedPrediction]:
-    """Merge rule outputs; earlier lists take precedence on conflicts.
+def resolve_forced(ds: Dataset, pair: dict | None = None,
+                   water: dict | None = None) -> dict[str, RowRules]:
+    """RowRules per variable from the masks of `deduce_from_pair` and
+    `deduce_from_water` (None for a rule that is off).
 
-    Callers pass the pair deductions before the water rule: the pair
-    rule is a logical certainty while the water rule is empirical, so a
-    ZERO_AT_ZERO from the pair beats an ALL_ONE from water. TAIL_ONE is
-    orthogonal and kept alongside under its own key.
+    The pair rule is a logical certainty while the water rule is
+    empirical, so a known positive partner beats water: that row is
+    ZERO_AT_ZERO, not ALL_ONE, and one warning counts such conflicts.
     """
-    resolved: dict[tuple[int, str], ForcedPrediction] = {}
-    for rules in rule_lists:
-        for fp in rules:
-            key = (fp.index, fp.variable, TAIL_ONE if fp.kind == TAIL_ONE else "value")
-            if key in resolved:
-                if resolved[key].kind != fp.kind:
-                    log.warning(
-                        "conflicting rules at index %d (%s): keeping %s from %s, "
-                        "dropping %s from %s", fp.index, fp.variable,
-                        resolved[key].kind, resolved[key].source, fp.kind, fp.source)
-                continue
-            resolved[key] = fp
+    resolved = {}
+    conflicts = 0
+    for variable, missing in (("cnt", ds.cnt_missing), ("ba", ds.ba_missing)):
+        none = np.zeros(missing.size, dtype=bool)
+        zero, positive = (none, none) if pair is None else pair[variable]
+        wet = none if water is None else water[variable]
+        conflicts += int(np.count_nonzero(wet & positive))
+        resolved[variable] = RowRules(all_one=zero | (wet & ~positive),
+                                      zero_at_zero=positive)
+    if conflicts:
+        log.warning("%d water rows have a positive partner: keeping %s from "
+                    "the pair rule, dropping %s from the water rule",
+                    conflicts, ZERO_AT_ZERO, ALL_ONE)
     return resolved
 
 
 def apply_overrides(table: PredictionTable, resolved: dict) -> PredictionTable:
-    """Return a copy of the table with forced rows written in.
+    """Return a copy of the table with its variable's rules written in.
 
-    ALL_ONE replaces the whole row with ones; ZERO_AT_ZERO pins the
-    zero-threshold entry to 0; TAIL_ONE pins flagged entries to 1. All
-    three preserve row monotonicity.
+    The table's rows are the variable's missing indices in order, as
+    the masks are. ALL_ONE replaces the whole row with ones;
+    ZERO_AT_ZERO pins the zero-threshold entry, if the grid has one,
+    to 0. Both preserve row monotonicity.
     """
+    rules = resolved[table.variable]
     rows = table.rows.copy()
+    rows[rules.all_one] = 1.0
     zero_pos = np.flatnonzero(table.thresholds == 0.0)
-    for (index, variable, _), fp in resolved.items():
-        if variable != table.variable:
-            continue
-        pos = np.searchsorted(table.indices, index)
-        if pos >= table.indices.size or table.indices[pos] != index:
-            continue
-        if fp.kind == ALL_ONE:
-            rows[pos] = 1.0
-        elif fp.kind == ZERO_AT_ZERO:
-            if zero_pos.size:
-                rows[pos, zero_pos[0]] = 0.0
-        else:
-            rows[pos, fp.tail_flags] = 1.0
+    if zero_pos.size:
+        rows[rules.zero_at_zero, zero_pos[0]] = 0.0
     return PredictionTable(variable=table.variable, indices=table.indices,
                            thresholds=table.thresholds, rows=rows)
+
+
+def forced_labels(rules: RowRules, tail_one=None) -> list[str]:
+    """Each row's rule kinds, "+"-joined in name order ("" for none);
+    tail_one flags the rows labelled TAIL_ONE."""
+    tail_one = np.zeros_like(rules.all_one) if tail_one is None else tail_one
+    kinds = (ALL_ONE, TAIL_ONE, ZERO_AT_ZERO)
+    names = ["+".join(k for bit, k in enumerate(kinds) if code >> bit & 1)
+             for code in range(2 ** len(kinds))]
+    codes = rules.all_one + 2 * tail_one + 4 * rules.zero_at_zero
+    return [names[code] for code in codes.tolist()]

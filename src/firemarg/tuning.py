@@ -133,13 +133,11 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
 
     k2 may be a sequence of levels; the totals then come back as a
     tuple in the same order, from one pass over the plan: each
-    distinct surrogate's `fitting_sample` is built once (and, for
-    burnt area, sorted once, so the cache key is its multiset; count
-    samples keep their order, because `fit_zinb`'s sums are not
-    order-free to the last bit), its rows for all levels go through
-    the fit cache, the empirical fallbacks share one row (the
-    empirical CDF does not depend on k2), and one `score_rows` call
-    scores every (level, surrogate). Duplicate surrogates are scored
+    distinct surrogate's `fitting_sample` is built and sorted once (so
+    the cache key is its multiset: both fits sort their input first),
+    its rows for all levels go through the fit cache, the empirical
+    fallbacks share one row (the empirical CDF does not depend on k2),
+    and one `score_rows` call scores every (level, surrogate). Duplicate surrogates are scored
     once per occurrence, and each total is np.sum over the plan's
     pairs in order. A pair is skipped only when the surrogate is the
     lone observation in its month pool, which no radius can change.
@@ -154,7 +152,7 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
     for _, surrogate in plan.pairs:
         if surrogate not in samples:
             sample, _ = fitting_sample(ds, surrogate, plan.variable, spec)
-            samples[surrogate] = sample if plan.variable == "cnt" else np.sort(sample)
+            samples[surrogate] = np.sort(sample)
     live = [s for s, sample in samples.items() if sample.size]
     rows = np.empty((len(levels), len(live), config.thresholds.size))
     for j, surrogate in enumerate(live):

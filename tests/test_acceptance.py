@@ -230,8 +230,8 @@ def test_c08_pair_deduction_lowers_the_score():
         ba_truth = {int(i): float(truth.ba_full[i]) for i in ds.ba_missing}
         off = predict_tables(ds, hood, hood, k2=0.8, pair_rule=False,
                              water_rule=False, workers=1)
-        forced = resolve_forced(deduce_from_pair(ds))
-        assert forced
+        forced = resolve_forced(ds, pair=deduce_from_pair(ds))
+        assert any(r.all_one.any() or r.zero_at_zero.any() for r in forced.values())
         score_off = score_tables(off.cnt, off.ba, cnt_truth, ba_truth).total
         score_on = score_tables(apply_overrides(off.cnt, forced),
                                 apply_overrides(off.ba, forced),
@@ -259,7 +259,8 @@ def test_c09_dependence_analytics():
 
 def test_c10_run_is_deterministic(tmp_path):
     """Repeated full runs with one config and seed write byte-identical
-    prediction and score files, independent of the worker count."""
+    prediction, score and diagnostics files, independent of the worker
+    count."""
     t0 = time.monotonic()
     scene = tmp_path / "scene"
     assert cli_main(["synth", "--out", str(scene), "--nx", "10", "--ny", "10",
@@ -272,7 +273,8 @@ def test_c10_run_is_deterministic(tmp_path):
         out = tmp_path / name
         assert cli_main(args + ["--out", str(out), "--workers", str(workers)]) == 0
         outs.append(out)
-    for name in ("predictions_cnt.csv", "predictions_ba.csv", "scores.csv"):
+    for name in ("predictions_cnt.csv", "predictions_ba.csv", "scores.csv",
+                 "diagnostics.csv"):
         first = (outs[0] / name).read_bytes()
         assert (outs[1] / name).read_bytes() == first
         assert (outs[2] / name).read_bytes() == first

@@ -218,3 +218,16 @@ class TestFit:
         a, b = fit_zinb(s), fit_zinb(s)
         assert a.params == b.params
         assert a.loglik == b.loglik
+
+    def test_fit_ignores_sample_order(self):
+        # the CV fit cache keys count fits on the sorted sample
+        rng = np.random.default_rng(4)
+        s = sample_zinb(ZinbParams(0.3, 4.0, 0.8), 300, rng)
+        def bits(fit):
+            return np.array([fit.params.pi, fit.params.mu, fit.params.r,
+                             fit.loglik]).tobytes()
+
+        ref = fit_zinb(np.sort(s))
+        assert ref.kind == "zinb"
+        for perm in (s, s[::-1], rng.permutation(s), rng.permutation(s)):
+            assert bits(fit_zinb(perm)) == bits(ref)

@@ -120,6 +120,8 @@ def test_saturation_pins_thresholds_beyond_capacity():
     assert cap < grid[-1]
     assert np.all(row[grid >= cap] == 1.0)
     assert row[1] < 1.0
+    forced = {d.index: d.forced for d in res.diagnostics if d.variable == "ba"}
+    assert forced[9] == "tail_one+zero_at_zero"   # the count is observed positive
 
 
 def test_sample_ladder_widens_to_slice_and_month():
@@ -275,6 +277,22 @@ def test_run_all_labels_failing_stage(tmp_path, run_inputs):
                          data_path=str(tmp_path / "nope.csv"))
     with pytest.raises(FiremargError, match="stage ingest"):
         run_all(config)
+
+
+def test_run_all_checks_truth_at_ingest(tmp_path, run_inputs, monkeypatch):
+    # a bad truth file fails before any tuning or prediction work
+    truth_path = tmp_path / "bad_truth.csv"
+    truth_path.write_text("index,cnt,ba\n1,0,0.25\n3,nan,NA\n")
+    tuned = []
+    monkeypatch.setattr("firemarg.pipeline.tune_parameters",
+                        lambda *args: tuned.append(args))
+    out = tmp_path / "out"
+    config = _run_config(run_inputs, str(out), truth_path=str(truth_path),
+                         k1_cnt=None, k1_bap=None, k2_bap=None)
+    with pytest.raises(FiremargError, match="stage ingest: .*bad_truth.csv:3"):
+        run_all(config)
+    assert tuned == []
+    assert not list(out.glob("predictions_*.csv"))
 
 
 def test_run_all_without_truth_skips_score(tmp_path, run_inputs):

@@ -8,12 +8,13 @@ from firemarg.rules import (
     ALL_ONE,
     TAIL_ONE,
     ZERO_AT_ZERO,
-    ForcedPrediction,
+    RowRules,
     anomalous_rows,
     apply_overrides,
     calibrate_water_cut,
     deduce_from_pair,
     deduce_from_water,
+    forced_labels,
     resolve_forced,
     saturation_flags,
 )
@@ -31,29 +32,37 @@ def _ds(**tweaks):
     return build_dataset(**cols)
 
 
+def _forced(ds, mask, variable):
+    """The indices a mask over the variable's missing indices selects."""
+    missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
+    return set(missing[mask].tolist())
+
+
 class TestPairRule:
     def test_zero_ba_forces_zero_cnt(self):
         ds = _ds(cnt={2: np.nan}, ba={2: 0.0})
-        forced = deduce_from_pair(ds)
-        assert any(f.index == 2 and f.variable == "cnt" and f.kind == ALL_ONE
-                   for f in forced)
+        zero, positive = deduce_from_pair(ds)["cnt"]
+        assert 2 in _forced(ds, zero, "cnt")
+        assert 2 not in _forced(ds, positive, "cnt")
 
     def test_positive_ba_forces_positive_cnt(self):
         ds = _ds(cnt={3: np.nan}, ba={3: 40.0})
-        forced = deduce_from_pair(ds)
-        match = [f for f in forced if f.index == 3]
-        assert match[0].kind == ZERO_AT_ZERO and match[0].variable == "cnt"
+        pair = deduce_from_pair(ds)
+        zero, positive = pair["cnt"]
+        assert _forced(ds, positive, "cnt") == {3}
+        assert not zero.any()
+        assert not any(mask.any() for mask in pair["ba"])
 
     def test_symmetric_for_ba(self):
-        ds = _ds(ba={5: np.nan}, cnt={5: 0.0, 6: 4.0}, **{})
-        ds2 = _ds(ba={5: np.nan, 6: np.nan}, cnt={5: 0.0, 6: 4.0})
-        forced = {f.index: f for f in deduce_from_pair(ds2)}
-        assert forced[5].kind == ALL_ONE and forced[5].variable == "ba"
-        assert forced[6].kind == ZERO_AT_ZERO
+        ds = _ds(ba={5: np.nan, 6: np.nan}, cnt={5: 0.0, 6: 4.0})
+        zero, positive = deduce_from_pair(ds)["ba"]
+        assert _forced(ds, zero, "ba") == {5}
+        assert _forced(ds, positive, "ba") == {6}
 
     def test_both_missing_no_deduction(self):
         ds = _ds(cnt={7: np.nan}, ba={7: np.nan})
-        assert all(f.index != 7 for f in deduce_from_pair(ds))
+        for variable, masks in deduce_from_pair(ds).items():
+            assert all(7 not in _forced(ds, m, variable) for m in masks)
 
 
 class TestWaterRule:
@@ -66,9 +75,10 @@ class TestWaterRule:
         lc[2, 17] = 0.0
         cols["land_cover"] = lc
         ds = build_dataset(**cols)
-        forced = deduce_from_water(ds, water_cut=0.94)
-        assert [f.index for f in forced] == [0]
-        assert forced[0].kind == ALL_ONE
+        wet = deduce_from_water(ds, water_cut=0.94)["cnt"]
+        assert _forced(ds, wet, "cnt") == {0}
+        assert _forced(ds, resolve_forced(ds, water=deduce_from_water(ds))["cnt"].all_one,
+                       "cnt") == {0}
 
     def test_covers_both_variables(self):
         cols = make_grid_columns(nx=3, ny=1, seed=22)
@@ -78,8 +88,9 @@ class TestWaterRule:
         lc[:, 17] = 0.99
         cols["land_cover"] = lc
         ds = build_dataset(**cols)
-        forced = deduce_from_water(ds)
-        assert {(f.index, f.variable) for f in forced} == {(0, "cnt"), (0, "ba"), (1, "ba")}
+        water = deduce_from_water(ds)
+        assert {(i, v) for v, mask in water.items()
+                for i in _forced(ds, mask, v)} == {(0, "cnt"), (0, "ba"), (1, "ba")}
 
 
 class TestCalibration:
@@ -120,25 +131,41 @@ class TestCalibration:
 
 
 class TestResolveAndApply:
-    def test_pair_beats_water(self):
-        pair = [ForcedPrediction(4, "cnt", ZERO_AT_ZERO, "pair")]
-        water = [ForcedPrediction(4, "cnt", ALL_ONE, "water")]
-        resolved = resolve_forced(pair, water)
-        assert resolved[(4, "cnt", "value")].kind == ZERO_AT_ZERO
-        assert len(resolved) == 1
+    def test_pair_beats_water(self, caplog):
+        # index 4: count missing, burnt area positive, on water
+        ds = _ds(cnt={4: np.nan}, ba={4: 40.0})
+        water = {v: np.ones(m.size, dtype=bool)
+                 for v, m in (("cnt", ds.cnt_missing), ("ba", ds.ba_missing))}
+        with caplog.at_level("WARNING", logger="firemarg.rules"):
+            rules = resolve_forced(ds, pair=deduce_from_pair(ds), water=water)["cnt"]
+        assert _forced(ds, rules.zero_at_zero, "cnt") == {4}
+        assert 4 not in _forced(ds, rules.all_one, "cnt")
+        assert not np.any(rules.all_one & rules.zero_at_zero)
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage().startswith("1 water rows have a positive partner")
 
     def test_tail_one_kept_alongside(self):
-        pair = [ForcedPrediction(4, "ba", ZERO_AT_ZERO, "pair")]
-        sat = [ForcedPrediction(4, "ba", TAIL_ONE, "saturation",
-                                tail_flags=np.array([False, False, True]))]
-        resolved = resolve_forced(pair, sat)
-        assert len(resolved) == 2
+        rules = RowRules(all_one=np.array([True, False, False, False]),
+                         zero_at_zero=np.array([False, True, True, False]))
+        tail = np.array([True, True, False, False])
+        assert forced_labels(rules, tail) == [
+            f"{ALL_ONE}+{TAIL_ONE}", f"{TAIL_ONE}+{ZERO_AT_ZERO}", ZERO_AT_ZERO, ""]
+        assert forced_labels(rules) == [ALL_ONE, ZERO_AT_ZERO, ZERO_AT_ZERO, ""]
+
+    @staticmethod
+    def _resolved(variable, n, all_one=(), zero_at_zero=()):
+        masks = {}
+        for name, positions in (("all_one", all_one), ("zero_at_zero", zero_at_zero)):
+            masks[name] = np.zeros(n, dtype=bool)
+            masks[name][list(positions)] = True
+        other = "ba" if variable == "cnt" else "cnt"
+        return {variable: RowRules(**masks),
+                other: RowRules(np.zeros(0, bool), np.zeros(0, bool))}
 
     def test_apply_all_one(self):
         table = PredictionTable("cnt", np.array([2, 5]), np.array([0.0, 1.0, 5.0]),
                                 np.full((2, 3), 0.3))
-        resolved = resolve_forced([ForcedPrediction(5, "cnt", ALL_ONE, "pair")])
-        out = apply_overrides(table, resolved)
+        out = apply_overrides(table, self._resolved("cnt", 2, all_one=[1]))
         np.testing.assert_allclose(out.rows[1], 1.0)
         np.testing.assert_allclose(out.rows[0], 0.3)
         # original untouched
@@ -147,24 +174,21 @@ class TestResolveAndApply:
     def test_apply_zero_at_zero(self):
         table = PredictionTable("cnt", np.array([2]), np.array([0.0, 1.0, 5.0]),
                                 np.array([[0.4, 0.6, 0.9]]))
-        resolved = resolve_forced([ForcedPrediction(2, "cnt", ZERO_AT_ZERO, "pair")])
-        out = apply_overrides(table, resolved)
+        out = apply_overrides(table, self._resolved("cnt", 1, zero_at_zero=[0]))
         np.testing.assert_allclose(out.rows[0], [0.0, 0.6, 0.9])
         assert np.all(np.diff(out.rows[0]) >= 0)
 
-    def test_apply_tail_one(self):
-        flags = np.array([False, False, True, True])
-        table = PredictionTable("ba", np.array([7]), np.array([0.0, 1.0, 50.0, 100.0]),
-                                np.array([[0.2, 0.5, 0.8, 0.9]]))
-        resolved = resolve_forced([ForcedPrediction(7, "ba", TAIL_ONE, "saturation",
-                                                    tail_flags=flags)])
-        out = apply_overrides(table, resolved)
-        np.testing.assert_allclose(out.rows[0], [0.2, 0.5, 1.0, 1.0])
+    def test_zero_at_zero_without_zero_threshold(self):
+        table = PredictionTable("cnt", np.array([2]), np.array([1.0, 5.0]),
+                                np.array([[0.6, 0.9]]))
+        out = apply_overrides(table, self._resolved("cnt", 1, zero_at_zero=[0]))
+        np.testing.assert_array_equal(out.rows, table.rows)
 
     def test_wrong_variable_ignored(self):
         table = PredictionTable("ba", np.array([2]), np.array([0.0, 1.0]),
                                 np.array([[0.4, 0.6]]))
-        resolved = resolve_forced([ForcedPrediction(2, "cnt", ALL_ONE, "pair")])
+        resolved = self._resolved("cnt", 1, all_one=[0])
+        resolved["ba"] = RowRules(np.zeros(1, bool), np.zeros(1, bool))
         out = apply_overrides(table, resolved)
         np.testing.assert_allclose(out.rows, table.rows)
 
@@ -175,11 +199,10 @@ def test_saturation_flags_small_capacity():
     # shrink one cell's burnable area so high thresholds exceed capacity
     cols["area_fraction"] = np.array([1e-4, 0.9, 0.9])
     ds = build_dataset(**cols)
-    forced = {f.index: f for f in saturation_flags(ds)}
-    assert 0 in forced
-    flags = forced[0].tail_flags
-    assert flags[-1]
-    assert not flags[0]
-    scaled = ds.ba_thresholds / ds.capacity[0]
-    np.testing.assert_array_equal(flags, (scaled >= 1.0) & (ds.ba_thresholds > 0))
-    assert 1 not in forced
+    assert ds.ba_missing.tolist() == [0, 1]
+    flags = saturation_flags(ds)
+    t = ds.ba_thresholds
+    for row, i in zip(flags, ds.ba_missing):
+        np.testing.assert_array_equal(row, (t > 0) & (t / ds.capacity[i] >= 1.0))
+    assert flags[0, -1] and not flags[0, 0]
+    assert not flags[1].any()
