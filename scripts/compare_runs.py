@@ -1,17 +1,20 @@
 """`firemarg run` on a benchmark workload from two source trees, with
 the outputs compared byte for byte.
 
-    python scripts/compare_runs.py SRC_A SRC_B --workload tune-grid --seeds 301 302
+    python scripts/compare_runs.py SRC_A SRC_B --workload tune-grid \
+        --workload predict-spatial --seeds 301 302
 
-SRC_A and SRC_B are the roots of two firemarg checkouts. For each seed
-the workload's scene is built once with SRC_A's `bench/workloads.py`
+SRC_A and SRC_B are the roots of two firemarg checkouts. --workload may
+be given more than once; every workload runs on every seed. For each
+workload and seed the scene is built once with SRC_A's `bench/workloads.py`
 (and its `firemarg.synth`) and written as CSV files to a temporary
 directory. Each tree's `pipeline.run_all` is then called on those files
 in a fresh process, with the workload's run settings. For every run it
 prints the wall time of the call and the sha256 of predictions_cnt.csv,
 predictions_ba.csv, tuning.csv, scores.csv, diagnostics.csv and
 manifest.json ("absent" for a file the run did not write). It exits
-with status 1 when any digest differs between the trees.
+with status 1 when any digest differs between the trees, on any
+workload.
 """
 
 import argparse
@@ -80,7 +83,7 @@ def compare_seed(trees: list, workload: str, seed: int, work: str) -> bool:
                       out_dir=out_dir)
         seconds = float(python(RUN, tree, json.dumps(config)))
         results.append(digests(out_dir))
-        print(f"seed {seed} {label}: run_all {seconds:.3f} s")
+        print(f"{workload} seed {seed} {label}: run_all {seconds:.3f} s")
     same = results[0] == results[1]
     for name in OUTPUTS:
         a, b = results[0][name], results[1][name]
@@ -92,20 +95,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a")
     parser.add_argument("src_b")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
     trees = [os.path.abspath(args.src_a), os.path.abspath(args.src_b)]
 
     differing = []
-    for seed in args.seeds:
-        with tempfile.TemporaryDirectory() as work:
-            if not compare_seed(trees, args.workload, seed, work):
-                differing.append(seed)
+    for workload in args.workload:
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as work:
+                if not compare_seed(trees, workload, seed, work):
+                    differing.append(f"{workload}/{seed}")
+    runs = len(args.workload) * len(args.seeds)
     if differing:
-        print(f"outputs differ on seeds {differing}")
+        print(f"outputs differ on {len(differing)} of {runs} runs: "
+              + " ".join(differing))
         return 1
-    print(f"outputs identical on all {len(args.seeds)} seeds")
+    print(f"outputs identical on all {runs} (workload, seed) runs")
     return 0
 
 

@@ -5,13 +5,16 @@ mass z, the empirical CDF of positive values up to a threshold u, and a
 generalized Pareto tail above u:
 
     F(0)           = z
-    F(x), 0<x<=u   = ((1 - lam - z) / F*(u)) * F*(x) + z
-    F(x), x>u      = 1 - lam * (1 - H_u(x))
+    F(x), 0<x<u    = ((1 - lam - z) / F*(u)) * F*(x) + z
+    F(x), x>=u     = 1 - lam * (1 - H_u(x))
 
 where lam = 1 - k2 is the exceedance probability, F* the ECDF of the
 positive part, and H_u the GPD CDF of excesses. When the zero mass
 already reaches the k2 level the threshold degenerates to 0 and the
 fully empirical CDF is used instead.
+
+Rows lie in [0, 1] and never decrease with no clip or repair: H_u(u) is
+exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ def gpd_cdf(params: GpdParams, x):
     else:
         arg = 1.0 + params.xi * t
         out = np.where(arg > 0.0, 1.0 - np.power(np.maximum(arg, 1e-300), -1.0 / params.xi), 1.0)
-    out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -199,15 +201,12 @@ class BaMixture:
 
         out = np.empty(x.shape)
         zero = x == 0.0
-        bulk = (x > 0.0) & (x <= self.u)
-        tail = x > self.u
+        bulk = (x > 0.0) & (x < self.u)
+        tail = x >= self.u
         out[zero] = self.z
-        if np.any(bulk):
-            f_u = self._bulk_ecdf(self.u)
-            out[bulk] = (1.0 - self.lam - self.z) / f_u * self._bulk_ecdf(x[bulk]) + self.z
-        if np.any(tail):
-            out[tail] = 1.0 - self.lam * (1.0 - gpd_cdf(self.gpd, x[tail]))
-        out = np.clip(out, 0.0, 1.0)
+        f_u = self._bulk_ecdf(self.u)
+        out[bulk] = (1.0 - self.lam - self.z) / f_u * self._bulk_ecdf(x[bulk]) + self.z
+        out[tail] = 1.0 - self.lam * (1.0 - gpd_cdf(self.gpd, x[tail]))
         return float(out[0]) if scalar else out
 
 
@@ -267,14 +266,14 @@ def cdf_row(model, thresholds, capacity: float) -> np.ndarray:
     and thresholds at or above capacity are certainties, pinned to 1
     regardless of the fitted tail. This is the one capacity pin, for
     predicted and CV rows alike; `rules.saturation_flags` only labels
-    the rows it touched.
+    the rows it touched. The pins are a suffix of the increasing grid.
     """
     if not isinstance(model, BaMixture):
         return model.cdf(thresholds)
     scaled, forced = rescaled_thresholds(thresholds, capacity)
     row = model.cdf(scaled)
     row[forced] = 1.0
-    return np.maximum.accumulate(row)
+    return row
 
 
 def sample_gpd(params: GpdParams, n: int, rng) -> np.ndarray:

@@ -17,7 +17,7 @@ from .errors import DataError
 from .geo import ACRES_PER_KM2, EARTH_RADIUS_KM
 from .neighborhoods import VARIANTS
 from .rules import DEFAULT_WATER_CUT, DEFAULT_WATER_TARGET
-from .tuning import DEFAULT_QUANTILES, DEFAULT_RADII
+from .tuning import DEFAULT_QUANTILES, DEFAULT_RADII, TuningGrid
 
 _NONE_TOKENS = {"", "none"}
 
@@ -62,6 +62,9 @@ class RunConfig:
             raise DataError("k2_bap must lie in (0,1)")
         if self.ky < 0 or self.workers < 0:
             raise DataError("ky and workers must be nonnegative")
+        TuningGrid(radii=self.radii, quantiles=self.quantiles)
+        if not self.quantiles:
+            raise DataError("quantile grid must be nonempty")
 
 
 _SECTIONS = {

@@ -20,6 +20,9 @@ and a damped Newton search over (log mu, log r) with analytic
 derivatives maximizes it. r is capped at R_MAX, the Poisson limit, where
 underdispersed samples end up. Small or degenerate samples fall back to
 the empirical CDF.
+
+A CDF row is a cumulative sum of exponentials, so it never decreases or
+goes negative; `zinb_cdf` holds the one rounding cap at 1, checked.
 """
 
 from __future__ import annotations
@@ -82,16 +85,11 @@ def zinb_log_pmf(params: ZinbParams, j):
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)
         log_1mpi = np.log1p(-params.pi)
-    out = log_1mpi + log_g
-    zero = np.asarray(j) == 0
-    if np.any(zero):
-        out = np.where(zero, np.logaddexp(log_pi, log_1mpi + log_g), out)
-    return out
+    return np.where(j == 0, np.logaddexp(log_pi, log_1mpi + log_g), log_1mpi + log_g)
 
 
 def zinb_pmf(params: ZinbParams, j):
-    # rounding can put the log of a unit mass an ulp above 0
-    return np.exp(np.minimum(zinb_log_pmf(params, j), 0.0))
+    return np.exp(zinb_log_pmf(params, j))
 
 
 def zinb_cdf(params: ZinbParams, u):
@@ -99,18 +97,17 @@ def zinb_cdf(params: ZinbParams, u):
 
     Vectorized over u. Negative thresholds give 0. The summation stops
     once a geometric bound on the remaining tail mass drops below 1e-13,
-    so very large u cost nothing extra.
+    so very large u cost nothing extra. A sum of cap + 1 terms can pass 1
+    by (cap + 1) ulps of rounding, which is capped; more raises DataError.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
     if np.any(np.isnan(u)):
         raise DataError("thresholds must not be NaN")
-    kmax_arr = np.floor(u[u >= 0])
+    valid = u >= 0
     out = np.zeros(u.shape)
-    if kmax_arr.size == 0:
-        return float(out[0]) if scalar else out
-    kmax = int(kmax_arr.max())
+    kmax = int(u[valid].max(initial=0.0))
 
     q = params.mu / (params.r + params.mu)
     # past the cap, pmf(j+1)/pmf(j) = q*(j+r)/(j+1) <= bound < 1 for j large
@@ -130,12 +127,12 @@ def zinb_cdf(params: ZinbParams, u):
                 break
             j0 = min(2 * j0, kmax)
 
-    grid = np.arange(cap + 1)
-    cum = np.cumsum(zinb_pmf(params, grid))
-    k = np.floor(np.clip(u, -1.0, None)).astype(int)
-    valid = k >= 0
-    out[valid] = cum[np.minimum(k[valid], cap)]
-    np.clip(out, 0.0, 1.0, out=out)
+    cum = np.cumsum(zinb_pmf(params, np.arange(cap + 1)))
+    if cum[-1] - 1.0 > (cap + 1) * np.finfo(float).eps:
+        raise DataError(f"pmf of {params} sums to {cum[-1]!r}, above 1 "
+                        "by more than rounding")
+    np.minimum(cum, 1.0, out=cum)
+    out[valid] = cum[np.minimum(u[valid], cap).astype(np.intp)]
     return float(out[0]) if scalar else out
 
 
@@ -153,7 +150,6 @@ class CountModel:
     params: ZinbParams | None = None
     sample: np.ndarray | None = None
     loglik: float | None = None
-    converged: bool = False
     fallback_reason: str | None = None
 
     def cdf(self, u):
@@ -183,7 +179,7 @@ def _zinb_neg_loglik(theta, values, counts):
 
 
 def _moment_start(values, counts):
-    """Moment-based (logit pi, log mu, log r); the fit starts at its (mu, r)."""
+    """Moment-based (log mu, log r), where the fit starts."""
     n = counts.sum()
     mean = float(np.dot(counts, values)) / n
     var = float(np.dot(counts, (values - mean) ** 2)) / n
@@ -196,12 +192,7 @@ def _moment_start(values, counts):
         r0 = _PARAM_CLIP[1]
     mu0 = float(np.clip(mu0, *_PARAM_CLIP))
     r0 = float(np.clip(r0, *_PARAM_CLIP))
-    # zero fraction in excess of what the NB component explains
-    g0 = np.exp(r0 * (np.log(r0) - np.log(r0 + mu0)))
-    zero_frac = counts[values == 0].sum() / n if 0 in values else 0.0
-    pi0 = (zero_frac - g0) / (1.0 - g0) if g0 < 1.0 else 0.5
-    pi0 = float(np.clip(pi0, 1e-3, 1.0 - 1e-3))
-    return np.array([np.log(pi0 / (1.0 - pi0)), np.log(mu0), np.log(r0)])
+    return np.array([np.log(mu0), np.log(r0)])
 
 
 class _ProfileLik:
@@ -355,13 +346,12 @@ def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
 
     values, counts = np.unique(sorted_sample, return_counts=True)
     lik = _ProfileLik(sorted_sample)
-    theta, ll, converged = _newton_fit(lik, _moment_start(values, counts)[1:])
+    theta, ll, converged = _newton_fit(lik, _moment_start(values, counts))
     if not converged:
         return empirical("optimizer did not converge")
     params = ZinbParams(pi=lik.pi_hat(*theta), mu=float(np.exp(theta[0])),
                         r=float(np.exp(theta[1])))
-    return CountModel(kind="zinb", sample_size=n, params=params,
-                      loglik=ll, converged=True)
+    return CountModel(kind="zinb", sample_size=n, params=params, loglik=ll)
 
 
 def sample_zinb(params: ZinbParams, n: int, rng) -> np.ndarray:

@@ -66,18 +66,19 @@ def zone_area_km2(lon_center: float, lat_center: float,
     return radius_km ** 2 * dlam * (math.sin(math.radians(lat_hi)) - math.sin(math.radians(lat_lo)))
 
 
-def rescaled_thresholds(thresholds, capacity: float):
+def rescaled_thresholds(thresholds, capacity):
     """Rescale absolute burnt-area thresholds to the proportion scale.
 
     ``capacity`` is the burnable capacity in burnt-area units
-    (true area times unit scale). Returns ``(scaled, forced_one)`` where
+    (true area times unit scale): one cell's, or a column of them, one
+    row of the result per cell. Returns ``(scaled, forced_one)`` where
     ``forced_one`` flags every strictly positive threshold at or above the
     proportion bound of 1: no observation can exceed capacity, so the
     predicted probability there is exactly 1.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    if capacity <= 0:
-        raise DataError(f"capacity must be positive, got {capacity}")
+    if np.any(capacity <= 0):
+        raise DataError(f"capacity must be positive, got {np.min(capacity)}")
     scaled = thresholds / capacity
     forced_one = (scaled >= 1.0) & (thresholds > 0)
     return scaled, forced_one

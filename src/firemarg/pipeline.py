@@ -86,10 +86,12 @@ def _init_worker(ds: Dataset) -> None:
     _WORKER_DS = ds
 
 
-def _predict_block(payload):
+def _predict_block(payload, ds: Dataset | None = None):
+    """(row, diagnostic) per index of one chunk, in order, on ds or, in
+    a pool worker, on the worker's Dataset."""
     indices, variable, spec, k2 = payload
-    return [(int(i),) + _predict_one(_WORKER_DS, int(i), variable, spec, k2)
-            for i in indices]
+    ds = _WORKER_DS if ds is None else ds
+    return [_predict_one(ds, int(i), variable, spec, k2) for i in indices]
 
 
 def _predict_variable(ds: Dataset, variable: str, spec: NeighborhoodSpec,
@@ -98,21 +100,17 @@ def _predict_variable(ds: Dataset, variable: str, spec: NeighborhoodSpec,
     grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
     if missing.size == 0:
         return np.zeros((0, grid.size)), []
-    if workers > 1 and missing.size > 1:
-        chunks = np.array_split(missing, min(workers * 4, missing.size))
+    payloads = [(c, variable, spec, k2) for c in
+                np.array_split(missing, max(1, min(workers * 4, missing.size)))]
+    if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
-            blocks = list(pool.map(_predict_block,
-                                   [(c, variable, spec, k2) for c in chunks]))
-        results = {i: (row, diag) for block in blocks for i, row, diag in block}
+            blocks = list(pool.map(_predict_block, payloads))
     else:
-        results = {}
-        for i in missing:
-            row, diag = _predict_one(ds, int(i), variable, spec, k2)
-            results[int(i)] = (row, diag)
-    rows = np.vstack([results[int(i)][0] for i in missing])
-    diags = [results[int(i)][1] for i in missing]
-    return rows, diags
+        blocks = [_predict_block(p, ds) for p in payloads]
+    # chunks are consecutive and map keeps their order: index order
+    results = [result for block in blocks for result in block]
+    return np.vstack([row for row, _ in results]), [diag for _, diag in results]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import Dataset, PredictionTable
 from .errors import DataError
+from .geo import rescaled_thresholds
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +69,7 @@ def saturation_flags(ds: Dataset) -> np.ndarray:
     ds.ba_missing, one column per threshold. `cdf_row` has already
     pinned these entries to 1; a row with any flag is labelled
     TAIL_ONE."""
-    t = ds.ba_thresholds
-    return (t > 0) & (t / ds.capacity[ds.ba_missing, None] >= 1.0)
+    return rescaled_thresholds(ds.ba_thresholds, ds.capacity[ds.ba_missing, None])[1]
 
 
 def anomalous_rows(ds: Dataset) -> np.ndarray:

@@ -26,6 +26,7 @@ from firemarg.burnt_area import (
     sample_gpd,
     threshold_order_statistic,
 )
+from firemarg.data import default_ba_thresholds
 from firemarg.errors import DataError, GpdFitError
 
 # frozen from genpareto.cdf(x, 0.3, loc=0.1, scale=0.8)
@@ -251,6 +252,28 @@ def test_edge_fits_give_valid_mixture_rows():
     assert edges >= 10
 
 
+def test_rows_are_valid_without_repair():
+    # every raw row of the corpus fits lies exactly in [0, 1] and never
+    # decreases, including across u, where the bulk hands over to the tail
+    rng = np.random.default_rng(2026)
+    grid = default_ba_thresholds()
+    tails = 0
+    for values, u in _exceedance_corpus():
+        values = values[values <= 1.0]
+        zeros = np.zeros(int(rng.integers(0, values.size + 1)))
+        sample = np.concatenate([zeros, rng.uniform(0.0, u, values.size), values])
+        for k2 in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95):
+            m = fit_mixture(sample, k2)
+            tails += m.kind == "mixture"
+            dense = np.unique(np.concatenate(
+                [[0.0, 1.0, m.u, np.nextafter(m.u, np.inf)], sample]))
+            rows = [m.cdf(grid / capacity) for capacity in 10.0 ** np.arange(1, 8)]
+            for row in rows + [m.cdf(dense)]:
+                assert np.all((row >= 0.0) & (row <= 1.0))
+                assert np.all(np.diff(row) >= 0.0)
+    assert tails > 500
+
+
 def test_threshold_order_statistic():
     s = np.arange(1.0, 11.0)  # 1..10
     assert threshold_order_statistic(s, 0.5) == 5.0   # ceil(5) = 5th
@@ -345,7 +368,7 @@ class TestMixtureCdf:
             m = fit_mixture(_mixed_sample(rng), k2=rng.uniform(0.3, 0.95))
             grid = np.sort(np.concatenate([[0.0, m.u], rng.uniform(0.0, 1.2, 60)]))
             vals = m.cdf(grid)
-            assert np.all(np.diff(vals) >= -1e-15)
+            assert np.all(np.diff(vals) >= 0.0)
             assert np.all((vals >= 0) & (vals <= 1))
 
     def test_saturates_at_finite_endpoint(self):
@@ -370,5 +393,5 @@ def test_mixture_cdf_monotone_property(seed, k2):
     m = fit_mixture(sample, k2=k2)
     grid = np.linspace(0.0, 1.0, 101)
     vals = m.cdf(grid)
-    assert np.all(np.diff(vals) >= -1e-15)
+    assert np.all(np.diff(vals) >= 0.0)
     assert np.all((vals >= 0.0) & (vals <= 1.0))

@@ -85,6 +85,17 @@ def test_validation():
         RunConfig(k2_bap=1.0)
     with pytest.raises(DataError):
         RunConfig(workers=-1)
+    # the tuning grid is checked up front, not at stage tune
+    with pytest.raises(DataError, match="quantiles must lie in"):
+        RunConfig(quantiles=(1.5,))
+    with pytest.raises(DataError, match="quantile grid must be nonempty"):
+        RunConfig(quantiles=())
+    with pytest.raises(DataError, match="radii must be nonnegative"):
+        RunConfig(radii=(-50.0,))
+    with pytest.raises(DataError, match="radius grid must be nonempty"):
+        RunConfig(radii=())
+    with pytest.raises(DataError, match="quantiles must lie in"):
+        load_config(text="[model]\nquantiles = 0.5 1.5\n")
     RunConfig(variant="cluster", cluster_covariate="altitude")
 
 

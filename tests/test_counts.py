@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import logit
 
+from firemarg import counts as counts_module
 from firemarg.counts import (
     CountModel,
     ZinbParams,
     _moment_start,
+    _ProfileLik,
     _zinb_neg_loglik,
     fit_zinb,
     sample_zinb,
@@ -23,6 +25,7 @@ from firemarg.counts import (
     zinb_log_pmf,
     zinb_pmf,
 )
+from firemarg.data import default_cnt_thresholds
 from firemarg.errors import DataError
 
 # frozen from pi + (1-pi)*nbinom(r, r/(r+mu)) at pi=0.2, mu=3.7, r=1.8
@@ -120,6 +123,18 @@ def test_cdf_monotone_vectorized(params):
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+def test_mass_check_caps_rounding_and_raises_beyond_it(params, monkeypatch):
+    pmf = counts_module.zinb_pmf
+    # u = 1000 sums cap + 1 = 257 terms, whose rounding bound is 257 eps
+    monkeypatch.setattr(counts_module, "zinb_pmf",
+                        lambda p, j: pmf(p, j) * (1.0 + 2 * np.finfo(float).eps))
+    assert zinb_cdf(params, 1000.0) == 1.0
+    monkeypatch.setattr(counts_module, "zinb_pmf",
+                        lambda p, j: pmf(p, j) * (1.0 + 1e-12))
+    with pytest.raises(DataError, match="by more than rounding"):
+        zinb_cdf(params, 1000.0)
+
+
 def test_param_validation():
     with pytest.raises(DataError):
         ZinbParams(pi=-0.1, mu=1.0, r=1.0)
@@ -129,6 +144,40 @@ def test_param_validation():
         ZinbParams(pi=0.5, mu=1.0, r=float("inf"))
     with pytest.raises(DataError):
         zinb_pmf(ZinbParams(0.1, 1.0, 1.0), -1)
+
+
+def _zinb_draws():
+    """60 seeded ZINB samples, n 20-400, over a wide (pi, mu, r) range."""
+    rng = np.random.default_rng(2025)
+    for _ in range(60):
+        p = ZinbParams(rng.uniform(0.0, 0.9), rng.uniform(0.1, 50.0),
+                       rng.uniform(0.1, 20.0))
+        yield sample_zinb(p, int(rng.integers(20, 400)), rng)
+
+
+def _underdispersed_draws():
+    """60 seeded binomial samples, n 20-400, with 0-60 % of values set
+    to zero: variance below the mean, so the likelihood rises towards
+    the Poisson limit r -> inf, and the zero-inflation weight is free."""
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(20, 400))
+        s = rng.binomial(int(rng.integers(2, 30)), rng.uniform(0.2, 0.95), n)
+        s[rng.random(n) < rng.uniform(0.0, 0.6)] = 0
+        yield s
+
+
+def test_rows_are_valid_without_repair():
+    # exact bounds: zinb_cdf's only cap is the checked rounding cap at 1
+    kinds = set()
+    for s in list(_zinb_draws()) + list(_underdispersed_draws()):
+        m = fit_zinb(s)
+        kinds.add(m.kind)
+        for grid in (default_cnt_thresholds(), np.arange(500.0)):
+            row = m.cdf(grid)
+            assert np.all((row >= 0.0) & (row <= 1.0))
+            assert np.all(np.diff(row) >= 0.0)
+    assert "zinb" in kinds
 
 
 class TestFit:
@@ -186,20 +235,13 @@ class TestFit:
         rng = np.random.default_rng(11)
         s = sample_zinb(ZinbParams(0.25, 2.0, 1.5), 400, rng)
         values, counts = np.unique(s.astype(float), return_counts=True)
-        start_ll = -_zinb_neg_loglik(_moment_start(values, counts), values, counts)
+        start_ll = _ProfileLik(np.sort(s))(*_moment_start(values, counts))[0]
         m = fit_zinb(s)
         assert m.kind == "zinb"
         assert m.loglik >= start_ll
 
     def test_underdispersed_fits_are_valid(self):
-        # binomial counts have variance below the mean, so the likelihood
-        # rises towards the Poisson limit r -> inf; zeros are mixed in so
-        # the zero-inflation weight is free as well
-        rng = np.random.default_rng(2024)
-        for _ in range(60):
-            n = int(rng.integers(20, 400))
-            s = rng.binomial(int(rng.integers(2, 30)), rng.uniform(0.2, 0.95), n)
-            s[rng.random(n) < rng.uniform(0.0, 0.6)] = 0
+        for s in _underdispersed_draws():
             m = fit_zinb(s)
             assert m.kind == "zinb"
             assert m.loglik <= 0.0
