@@ -10,11 +10,13 @@ workload and seed the scene is built once with SRC_A's `bench/workloads.py`
 (and its `firemarg.synth`) and written as CSV files to a temporary
 directory. Each tree's `pipeline.run_all` is then called on those files
 in a fresh process, with the workload's run settings. For every run it
-prints the wall time of the call and the sha256 of predictions_cnt.csv,
-predictions_ba.csv, tuning.csv, scores.csv, diagnostics.csv and
-manifest.json ("absent" for a file the run did not write). It exits
-with status 1 when any digest differs between the trees, on any
-workload.
+prints the wall time of the call, the peak resident set size of that
+process (`ru_maxrss` of RUSAGE_SELF: the interpreter and its imports
+count, the prediction pool's worker processes do not), and the sha256
+of predictions_cnt.csv, predictions_ba.csv, tuning.csv, scores.csv,
+diagnostics.csv and manifest.json ("absent" for a file the run did not
+write). It exits with status 1 when any digest differs between the
+trees, on any workload.
 """
 
 import argparse
@@ -40,15 +42,16 @@ print(json.dumps(workload.run))
 """
 
 # argv: tree, RunConfig fields as JSON; prints the seconds run_all took
+# and the process's peak RSS in kB (Linux units of ru_maxrss)
 RUN = """
-import json, os, sys, time
+import json, os, resource, sys, time
 sys.path.insert(0, os.path.join(sys.argv[1], "src"))
 from firemarg.config import RunConfig
 from firemarg.pipeline import run_all
 config = RunConfig(**json.loads(sys.argv[2]))
 start = time.perf_counter()
 run_all(config)
-print(time.perf_counter() - start)
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -81,9 +84,10 @@ def compare_seed(trees: list, workload: str, seed: int, work: str) -> bool:
         out_dir = os.path.join(work, label)
         config = dict(settings, data_path=data, truth_path=truth, seed=seed,
                       out_dir=out_dir)
-        seconds = float(python(RUN, tree, json.dumps(config)))
+        seconds, peak_kb = python(RUN, tree, json.dumps(config)).split()
         results.append(digests(out_dir))
-        print(f"{workload} seed {seed} {label}: run_all {seconds:.3f} s")
+        print(f"{workload} seed {seed} {label}: run_all {float(seconds):.3f} s, "
+              f"peak RSS {int(peak_kb) / 1024:.1f} MB")
     same = results[0] == results[1]
     for name in OUTPUTS:
         a, b = results[0][name], results[1][name]

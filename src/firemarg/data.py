@@ -107,11 +107,19 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
                   month_range=DEFAULT_MONTH_RANGE,
                   year_range=DEFAULT_YEAR_RANGE) -> Dataset:
     """Assemble and validate a Dataset from parallel columns."""
+    month = np.asarray(month, dtype=float)
+    year = np.asarray(year, dtype=float)
+    for name, col, (lo, hi) in (("month", month, month_range),
+                                ("year", year, year_range)):
+        # a plain int64 cast would read month 6.5 as 6; NaN fails every comparison
+        bad = ~((col >= lo) & (col <= hi) & (col == np.floor(col)))
+        if np.any(bad):
+            raise DataError(f"{name} must be a whole number in [{lo}, {hi}] "
+                            f"at index {int(np.argmax(bad))}")
+    month, year = month.astype(np.int64), year.astype(np.int64)
     lon = np.asarray(lon, dtype=float)
     n = lon.size
     lat = np.asarray(lat, dtype=float)
-    month = np.asarray(month, dtype=np.int64)
-    year = np.asarray(year, dtype=np.int64)
     area_fraction = np.asarray(area_fraction, dtype=float)
     cnt = np.asarray(cnt, dtype=float)
     ba = np.asarray(ba, dtype=float)
@@ -133,12 +141,6 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
 
     if not (np.all(np.isfinite(lon)) and np.all(np.isfinite(lat))):
         raise DataError("non-finite coordinate")
-    bad = (month < month_range[0]) | (month > month_range[1])
-    if np.any(bad):
-        raise DataError(f"month outside {month_range} at index {int(np.argmax(bad))}")
-    bad = (year < year_range[0]) | (year > year_range[1])
-    if np.any(bad):
-        raise DataError(f"year outside {year_range} at index {int(np.argmax(bad))}")
     bad = ~((area_fraction > 0.0) & (area_fraction <= 1.0))
     if np.any(bad):
         raise DataError(f"area fraction outside (0,1] at index {int(np.argmax(bad))}")
@@ -154,8 +156,8 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
     cnt_t = default_cnt_thresholds() if cnt_thresholds is None else np.asarray(cnt_thresholds, float)
     ba_t = default_ba_thresholds() if ba_thresholds is None else np.asarray(ba_thresholds, float)
     for grid, label in ((cnt_t, "cnt"), (ba_t, "ba")):
-        if np.any(np.diff(grid) <= 0):
-            raise DataError(f"{label} thresholds must be strictly increasing")
+        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise DataError(f"{label} thresholds must be finite and strictly increasing")
 
     total_area = np.array([
         zone_area_km2(lo, la, lon_width, lat_height, radius_km)
@@ -201,7 +203,7 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
     return ds
 
 
-# Canonical column names; a schema config remaps source headers onto them.
+# Canonical column names: the data file's header must carry each of them.
 BASE_COLUMNS = ("lon", "lat", "month", "year", "area", "cnt", "ba", "altitude")
 MISSING_TOKENS = {"", "NA"}
 
@@ -218,20 +220,14 @@ def _parse_value(raw: str, column: str, line: int) -> float:
         raise IngestError(f"cannot parse {column}={raw!r}", row=line) from None
 
 
-def ingest(path, schema: dict | None = None, **dataset_kwargs) -> Dataset:
+def ingest(path, **dataset_kwargs) -> Dataset:
     """Read a CSV into a Dataset.
 
-    schema maps canonical column names (lon, lat, month, year, area, cnt,
-    ba, lc1..lc18, altitude) to the file's header names; unmapped names
-    are used as-is. Climate covariates are every remaining column
-    starting with "clim". Missing cnt/ba cells are empty or "NA".
+    The header names the canonical columns (lon, lat, month, year, area,
+    cnt, ba, lc1..lc18, altitude); climate covariates are every other
+    column starting with "clim". Missing cnt/ba cells are empty or "NA".
     Row numbers in errors are 1-based file lines (header is line 1).
     """
-    schema = schema or {}
-
-    def source(name):
-        return schema.get(name, name)
-
     columns = {name: [] for name in BASE_COLUMNS}
     lc_names = [f"lc{k}" for k in range(1, N_LAND_COVER + 1)]
     for name in lc_names:
@@ -247,12 +243,11 @@ def ingest(path, schema: dict | None = None, **dataset_kwargs) -> Dataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestError("empty file")
-        mapped = {source(n) for n in list(columns)}
-        missing_headers = mapped - set(reader.fieldnames)
+        missing_headers = set(columns) - set(reader.fieldnames)
         if missing_headers:
             raise IngestError(f"missing columns: {sorted(missing_headers)}")
         climate_cols = [h for h in reader.fieldnames
-                        if h not in mapped and h.startswith("clim")]
+                        if h not in columns and h.startswith("clim")]
         for name in climate_cols:
             columns[name] = []
 
@@ -260,9 +255,8 @@ def ingest(path, schema: dict | None = None, **dataset_kwargs) -> Dataset:
             line = reader.line_num
             if None in record or any(v is None for v in record.values()):
                 raise IngestError("wrong number of fields", row=line)
-            for name in list(columns):
-                src = source(name) if name not in climate_cols else name
-                columns[name].append(_parse_value(record[src], name, line))
+            for name in columns:
+                columns[name].append(_parse_value(record[name], name, line))
             key = (columns["lon"][-1], columns["lat"][-1],
                    columns["month"][-1], columns["year"][-1])
             if key in seen_keys:

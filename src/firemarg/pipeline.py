@@ -209,15 +209,37 @@ def write_prediction_csv(table: PredictionTable, path: str) -> None:
                 writer.writerow([int(i), f"{u:.17g}", f"{p:.17g}"])
 
 
-def read_prediction_csv(path: str, variable: str) -> PredictionTable:
-    by_index: dict = {}
+def _csv_records(path: str, header: tuple, kind: str):
+    """(line, record) of each data row of a CSV file whose header is
+    exactly `header`. Another header, or a row with a field missing or
+    extra, raises DataError naming the path (and the line)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != ["index", "threshold", "probability"]:
-            raise DataError(f"{path}: not a prediction file")
+        if reader.fieldnames != list(header):
+            raise DataError(f"{path}: not a {kind} file")
         for rec in reader:
-            by_index.setdefault(int(rec["index"]), []).append(
-                (float(rec["threshold"]), float(rec["probability"])))
+            if None in rec or None in rec.values():
+                raise DataError(f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields")
+            yield reader.line_num, rec
+
+
+def _parse(raw: str, cast, path: str, line: int, column: str):
+    """cast(raw), or DataError naming path:line when raw does not parse."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise DataError(f"{path}:{line}: cannot parse {column}={raw!r}") from None
+
+
+def read_prediction_csv(path: str, variable: str) -> PredictionTable:
+    by_index: dict = {}
+    for line, rec in _csv_records(path, ("index", "threshold", "probability"),
+                                  "prediction"):
+        i = _parse(rec["index"], int, path, line, "index")
+        by_index.setdefault(i, []).append(
+            (_parse(rec["threshold"], float, path, line, "threshold"),
+             _parse(rec["probability"], float, path, line, "probability")))
     if not by_index:
         raise DataError(f"{path}: empty prediction file")
     indices = np.array(sorted(by_index), dtype=np.int64)
@@ -285,26 +307,22 @@ def read_truth_csv(path: str) -> tuple[dict, dict]:
     nonnegative, and a count a whole number: a NaN truth would score as
     if it lay above every threshold."""
     truth: dict = {"cnt": {}, "ba": {}}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["index", "cnt", "ba"]:
-            raise DataError(f"{path}: not a truth file")
-        for rec in reader:
-            i = int(rec["index"])
-            for variable, values in truth.items():
-                raw = rec[variable]
-                if raw in ("", "NA"):
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = math.nan
-                whole = variable == "ba" or value.is_integer()
-                if not (math.isfinite(value) and value >= 0 and whole):
-                    kind = "whole number" if variable == "cnt" else "number"
-                    raise DataError(f"{path}:{reader.line_num}: {variable} truth "
-                                    f"{raw!r} is not a finite nonnegative {kind}")
-                values[i] = value
+    for line, rec in _csv_records(path, ("index", "cnt", "ba"), "truth"):
+        i = _parse(rec["index"], int, path, line, "index")
+        for variable, values in truth.items():
+            raw = rec[variable]
+            if raw in ("", "NA"):
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            whole = variable == "ba" or value.is_integer()
+            if not (math.isfinite(value) and value >= 0 and whole):
+                kind = "whole number" if variable == "cnt" else "number"
+                raise DataError(f"{path}:{line}: {variable} truth "
+                                f"{raw!r} is not a finite nonnegative {kind}")
+            values[i] = value
     return truth["cnt"], truth["ba"]
 
 

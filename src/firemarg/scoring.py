@@ -35,8 +35,8 @@ class ScoreConfig:
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=float)
-        if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0):
-            raise DataError("thresholds must be a strictly increasing vector")
+        if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise DataError("thresholds must be a finite, strictly increasing vector")
         w = self.weights
         w = default_weights(t.size) if w is None else np.asarray(w, dtype=float)
         if w.shape != t.shape:

@@ -17,13 +17,8 @@ Each (variable, radius) is evaluated in one pass (`cv_score`): every
 distinct surrogate's sample is built once, its CDF rows for all
 candidate tail levels are stacked, and one vectorised `score_rows` call
 scores them; each level's total is then summed over the plan's pairs in
-order. A burnt-area sample is sorted once and shared by the levels, and
-the levels whose fit falls back to the empirical CDF share one row.
-
-Fits are memoized by (variable, k2, exact fitting sample). The key has
-no surrogate: a fit depends on its sample alone, and nearby radius
-candidates often produce identical neighborhoods on a regular grid, so
-the cache carries most of the grid search.
+order. A burnt-area sample is shared by the levels, and the levels
+whose fit falls back to the empirical CDF share one row.
 """
 
 from __future__ import annotations
@@ -110,37 +105,20 @@ def fit_model(sample, variable: str, k2: float | None):
     return fit_zinb(sample) if variable == "cnt" else fit_mixture(sample, k2)
 
 
-def _fit_cached(sample, variable, k2, cache):
-    """fit_model of one CV sample, memoized in cache (if given).
-
-    A fit depends on its sample alone, so the key carries the sample's
-    bytes and k2 but no surrogate: every surrogate and radius with that
-    sample shares the entry.
-    """
-    key = (variable, k2, sample.tobytes())
-    if cache is not None and key in cache:
-        return cache[key]
-    model = fit_model(sample, variable, k2)
-    if cache is not None:
-        cache[key] = model
-    return model
-
-
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
-             config: ScoreConfig, k2=None, cache: dict | None = None):
+             config: ScoreConfig, k2=None):
     """Total score over the CV plan of the count model (plan variable
     "cnt", k2 unused) or of the burnt-area model at level k2.
 
     k2 may be a sequence of levels; the totals then come back as a
     tuple in the same order, from one pass over the plan: each
-    distinct surrogate's `fitting_sample` is built and sorted once (so
-    the cache key is its multiset: both fits sort their input first),
-    its rows for all levels go through the fit cache, the empirical
-    fallbacks share one row (the empirical CDF does not depend on k2),
-    and one `score_rows` call scores every (level, surrogate). Duplicate surrogates are scored
-    once per occurrence, and each total is np.sum over the plan's
-    pairs in order. A pair is skipped only when the surrogate is the
-    lone observation in its month pool, which no radius can change.
+    distinct surrogate's `fitting_sample` is built once and fitted at
+    every level, the empirical fallbacks share one row (the empirical
+    CDF does not depend on k2), and one `score_rows` call scores every
+    (level, surrogate). Duplicate surrogates are scored once per
+    occurrence, and each total is np.sum over the plan's pairs in
+    order. A pair is skipped only when the surrogate is the lone
+    observation in its month pool, which no radius can change.
     """
     if plan.variable == "cnt":
         scalar, levels = True, (None,)
@@ -152,14 +130,14 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
     for _, surrogate in plan.pairs:
         if surrogate not in samples:
             sample, _ = fitting_sample(ds, surrogate, plan.variable, spec)
-            samples[surrogate] = np.sort(sample)
+            samples[surrogate] = sample
     live = [s for s, sample in samples.items() if sample.size]
     rows = np.empty((len(levels), len(live), config.thresholds.size))
     for j, surrogate in enumerate(live):
         capacity = float(ds.capacity[surrogate])
         empirical = None
         for q, level in enumerate(levels):
-            model = _fit_cached(samples[surrogate], plan.variable, level, cache)
+            model = fit_model(samples[surrogate], plan.variable, level)
             if model.kind != "empirical":
                 rows[q, j] = cdf_row(model, config.thresholds, capacity)
                 continue
@@ -189,21 +167,21 @@ def select_parameters(ds: Dataset, cnt_grid: TuningGrid, bap_grid: TuningGrid,
     """Exhaustive grid search over the candidate parameters.
 
     The count model searches radii; the burnt-area model searches the
-    (radius, quantile) product. Deterministic: smallest parameters win
-    ties, and the shared fit cache cannot change any score.
+    (radius, quantile) product. Each radius is scored on its own, with
+    no fit state carried between radii. Deterministic: smallest
+    parameters win ties.
     """
     if not bap_grid.quantiles:
         raise DataError("burnt-area grid needs quantile candidates")
     cnt_cfg = ScoreConfig(ds.cnt_thresholds, cnt_weights)
     ba_cfg = ScoreConfig(ds.ba_thresholds, ba_weights)
-    cache: dict = {}
 
     cnt_plan = build_cv_plan(ds, "cnt")
     cnt_scores = []
     for radius in cnt_grid.radii:
         spec = replace(base_spec, radius_km=float(radius))
         cnt_scores.append((float(radius),
-                           cv_score(ds, spec, cnt_plan, cnt_cfg, cache=cache)))
+                           cv_score(ds, spec, cnt_plan, cnt_cfg)))
     cnt_best = min(cnt_scores, key=lambda t: (t[1], t[0]))[0]
 
     ba_plan = build_cv_plan(ds, "ba")
@@ -211,7 +189,7 @@ def select_parameters(ds: Dataset, cnt_grid: TuningGrid, bap_grid: TuningGrid,
     bap_scores = []
     for radius in bap_grid.radii:
         spec = replace(base_spec, radius_km=float(radius))
-        totals = cv_score(ds, spec, ba_plan, ba_cfg, k2=quantiles, cache=cache)
+        totals = cv_score(ds, spec, ba_plan, ba_cfg, k2=quantiles)
         bap_scores += [(float(radius), q, total)
                        for q, total in zip(quantiles, totals)]
     bap_best = min(bap_scores, key=lambda t: (t[2], t[0], t[1]))

@@ -74,6 +74,18 @@ def test_predict_score_run_agree(tmp_path, synth_dir, capsys):
         assert fh.read() == pred_bytes
 
 
+def test_score_rejects_unparseable_prediction(tmp_path, synth_dir, capsys):
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    (pred_dir / "predictions_cnt.csv").write_text(
+        "index,threshold,probability\n0,0,0.5\n0,1,abc\n")
+    code = main(["score", "--pred", str(pred_dir),
+                 "--truth", os.path.join(synth_dir, "truth.csv")])
+    assert code == 2
+    assert "predictions_cnt.csv:3: cannot parse probability='abc'" in \
+        capsys.readouterr().err
+
+
 def test_predict_calibrates_water_cut_as_run_does(tmp_path):
     out = str(tmp_path / "synth")
     assert main(["synth", "--out", out, "--seed", "3", "--water-frac", "0.1",

@@ -262,7 +262,7 @@ class TestFit:
         assert a.loglik == b.loglik
 
     def test_fit_ignores_sample_order(self):
-        # the CV fit cache keys count fits on the sorted sample
+        # fit_zinb sorts its input first; CV passes its samples unsorted
         rng = np.random.default_rng(4)
         s = sample_zinb(ZinbParams(0.3, 4.0, 0.8), 300, rng)
         def bits(fit):

@@ -62,6 +62,23 @@ class TestBuildDataset:
         with pytest.raises(DataError, match="month"):
             build_dataset(**cols)
 
+    def test_rejects_fractional_month_and_year(self):
+        # a plain integer cast would read month 6.5 as 6
+        for name, bad in (("month", 6.5), ("year", 2000.25), ("month", np.nan)):
+            cols = make_grid_columns()
+            cols[name] = np.asarray(cols[name], dtype=float)
+            cols[name][3] = bad
+            with pytest.raises(DataError, match=f"{name} must be a whole number"):
+                build_dataset(**cols)
+
+    def test_rejects_non_finite_thresholds(self):
+        # np.diff(grid) <= 0 is False at NaN, so a NaN grid passed that test
+        for grid in ({"ba_thresholds": [0.0, np.nan, 10.0]},
+                     {"cnt_thresholds": [0.0, 1.0, np.inf]},
+                     {"cnt_thresholds": [-np.inf, 0.0, 1.0]}):
+            with pytest.raises(DataError, match="finite and strictly increasing"):
+                build_dataset(**make_grid_columns(), **grid)
+
     def test_rejects_fractional_count(self):
         cols = make_grid_columns()
         cols["cnt"][0] = 2.5
@@ -99,9 +116,9 @@ HEADER = ("lon,lat,month,year,area,cnt,ba,altitude,"
 LC = ",".join(["0.01"] * 18)
 
 
-def _write(tmp_path, rows, header=HEADER):
+def _write(tmp_path, rows):
     path = tmp_path / "data.csv"
-    path.write_text("\n".join([header] + rows) + "\n")
+    path.write_text("\n".join([HEADER] + rows) + "\n")
     return path
 
 
@@ -147,12 +164,10 @@ class TestIngest:
         with pytest.raises(IngestError, match="lon"):
             ingest(_write(tmp_path, rows))
 
-    def test_schema_remap(self, tmp_path):
-        header = HEADER.replace("lon,lat", "longitude,latitude")
-        rows = [f"-100.25,40.25,6,2000,0.9,3,120.5,800,{LC},14.2"]
-        ds = ingest(_write(tmp_path, rows, header=header),
-                    schema={"lon": "longitude", "lat": "latitude"})
-        assert ds.lon[0] == -100.25
+    def test_fractional_month_rejected(self, tmp_path):
+        rows = [f"-100.25,40.25,6.5,2000,0.9,3,120.5,800,{LC},14.2"]
+        with pytest.raises(IngestError, match="month must be a whole number in"):
+            ingest(_write(tmp_path, rows))
 
     def test_round_trip(self, tmp_path):
         cols = make_grid_columns(nx=4, ny=4, cnt_missing_frac=0.2,

@@ -210,7 +210,10 @@ def test_truth_csv_rejects_bad_values(tmp_path):
                       ("4,2,inf", "ba truth 'inf'"),
                       ("5,2.5,NA", "cnt truth '2.5' is not a finite nonnegative whole"),
                       ("6,NA,-0.5", "ba truth '-0.5'"),
-                      ("7,two,NA", "cnt truth 'two'")):
+                      ("7,two,NA", "cnt truth 'two'"),
+                      ("x,2,NA", "cannot parse index='x'"),
+                      ("8,2", "expected 3 fields"),
+                      ("8,2,0.5,1", "expected 3 fields")):
         path.write_text("index,cnt,ba\n1,0,0.25\n" + line + "\n")
         with pytest.raises(DataError, match=f"truth.csv:3: {bad}"):
             read_truth_csv(str(path))
@@ -293,6 +296,13 @@ def test_run_all_checks_truth_at_ingest(tmp_path, run_inputs, monkeypatch):
         run_all(config)
     assert tuned == []
     assert not list(out.glob("predictions_*.csv"))
+
+
+def test_run_all_rejects_non_finite_thresholds_at_ingest(tmp_path, run_inputs):
+    config = _run_config(run_inputs, str(tmp_path / "out"),
+                         cnt_thresholds=(0.0, 1.0, np.inf))
+    with pytest.raises(FiremargError, match="stage ingest: .*finite"):
+        run_all(config)
 
 
 def test_run_all_without_truth_skips_score(tmp_path, run_inputs):

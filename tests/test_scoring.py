@@ -34,6 +34,9 @@ def test_config_validation():
         ScoreConfig(thresholds=np.array([0.0, 1.0]), weights=np.array([0.0, 0.0]))
     with pytest.raises(DataError):
         ScoreConfig(thresholds=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
+    for bad in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan]):
+        with pytest.raises(DataError, match="finite"):
+            ScoreConfig(thresholds=np.array(bad))
 
 
 def test_perfect_forecast_scores_zero():

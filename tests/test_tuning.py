@@ -142,23 +142,6 @@ def test_duplicate_surrogates_score_per_occurrence():
     assert one > 0.0
 
 
-def test_cache_never_changes_scores():
-    ds = _ds(nx=5, ny=5, seed=13, cnt_missing_frac=0.25, ba_missing_frac=0.25)
-    cnt_cfg = ScoreConfig(ds.cnt_thresholds)
-    ba_cfg = ScoreConfig(ds.ba_thresholds)
-    cnt_plan = build_cv_plan(ds, "cnt")
-    ba_plan = build_cv_plan(ds, "ba")
-    cache = {}
-    for radius in (100.0, 150.0):
-        spec = NeighborhoodSpec(radius_km=radius)
-        assert cv_score(ds, spec, cnt_plan, cnt_cfg, cache=cache) == \
-            cv_score(ds, spec, cnt_plan, cnt_cfg)
-        for q in (0.4, 0.7):
-            assert cv_score(ds, spec, ba_plan, ba_cfg, k2=q, cache=cache) == \
-                cv_score(ds, spec, ba_plan, ba_cfg, k2=q)
-    assert len(cache) > 0
-
-
 def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
     # the burnt-area quantiles share each radius's samples, so the
     # neighborhood queries carry no quantile factor
@@ -234,24 +217,6 @@ def test_select_parameters_scores_each_radius_in_one_call(monkeypatch):
     assert len(result.bap_scores) == 3 * len(radii)
 
 
-def test_identical_samples_share_one_cache_entry(monkeypatch):
-    # the fit depends on the sample alone, not on the surrogate
-    ds = _ds(nx=5, ny=5, seed=13, cnt_missing_frac=0.25, ba_missing_frac=0.25)
-    spec = NeighborhoodSpec(radius_km=100.0)
-    for variable, k2, column in (("cnt", None, ds.cnt), ("ba", (0.4, 0.7), ds.bap)):
-        observed = np.flatnonzero(~np.isnan(column))
-        a, b = int(observed[0]), int(observed[1])
-        sample = column[observed[2:30]]
-        monkeypatch.setattr(tuning, "fitting_sample",
-                            lambda ds, center, variable, spec: (sample.copy(),
-                                                                "neighborhood"))
-        plan = CvPlan(variable, ((0, a), (1, b)))
-        cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
-        cache = {}
-        cv_score(ds, spec, plan, cfg, k2=k2, cache=cache)
-        assert len(cache) == (1 if k2 is None else len(k2))
-
-
 def test_burnt_area_cv_needs_a_level():
     ds = _ds(nx=4, ny=4, seed=9, ba_missing_frac=0.2)
     with pytest.raises(DataError):
@@ -265,12 +230,9 @@ def test_identical_members_give_identical_scores():
     ds = _ds(nx=4, ny=4, seed=17, cnt_missing_frac=0.2)
     cfg = ScoreConfig(ds.cnt_thresholds)
     plan = build_cv_plan(ds, "cnt")
-    cache = {}
-    a = cv_score(ds, NeighborhoodSpec(radius_km=300.0), plan, cfg, cache=cache)
-    before = len(cache)
-    b = cv_score(ds, NeighborhoodSpec(radius_km=301.0), plan, cfg, cache=cache)
+    a = cv_score(ds, NeighborhoodSpec(radius_km=300.0), plan, cfg)
+    b = cv_score(ds, NeighborhoodSpec(radius_km=301.0), plan, cfg)
     assert a == b
-    assert len(cache) == before
 
 
 def test_empty_plan_scores_zero(grid_ds):
