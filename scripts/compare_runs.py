@@ -15,11 +15,15 @@ process (`ru_maxrss` of RUSAGE_SELF: the interpreter and its imports
 count, the prediction pool's worker processes do not), and the sha256
 of predictions_cnt.csv, predictions_ba.csv, tuning.csv, scores.csv,
 diagnostics.csv and manifest.json ("absent" for a file the run did not
-write). It exits with status 1 when any digest differs between the
-trees, on any workload.
+write). For a CSV file whose digests differ it also prints, per column,
+the largest absolute difference between the two runs' values, row for
+row (or how many cells differ, for a column that is not numeric). It
+exits with status 1 when any digest differs between the trees, on any
+workload.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -75,6 +79,25 @@ def digests(out_dir: str) -> dict:
     return out
 
 
+def column_gaps(path_a: str, path_b: str) -> str:
+    """The largest absolute difference of each column of two CSV files,
+    row for row; a column that is not numeric counts its differing
+    cells instead."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        a, b = list(csv.reader(fa)), list(csv.reader(fb))
+    if a[:1] != b[:1] or len(a) != len(b):
+        return f"header or row count differs ({len(a)} vs {len(b)} lines)"
+    gaps = []
+    for c, name in enumerate(a[0]):
+        pairs = [(ra[c], rb[c]) for ra, rb in zip(a[1:], b[1:])]
+        try:
+            gap = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+            gaps.append(f"{name} {gap:.3g}")
+        except ValueError:
+            gaps.append(f"{name} {sum(x != y for x, y in pairs)} cells")
+    return "max |A - B|: " + ", ".join(gaps)
+
+
 def compare_seed(trees: list, workload: str, seed: int, work: str) -> bool:
     data = os.path.join(work, "data.csv")
     truth = os.path.join(work, "truth.csv")
@@ -92,6 +115,9 @@ def compare_seed(trees: list, workload: str, seed: int, work: str) -> bool:
     for name in OUTPUTS:
         a, b = results[0][name], results[1][name]
         print(f"  {name:20s} {a}" + ("" if a == b else f"  DIFFERS: B {b}"))
+        if a != b and "absent" not in (a, b) and name.endswith(".csv"):
+            print("    " + column_gaps(os.path.join(work, "A", name),
+                                       os.path.join(work, "B", name)))
     return same
 
 

@@ -1,15 +1,18 @@
 """The GPD tail fits of a `tune-grid` scene: profile likelihood against
-the Nelder-Mead reference.
+the Nelder-Mead reference, and stacked fits against lone ones.
 
 This builds the benchmark's `tune-grid` scene for one seed, runs
 `pipeline.tune_parameters` on it as `firemarg run` does with k1/k2
-unset, and records every distinct exceedance set that `fit_mixture`
-hands to `fit_gpd`. It then fits each set with `burnt_area.fit_gpd`
-and with the Nelder-Mead reference kept in tests/test_burnt_area.py,
-and prints the time per fit of each, the range of the log-likelihood
-gap (new minus reference), the sets below the reference by more than
-1e-6, and how many new fits are edge fits (xi = -1, the uniform law),
-with how many of those the reference only approached.
+unset, and records every distinct exceedance set that cross-validation
+hands to the stacked search `burnt_area.fit_gpds`, with the fit it got
+there. It prints how many of those stacked fits differ from
+`burnt_area.fit_gpd` on the set alone (there should be none). It then
+fits each set with `fit_gpd` and with the Nelder-Mead reference kept in
+tests/test_burnt_area.py, and prints the time per fit of each (and of
+the stacked search), the range of the log-likelihood gap (new minus
+reference), the sets below the reference by more than 1e-6, and how
+many new fits are edge fits (xi = -1, the uniform law), with how many
+of those the reference only approached.
 
     PYTHONPATH=src python scripts/gpd_fit_corpus.py --seed 301
 """
@@ -35,25 +38,34 @@ from workloads import WORKLOADS  # noqa: E402
 GATE = 1e-6
 
 
-def record_corpus(seed: int) -> list:
-    """Distinct (values, threshold) pairs fit_gpd receives while tuning."""
+def record_corpus(seed: int) -> tuple:
+    """Distinct (values, threshold, stacked fit) triples fit_gpds
+    receives while tuning, and the seconds fit_gpds took per set it
+    was handed (repeats included)."""
     workload = WORKLOADS["tune-grid"]
     ds, _ = generate(workload.scene, seed)
     config = RunConfig(**workload.run)
     corpus: dict = {}
-    original = burnt_area.fit_gpd
+    spent = [0.0, 0]
+    original = burnt_area.fit_gpds
 
-    def recording(values, threshold, *args, **kwargs):
-        values = np.asarray(values, dtype=float)
-        corpus.setdefault((values.tobytes(), float(threshold)), values.copy())
-        return original(values, threshold, *args, **kwargs)
+    def recording(sets, *args, **kwargs):
+        t0 = time.perf_counter()
+        fits = original(sets, *args, **kwargs)
+        spent[0] += time.perf_counter() - t0
+        spent[1] += len(sets)
+        for (values, threshold), fit in zip(sets, fits):
+            values = np.asarray(values, dtype=float)
+            corpus.setdefault((values.tobytes(), float(threshold)),
+                              (values.copy(), float(threshold), fit))
+        return fits
 
-    burnt_area.fit_gpd = recording
+    burnt_area.fit_gpds = recording
     try:
         tune_parameters(ds, config)
     finally:
-        burnt_area.fit_gpd = original
-    return [(values, threshold) for (_, threshold), values in corpus.items()]
+        burnt_area.fit_gpds = original
+    return list(corpus.values()), spent[0] / max(spent[1], 1)
 
 
 def timed(fit, corpus):
@@ -67,13 +79,25 @@ def timed(fit, corpus):
     return out, (time.perf_counter() - t0) / len(corpus)
 
 
+def same_fit(stacked, alone) -> bool:
+    """Bit for bit: the same parameters, or the same failure."""
+    if isinstance(stacked, GpdFitError):
+        return alone is None
+    return alone is not None and stacked == alone
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=301)
     args = ap.parse_args(argv)
 
-    corpus = record_corpus(args.seed)
+    recorded, stacked_s = record_corpus(args.seed)
+    if not recorded:
+        raise SystemExit(f"seed {args.seed}: cross-validation fitted no GPD tail")
+    corpus = [(values, threshold) for values, threshold, _ in recorded]
     new, new_s = timed(burnt_area.fit_gpd, corpus)
+    differ = sum(not same_fit(fit, alone)
+                 for (_, _, fit), alone in zip(recorded, new))
     ref, ref_s = timed(nelder_mead_fit_gpd, corpus)
     gaps = np.array([gpd_loglik(a, v) - gpd_loglik(b, v)
                      for (v, _), a, b in zip(corpus, new, ref)
@@ -81,8 +105,9 @@ def main(argv=None):
     sizes = [v.size for v, _ in corpus]
     print(f"seed {args.seed}: {len(corpus)} distinct exceedance sets, "
           f"n {min(sizes)}-{max(sizes)}")
-    print(f"time per fit: profile {1e3 * new_s:.3f} ms, "
-          f"Nelder-Mead {1e3 * ref_s:.3f} ms")
+    print(f"stacked fits that differ from the set fitted alone: {differ}")
+    print(f"time per fit: profile {1e3 * new_s:.3f} ms alone, "
+          f"{1e3 * stacked_s:.3f} ms stacked, Nelder-Mead {1e3 * ref_s:.3f} ms")
     print(f"failed fits: profile {new.count(None)}, Nelder-Mead {ref.count(None)}")
     print(f"log-likelihood gap (profile - Nelder-Mead): "
           f"[{gaps.min():.3g}, {gaps.max():.3g}] on {gaps.size} sets; "

@@ -1,0 +1,119 @@
+"""The ZINB count fits of the benchmark scenes: `fit_zinb` against the
+reference Newton search kept in tests/test_counts.py.
+
+For each seed this builds the benchmark's `tune-grid` and
+`predict-spatial` scenes, runs cross-validation on the first (as
+`firemarg run` does with k1/k2 unset) and prediction on both, in one
+process, and records every distinct sample handed to `fit_zinb`. It
+then fits each sample with `counts.fit_zinb` and with
+`reference_fit_zinb`, and prints, per corpus, the time per fit of each,
+how many fits differ in kind or fallback reason, the range of the
+log-likelihood gap relative to the reference (new minus reference,
+over |reference|), and the largest differences of mu, r, the
+variance-to-mean ratio 1 + mu / r and pi.
+
+    PYTHONPATH=src python scripts/zinb_fit_corpus.py --seeds 301 302
+"""
+
+import argparse
+import os
+import sys
+import time
+from dataclasses import replace
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
+
+from firemarg import tuning  # noqa: E402
+from firemarg.config import RunConfig  # noqa: E402
+from firemarg.counts import fit_zinb  # noqa: E402
+from firemarg.pipeline import choose_water_cut, predict_missing, tune_parameters  # noqa: E402
+from firemarg.synth import generate  # noqa: E402
+from test_counts import reference_fit_zinb  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def record(corpus: dict, step) -> None:
+    """Run step() with every fit_zinb sample recorded into corpus."""
+    def recording(sample, *args, **kwargs):
+        sample = np.sort(np.asarray(sample, dtype=float))
+        corpus.setdefault(sample.tobytes(), sample)
+        return fit_zinb(sample, *args, **kwargs)
+
+    tuning.fit_zinb = recording
+    try:
+        step()
+    finally:
+        tuning.fit_zinb = fit_zinb
+
+
+def corpora(seed: int) -> dict:
+    """Distinct count samples fitted by CV and by prediction."""
+    out = {"cv": {}, "prediction": {}}
+    for name in ("tune-grid", "predict-spatial"):
+        workload = WORKLOADS[name]
+        ds, _ = generate(workload.scene, seed)
+        config = replace(RunConfig(**workload.run), workers=1)
+        if config.k1_cnt is None:
+            result = []
+            record(out["cv"], lambda: result.append(tune_parameters(ds, config)))
+            config = replace(config, k1_cnt=result[0].cnt_radius,
+                             k1_bap=result[0].bap_radius,
+                             k2_bap=result[0].bap_quantile)
+        record(out["prediction"],
+               lambda: predict_missing(ds, config, choose_water_cut(ds, config)))
+    return {name: list(samples.values()) for name, samples in out.items()}
+
+
+def timed(fit, samples):
+    t0 = time.perf_counter()
+    fits = [fit(s) for s in samples]
+    return fits, (time.perf_counter() - t0) / len(samples)
+
+
+def relative(a: float, b: float) -> float:
+    return abs(a - b) / abs(b) if b else abs(a)
+
+
+def report(name: str, samples: list) -> None:
+    new, new_s = timed(fit_zinb, samples)
+    ref, ref_s = timed(reference_fit_zinb, samples)
+    kinds = sum((a.kind, a.fallback_reason) != (b.kind, b.fallback_reason)
+                for a, b in zip(new, ref))
+    both = [(a, b) for a, b in zip(new, ref) if a.kind == b.kind == "zinb"]
+    gaps = [(a.loglik - b.loglik) / abs(b.loglik) for a, b in both]
+    print(f"{name}: {len(samples)} distinct samples, {len(both)} ZINB fits; "
+          f"time per fit {1e3 * new_s:.3f} ms, reference {1e3 * ref_s:.3f} ms")
+    print(f"  kind or fallback reason differs: {kinds}")
+    print(f"  relative log-likelihood gap: [{min(gaps, default=0.0):.3g}, "
+          f"{max(gaps, default=0.0):.3g}]")
+    measures = {
+        "relative difference of mu": lambda p: p.mu,
+        "relative difference of r": lambda p: p.r,
+        "relative difference of 1 + mu / r": lambda p: 1.0 + p.mu / p.r,
+        "relative difference of pi": lambda p: p.pi,
+    }
+    for label, value in measures.items():
+        worst = max((relative(value(a.params), value(b.params)) for a, b in both),
+                    default=0.0)
+        print(f"  largest {label}: {worst:.3g}")
+    worst = max((abs(a.params.pi - b.params.pi) for a, b in both), default=0.0)
+    print(f"  largest absolute difference of pi: {worst:.3g}")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[301])
+    args = ap.parse_args(argv)
+    pooled = {"cv": [], "prediction": []}
+    for seed in args.seeds:
+        for name, samples in corpora(seed).items():
+            pooled[name] += samples
+    for name, samples in pooled.items():
+        report(f"{name} (seeds {' '.join(map(str, args.seeds))})", samples)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,9 +17,12 @@ the likelihood peaks at pi = max(0, (f0 - g0)/(1 - g0)), with f0 the
 sample's zero fraction and g0 = g(0). What is left is a zero-truncated
 negative binomial likelihood in (mu, r), or the plain one where pi = 0,
 and a damped Newton search over (log mu, log r) with analytic
-derivatives maximizes it. r is capped at R_MAX, the Poisson limit, where
-underdispersed samples end up. Small or degenerate samples fall back to
-the empirical CDF.
+derivatives maximizes it. Each likelihood evaluation needs three dot
+products over the support; everything else in the search is scalar
+arithmetic on Python floats, and the 2 x 2 Newton step is solved in
+closed form (eigenvalues only where the surface is not concave). r is
+capped at R_MAX, the Poisson limit, where underdispersed samples end
+up. Small or degenerate samples fall back to the empirical CDF.
 
 A CDF row is a cumulative sum of exponentials, so it never decreases or
 goes negative; `zinb_cdf` holds the one rounding cap at 1, checked.
@@ -27,6 +30,7 @@ goes negative; `zinb_cdf` holds the one rounding cap at 1, checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,33 +207,38 @@ class _ProfileLik:
     over k < j of log((r+k)/(r+mu)), 1/(r+k) (the digamma difference) and
     1/(r+k)^2 (the trigamma difference); summed over the sample each is
     one dot product with n_gt[k], the number of observations above k.
+    The rest is scalar arithmetic, done on Python floats.
     """
 
     def __init__(self, sample):
-        hist = np.bincount(sample.astype(np.intp))
+        self.hist = hist = np.bincount(sample.astype(np.intp))
         n = sample.size
         self.n0 = int(hist[0])
         self.n_pos = n - self.n0
         self.f0 = self.n0 / n
+        self.log_f0 = math.log(self.f0) if self.n0 else -math.inf
         self.n_gt = (n - np.cumsum(hist))[:-1].astype(float)
         self.k = np.arange(self.n_gt.size, dtype=float)
         self.sum_pos = float(sample.sum())
         # -sum log j! over the sample, and the profiled zero term when pi > 0
         self.const = -float(np.dot(hist[1:], gammaln(np.arange(2.0, hist.size + 1.0))))
-        self.const_zeros = (self.n0 * np.log(self.f0) + self.n_pos * np.log1p(-self.f0)
+        self.const_zeros = (self.n0 * self.log_f0 + self.n_pos * math.log1p(-self.f0)
                             if self.n0 else 0.0)
 
     def pi_hat(self, log_mu: float, log_r: float) -> float:
-        mu, r = np.exp(log_mu), np.exp(log_r)
-        log_g0 = -r * np.log1p(mu / r)
-        if self.n0 == 0 or np.log(self.f0) <= log_g0:
+        mu, r = math.exp(log_mu), math.exp(log_r)
+        log_g0 = -r * math.log1p(mu / r)
+        if self.log_f0 <= log_g0:
             return 0.0
-        return float((self.f0 - np.exp(log_g0)) / -np.expm1(log_g0))
+        return (self.f0 - math.exp(log_g0)) / -math.expm1(log_g0)
 
     def __call__(self, log_mu: float, log_r: float):
-        mu, r = np.exp(log_mu), np.exp(log_r)
+        """(loglik, (g_a, g_b), (h_aa, h_ab, h_bb)) at (a, b) = (log mu,
+        log r): the gradient, and the Hessian's three distinct entries."""
+        mu, r = math.exp(log_mu), math.exp(log_r)
         s = r + mu
-        l1p = np.log1p(mu / r)
+        s2 = s * s
+        l1p = math.log1p(mu / r)
         inv = 1.0 / (r + self.k)
         n_pos, sum_pos = self.n_pos, self.sum_pos
         excess = sum_pos - n_pos * mu
@@ -239,24 +248,23 @@ class _ProfileLik:
               + self.const + log_mu * sum_pos - n_pos * r * l1p)
         ga = r * excess / s
         gb = r * (float(np.dot(self.n_gt, inv)) - n_pos * l1p - excess / s)
-        haa = -r * mu * (n_pos * r + sum_pos) / s ** 2
-        hab = r * mu * excess / s ** 2
+        haa = -r * mu * (n_pos * r + sum_pos) / s2
+        hab = r * mu * excess / s2
         hbb = gb + r * (-r * float(np.dot(self.n_gt, inv * inv))
-                        + n_pos * mu / s + r * excess / s ** 2)
+                        + n_pos * mu / s + r * excess / s2)
 
         # zeros: log g0 and its derivatives
         log_g0 = -r * l1p
         da0 = -r * mu / s
         db0 = r * (mu / s - l1p)
-        haa0 = -r * r * mu / s ** 2
-        hab0 = -r * mu * mu / s ** 2
-        hbb0 = db0 + r * mu * mu / s ** 2
-        if self.n0 and np.log(self.f0) > log_g0:
+        haa0 = -r * r * mu / s2
+        hab0 = -r * mu * mu / s2
+        hbb0 = db0 + r * mu * mu / s2
+        if self.log_f0 > log_g0:
             # pi > 0: zero-truncated likelihood for the positive part
-            g0 = np.exp(log_g0)
-            one_m_g0 = -np.expm1(log_g0)
-            ll += self.const_zeros - n_pos * np.log(one_m_g0)
-            w = n_pos * g0 / one_m_g0
+            one_m_g0 = -math.expm1(log_g0)
+            ll += self.const_zeros - n_pos * math.log(one_m_g0)
+            w = n_pos * math.exp(log_g0) / one_m_g0
             w2 = w / one_m_g0
             haa += w2 * da0 * da0
             hab += w2 * da0 * db0
@@ -265,54 +273,57 @@ class _ProfileLik:
             # pi = 0: plain negative binomial (n0 may be 0)
             ll += self.n0 * log_g0
             w = self.n0
-        grad = np.array([ga + w * da0, gb + w * db0])
-        hess = np.array([[haa + w * haa0, hab + w * hab0],
-                         [hab + w * hab0, hbb + w * hbb0]])
-        return float(ll), grad, hess
+        return (ll, (ga + w * da0, gb + w * db0),
+                (haa + w * haa0, hab + w * hab0, hbb + w * hbb0))
 
 
 def _ascent_step(grad, hess, fix_r: bool):
-    """Newton ascent direction from the negated Hessian, with its
-    eigenvalues made positive where the surface is not concave."""
+    """Newton ascent direction (d_a, d_b) from the negated Hessian,
+    solved in closed form where the surface is concave; elsewhere the
+    Hessian's eigenvalues are made positive."""
+    g_a, g_b = grad
+    a_aa, a_ab, a_bb = -hess[0], -hess[1], -hess[2]
     if fix_r:
-        return np.array([grad[0] / max(abs(hess[0, 0]), 1e-8), 0.0])
-    a = -hess
-    if a[0, 0] > 0 and a[0, 0] * a[1, 1] > a[0, 1] ** 2:
-        return np.linalg.solve(a, grad)
-    lam, vec = np.linalg.eigh(a)
+        return g_a / max(abs(a_aa), 1e-8), 0.0
+    if a_aa > 0 and a_aa * a_bb > a_ab * a_ab:
+        det = a_aa * a_bb - a_ab * a_ab
+        return (a_bb * g_a - a_ab * g_b) / det, (a_aa * g_b - a_ab * g_a) / det
+    lam, vec = np.linalg.eigh(np.array([[a_aa, a_ab], [a_ab, a_bb]]))
     lam = np.maximum(np.abs(lam), 1e-8 * max(1.0, np.abs(lam).max()))
-    return vec @ ((vec.T @ grad) / lam)
+    d_a, d_b = (vec @ ((vec.T @ np.array(grad)) / lam)).tolist()
+    return d_a, d_b
 
 
 def _newton_fit(lik: _ProfileLik, theta):
     """Damped, projected Newton ascent over (log mu, log r <= log R_MAX).
 
-    Returns (theta, loglik, converged). Each step is capped at MAX_STEP
-    per coordinate and backtracked until the likelihood rises.
+    Returns ((log mu, log r), loglik, converged). Each step is capped at
+    MAX_STEP per coordinate and backtracked until the likelihood rises.
     """
-    theta = np.array([theta[0], min(theta[1], _LOG_R_MAX)])
-    ll, grad, hess = lik(*theta)
+    a, b = float(theta[0]), min(float(theta[1]), _LOG_R_MAX)
+    ll, grad, hess = lik(a, b)
     for _ in range(MAX_NEWTON):
-        fix_r = theta[1] >= _LOG_R_MAX and grad[1] > 0
-        step = _ascent_step(grad, hess, fix_r)
-        decrement = float(grad @ step)
+        fix_r = b >= _LOG_R_MAX and grad[1] > 0
+        d_a, d_b = _ascent_step(grad, hess, fix_r)
+        decrement = grad[0] * d_a + grad[1] * d_b
         # near the optimum take the full step if it helps, then stop
         done = decrement <= NEWTON_TOL * max(1.0, abs(ll))
-        step *= min(1.0, MAX_STEP / max(np.abs(step).max(), MAX_STEP))
+        scale = min(1.0, MAX_STEP / max(abs(d_a), abs(d_b), MAX_STEP))
+        d_a, d_b = d_a * scale, d_b * scale
         alpha = 1.0
         for _ in range(1 if done else 40):
-            cand = theta + alpha * step
-            cand[1] = min(cand[1], _LOG_R_MAX)
-            ll_c, grad_c, hess_c = lik(*cand)
-            if ll_c > ll + 1e-4 * max(float(grad @ (cand - theta)), 0.0):
+            ca, cb = a + alpha * d_a, min(b + alpha * d_b, _LOG_R_MAX)
+            ll_c, grad_c, hess_c = lik(ca, cb)
+            rise = grad[0] * (ca - a) + grad[1] * (cb - b)
+            if ll_c > ll + 1e-4 * max(rise, 0.0):
                 break
             alpha *= 0.5
         else:
-            return theta, ll, done
-        theta, ll, grad, hess = cand, ll_c, grad_c, hess_c
+            return (a, b), ll, done
+        a, b, ll, grad, hess = ca, cb, ll_c, grad_c, hess_c
         if done:
-            return theta, ll, True
-    return theta, ll, False
+            return (a, b), ll, True
+    return (a, b), ll, False
 
 
 def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
@@ -344,13 +355,13 @@ def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
     if sorted_sample[-1] == 0:
         return empirical("all zero")
 
-    values, counts = np.unique(sorted_sample, return_counts=True)
     lik = _ProfileLik(sorted_sample)
-    theta, ll, converged = _newton_fit(lik, _moment_start(values, counts))
+    values = np.flatnonzero(lik.hist)
+    theta, ll, converged = _newton_fit(lik, _moment_start(values, lik.hist[values]))
     if not converged:
         return empirical("optimizer did not converge")
-    params = ZinbParams(pi=lik.pi_hat(*theta), mu=float(np.exp(theta[0])),
-                        r=float(np.exp(theta[1])))
+    params = ZinbParams(pi=lik.pi_hat(*theta), mu=math.exp(theta[0]),
+                        r=math.exp(theta[1]))
     return CountModel(kind="zinb", sample_size=n, params=params, loglik=ll)
 
 

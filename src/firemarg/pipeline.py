@@ -212,8 +212,13 @@ def write_prediction_csv(table: PredictionTable, path: str) -> None:
 def _csv_records(path: str, header: tuple, kind: str):
     """(line, record) of each data row of a CSV file whose header is
     exactly `header`. Another header, or a row with a field missing or
-    extra, raises DataError naming the path (and the line)."""
-    with open(path, newline="") as fh:
+    extra, or a file that cannot be opened, raises DataError naming the
+    path (and the line)."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(header):
             raise DataError(f"{path}: not a {kind} file")

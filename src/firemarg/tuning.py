@@ -7,18 +7,21 @@ scored by fitting the marginal model to the surrogate's
 `neighborhoods.fitting_sample` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. Prediction uses the same ladder, the same
-`fit_model` and the same `burnt_area.cdf_row`, so CV scores exactly
-the model that prediction emits; an empty neighborhood widens along
-that ladder, so each candidate is scored on the full plan. The
-candidate combination with the smallest total score wins; ties go to
-the smaller parameters.
+fit path and the same row builder (`burnt_area.fit_mixture` and
+`cdf_row` are `fit_mixtures` and `cdf_rows` called with one level), so
+CV scores exactly the model that prediction emits, bit for bit. An
+empty neighborhood widens along that ladder, so each candidate is
+scored on the full plan. The candidate combination with the smallest
+total score wins; ties go to the smaller parameters.
 
 Each (variable, radius) is evaluated in one pass (`cv_score`): every
-distinct surrogate's sample is built once, its CDF rows for all
-candidate tail levels are stacked, and one vectorised `score_rows` call
-scores them; each level's total is then summed over the plan's pairs in
-order. A burnt-area sample is shared by the levels, and the levels
-whose fit falls back to the empirical CDF share one row.
+distinct surrogate's sample is built once and fitted. For burnt area,
+one `fit_mixtures` call fits every surrogate at every candidate tail
+level, with all their GPD tails in one stacked search, and `cdf_rows`
+builds each surrogate's rows for all levels at once; the levels whose
+fit falls back to the empirical CDF share one row. One vectorised
+`score_rows` call then scores every (level, surrogate), and each
+level's total is summed over the plan's pairs in order.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burnt_area import cdf_row, fit_mixture
+from .burnt_area import cdf_rows, fit_mixture, fit_mixtures
 from .counts import fit_zinb
 from .data import Dataset
 from .errors import DataError
@@ -101,7 +104,9 @@ def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
 def fit_model(sample, variable: str, k2: float | None):
     """The marginal model of one fitting sample: the ZINB count model
     ("cnt", k2 unused) or the burnt-area mixture at level k2 ("ba").
-    Prediction and cross-validation both fit through here."""
+    Prediction fits through here; cross-validation fits many samples
+    and levels at once through the same functions (see the module
+    docstring)."""
     return fit_zinb(sample) if variable == "cnt" else fit_mixture(sample, k2)
 
 
@@ -112,10 +117,10 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
 
     k2 may be a sequence of levels; the totals then come back as a
     tuple in the same order, from one pass over the plan: each
-    distinct surrogate's `fitting_sample` is built once and fitted at
-    every level, the empirical fallbacks share one row (the empirical
-    CDF does not depend on k2), and one `score_rows` call scores every
-    (level, surrogate). Duplicate surrogates are scored once per
+    distinct surrogate's `fitting_sample` is built once, one
+    `fit_mixtures` call fits them all at every level, the empirical
+    fallbacks share one row (the empirical CDF does not depend on k2),
+    and one `score_rows` call scores every (level, surrogate). Duplicate surrogates are scored once per
     occurrence, and each total is np.sum over the plan's pairs in
     order. A pair is skipped only when the surrogate is the lone
     observation in its month pool, which no radius can change.
@@ -132,18 +137,13 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
             sample, _ = fitting_sample(ds, surrogate, plan.variable, spec)
             samples[surrogate] = sample
     live = [s for s, sample in samples.items() if sample.size]
+    if plan.variable == "cnt":
+        fits = [[fit_zinb(samples[s])] for s in live]
+    else:
+        fits = fit_mixtures([samples[s] for s in live], levels)
     rows = np.empty((len(levels), len(live), config.thresholds.size))
-    for j, surrogate in enumerate(live):
-        capacity = float(ds.capacity[surrogate])
-        empirical = None
-        for q, level in enumerate(levels):
-            model = fit_model(samples[surrogate], plan.variable, level)
-            if model.kind != "empirical":
-                rows[q, j] = cdf_row(model, config.thresholds, capacity)
-                continue
-            if empirical is None:
-                empirical = cdf_row(model, config.thresholds, capacity)
-            rows[q, j] = empirical
+    for j, (surrogate, models) in enumerate(zip(live, fits)):
+        rows[:, j] = cdf_rows(models, config.thresholds, float(ds.capacity[surrogate]))
     column = ds.cnt if plan.variable == "cnt" else ds.ba
     scores = score_rows(rows, column[live], config)
     column_of = {surrogate: j for j, surrogate in enumerate(live)}

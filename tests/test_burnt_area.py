@@ -7,6 +7,7 @@ against a Nelder-Mead reference on the unprofiled likelihood.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from firemarg import burnt_area
 from firemarg.burnt_area import (
     XI_EXP_EPS,
     XI_HI,
@@ -21,6 +23,7 @@ from firemarg.burnt_area import (
     BaMixture,
     GpdParams,
     fit_gpd,
+    fit_gpds,
     fit_mixture,
     gpd_cdf,
     sample_gpd,
@@ -223,6 +226,38 @@ def test_profile_fit_is_no_worse_than_nelder_mead():
         assert gpd_loglik(new, values) >= gpd_loglik(ref, values) - 1e-6
         edges += new.xi == XI_LO
     assert edges > 0
+
+
+def test_stacked_fits_equal_lone_fits(monkeypatch):
+    # sizes shared by several sets, edge fits, too few values and
+    # all-equal values, in blocks small enough to split the groups
+    rng = np.random.default_rng(55)
+    corpus = list(_exceedance_corpus())
+    for m in (10, 11, 40, 40, 40, 97):
+        u = float(rng.uniform(0.0, 0.3))
+        corpus += [(u + rng.uniform(0.0, 0.2, m), u),
+                   (u + sample_gpd(GpdParams(0.05, 0.3), m, rng), u),
+                   (np.full(m, u + 0.1), u)]
+    corpus += [(np.linspace(1.0, 2.0, 9), 0.0), (np.linspace(0.5, 0.9, 3), 0.2)]
+    rng.shuffle(corpus)
+    monkeypatch.setattr(burnt_area, "GPD_BLOCK", 200)
+    stacked = fit_gpds(corpus)
+
+    outcomes = Counter()
+    for (values, u), fit in zip(corpus, stacked):
+        try:
+            alone = fit_gpd(values, u)
+        except GpdFitError as exc:
+            assert isinstance(fit, GpdFitError) and str(fit) == str(exc)
+            outcomes[str(exc).split(":")[0].split(" at ")[0]] += 1
+            continue
+        assert isinstance(fit, GpdParams)
+        assert (fit.sigma, fit.xi, fit.threshold) == (alone.sigma, alone.xi, alone.threshold)
+        outcomes["edge" if fit.xi == XI_LO else "interior"] += 1
+    assert set(outcomes) == {"edge", "interior", "need", "degenerate sample"}
+    # some size group spans more than one block
+    sizes = Counter(values.size for values, _ in corpus)
+    assert any(m * n > burnt_area.GPD_BLOCK for m, n in sizes.items())
 
 
 def test_edge_fits_give_valid_mixture_rows():

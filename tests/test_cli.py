@@ -86,6 +86,16 @@ def test_score_rejects_unparseable_prediction(tmp_path, synth_dir, capsys):
         capsys.readouterr().err
 
 
+def test_score_reports_a_missing_prediction_dir(tmp_path, synth_dir, capsys):
+    missing = str(tmp_path / "no_pred")
+    code = main(["score", "--pred", missing,
+                 "--truth", os.path.join(synth_dir, "truth.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open ")
+    assert "predictions_cnt.csv" in err
+
+
 def test_predict_calibrates_water_cut_as_run_does(tmp_path):
     out = str(tmp_path / "synth")
     assert main(["synth", "--out", out, "--seed", "3", "--water-frac", "0.1",

@@ -298,6 +298,13 @@ def test_run_all_checks_truth_at_ingest(tmp_path, run_inputs, monkeypatch):
     assert not list(out.glob("predictions_*.csv"))
 
 
+def test_run_all_labels_a_missing_truth_file(tmp_path, run_inputs):
+    missing = str(tmp_path / "no_truth.csv")
+    config = _run_config(run_inputs, str(tmp_path / "out"), truth_path=missing)
+    with pytest.raises(FiremargError, match="stage ingest: cannot open .*no_truth.csv"):
+        run_all(config)
+
+
 def test_run_all_rejects_non_finite_thresholds_at_ingest(tmp_path, run_inputs):
     config = _run_config(run_inputs, str(tmp_path / "out"),
                          cnt_thresholds=(0.0, 1.0, np.inf))

@@ -167,36 +167,30 @@ def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
         assert queries[variable] <= len(radii) * len(plans[variable].pairs)
 
 
-def test_bap_scores_equal_a_per_pair_reference_loop(monkeypatch):
+def test_bap_scores_equal_a_per_pair_reference_loop():
     # the quantiles hit all three fit_mixture outcomes: zero mass at the
     # k2 level, too few exceedances, and a GPD tail
     ds = _ds(nx=8, ny=8, seed=37, cnt_missing_frac=0.2, ba_missing_frac=0.2)
     radii, quantiles = (60.0, 300.0), (0.1, 0.5, 0.9)
-    outcomes = Counter()
-
-    def fit(sample, k2):
-        model = fit_mixture(sample, k2)
-        outcomes[model.fallback_reason or model.kind] += 1
-        return model
-
-    monkeypatch.setattr(tuning, "fit_mixture", fit)
     result = select_parameters(ds, TuningGrid(radii=radii),
                                TuningGrid(radii=radii, quantiles=quantiles))
-    assert set(outcomes) == {"zero mass at or above the k2 level",
-                             "too few exceedances", "mixture"}
 
     plan = build_cv_plan(ds, "ba")
     cfg = ScoreConfig(ds.ba_thresholds)
     expected = []
+    outcomes = Counter()
     for radius in radii:
         spec = NeighborhoodSpec(radius_km=radius)
         for q in quantiles:
             scores = []
             for _, s in plan.pairs:
                 model = fit_mixture(fitting_sample(ds, s, "ba", spec)[0], q)
+                outcomes[model.fallback_reason or model.kind] += 1
                 row = cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
                 scores.append(score_one(row, float(ds.ba[s]), cfg))
             expected.append((radius, q, float(np.sum(scores))))
+    assert set(outcomes) == {"zero mass at or above the k2 level",
+                             "too few exceedances", "mixture"}
     assert result.bap_scores == tuple(expected)
 
 
