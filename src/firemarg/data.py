@@ -6,12 +6,20 @@ required. Derived geometry (cell areas, burnt-area capacity, burnt-area
 proportion) and a per-(month, year) spatial index are computed once at
 construction, after which the object is read-only and safe to share
 across worker processes.
+
+`ingest` reads a data file column-wise: the header with the csv module,
+then the whole numeric body in one np.loadtxt call, comma-separated
+with '"' quoting. An empty or "NA" value (surrounding whitespace
+ignored) marks a missing count or burnt area; no other column may be
+missing. Rows are validated as arrays afterwards; only a file that
+fails to parse is re-read row by row, to name the faulty line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,9 +167,13 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
         if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
             raise DataError(f"{label} thresholds must be finite and strictly increasing")
 
+    # one area per distinct (lon, lat) cell, mapped back to its rows; the
+    # complex key orders and compares as the pair, and sorts several
+    # times faster than np.unique(..., axis=0) on the two columns
+    cells, cell_of = np.unique(lon + 1j * lat, return_inverse=True)
     total_area = np.array([
-        zone_area_km2(lo, la, lon_width, lat_height, radius_km)
-        for lo, la in zip(lon, lat)])
+        zone_area_km2(c.real, c.imag, lon_width, lat_height, radius_km)
+        for c in cells.tolist()])[cell_of]
     true_area = total_area * area_fraction
     capacity = true_area * unit_scale
 
@@ -175,13 +187,13 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
             f"{ba[i]} > {capacity[i]:.6g}")
     np.clip(bap, None, 1.0, out=bap)
 
-    index: dict = {}
-    for key in {(int(m), int(y)) for m, y in zip(month, year)}:
-        mask = (month == key[0]) & (year == key[1])
-        ids = np.flatnonzero(mask)
-        order = np.argsort(lat[ids], kind="stable")
-        ids = ids[order]
-        index[key] = SliceIndex(ids=ids, lat=lat[ids], lon=lon[ids])
+    # one stable sort by (month, year, lat): latitude ties keep row order
+    order = np.lexsort((lat, year, month))
+    m, y = month[order], year[order]
+    bounds = np.flatnonzero((m[1:] != m[:-1]) | (y[1:] != y[:-1])) + 1
+    index = {(int(month[ids[0]]), int(year[ids[0]])):
+             SliceIndex(ids=ids, lat=lat[ids], lon=lon[ids])
+             for ids in np.split(order, bounds) if ids.size}
 
     ds = Dataset(
         lon=lon, lat=lat, month=month, year=year, area_fraction=area_fraction,
@@ -208,6 +220,26 @@ BASE_COLUMNS = ("lon", "lat", "month", "year", "area", "cnt", "ba", "altitude")
 MISSING_TOKENS = {"", "NA"}
 
 
+def _to_float(raw: str) -> float:
+    """float(raw) on a stripped token, accepting what np.loadtxt accepts:
+    float() alone also reads digit-group underscores ("1_0") and
+    non-ASCII digits, which the body parser rejects."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(raw)
+    return float(raw)
+
+
+def _missing_as_nan(raw: str) -> float:
+    """np.loadtxt converter of the cnt and ba columns."""
+    raw = raw.strip()
+    return math.nan if raw in MISSING_TOKENS else _to_float(raw)
+
+
+def _ignored(raw: str) -> float:
+    """np.loadtxt converter of a column ingest does not read."""
+    return 0.0
+
+
 def _parse_value(raw: str, column: str, line: int) -> float:
     raw = raw.strip()
     if raw in MISSING_TOKENS:
@@ -215,73 +247,131 @@ def _parse_value(raw: str, column: str, line: int) -> float:
             return math.nan
         raise IngestError(f"column {column} may not be missing", row=line)
     try:
-        return float(raw)
+        return _to_float(raw)
     except ValueError:
         raise IngestError(f"cannot parse {column}={raw!r}", row=line) from None
+
+
+def _records(fh):
+    """(file line, fields) of each data row as the csv module splits the
+    file, blank lines skipped: how the error paths number rows."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader, None)
+    for fields in reader:
+        if fields:
+            yield reader.line_num, fields
+
+
+def _check_rows(values: np.ndarray, col: dict, lines) -> None:
+    """Raise at the first row that repeats an earlier row's (lon, lat,
+    month, year) key or has an area fraction that is not positive; the
+    key is checked first. `col` maps a column name to its column of
+    `values`, and `lines()` gives the file line of each row."""
+    key = values[:, [col[name] for name in ("lon", "lat", "month", "year")]]
+    order = np.lexsort(key.T)      # stable: equal keys adjacent, in row order
+    repeats = order[1:][np.all(key[order[1:]] == key[order[:-1]], axis=1)]
+    bad_area = np.flatnonzero(~(values[:, col["area"]] > 0.0))
+    if not (repeats.size or bad_area.size):
+        return
+    lines = lines()
+    n = values.shape[0]
+    row = min(repeats.min(initial=n), bad_area.min(initial=n))
+    if repeats.size and repeats.min() == row:
+        first = int(np.flatnonzero(np.all(key == key[row], axis=1))[0])
+        raise IngestError(
+            f"duplicate (lon, lat, month, year) key {tuple(key[row].tolist())}, "
+            f"first seen at row {lines[first]}", row=lines[row])
+    raise IngestError(
+        f"area fraction must be positive, got {values[row, col['area']].item()}",
+        row=lines[row])
+
+
+def _first_fault(fh, names: list, col: dict, width: int) -> IngestError | None:
+    """Error path, once np.loadtxt has rejected the body: the fault at the
+    earliest file line, found row by row with `_parse_value` and then
+    raised by `_check_rows` when an earlier row repeats a key or has a
+    bad area. None when no row is at fault."""
+    rows, lines = [], []
+    for line, fields in _records(fh):
+        try:
+            if len(fields) != width:
+                raise IngestError("wrong number of fields", row=line)
+            rows.append([_parse_value(fields[col[name]], name, line)
+                         for name in names])
+        except IngestError as fault:
+            _check_rows(np.array(rows).reshape(len(rows), len(names)),
+                        {name: k for k, name in enumerate(names)},
+                        lambda: lines)
+            return fault
+        lines.append(line)
+    return None
 
 
 def ingest(path, **dataset_kwargs) -> Dataset:
     """Read a CSV into a Dataset.
 
-    The header names the canonical columns (lon, lat, month, year, area,
-    cnt, ba, lc1..lc18, altitude); climate covariates are every other
-    column starting with "clim". Missing cnt/ba cells are empty or "NA".
-    Row numbers in errors are 1-based file lines (header is line 1).
+    The header, read with the csv module, names the canonical columns
+    (lon, lat, month, year, area, cnt, ba, lc1..lc18, altitude); climate
+    covariates are every other column starting with "clim", and any
+    further column is ignored. Where a name repeats, its last column
+    counts. The body is parsed in one np.loadtxt call: fields split at
+    commas, '"' quotes a field, blank lines are skipped, and each value
+    is a float literal, surrounding whitespace ignored. A cnt or ba
+    value that is empty or "NA" is missing (NaN); every other column is
+    required. A row with the wrong number of fields, a missing or
+    unparseable value, a (lon, lat, month, year) key seen on an earlier
+    row or an area fraction that is not positive raises IngestError at
+    the earliest such row, numbered by its 1-based file line (the header
+    is line 1).
     """
-    columns = {name: [] for name in BASE_COLUMNS}
     lc_names = [f"lc{k}" for k in range(1, N_LAND_COVER + 1)]
-    for name in lc_names:
-        columns[name] = []
-    climate_cols: list[str] = []
-    seen_keys: dict = {}
-
+    required = list(BASE_COLUMNS) + lc_names
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        first_line = fh.readline()
+        if not first_line:
             raise IngestError("empty file")
-        missing_headers = set(columns) - set(reader.fieldnames)
+        header = next(csv.reader([first_line]))
+        missing_headers = set(required) - set(header)
         if missing_headers:
             raise IngestError(f"missing columns: {sorted(missing_headers)}")
-        climate_cols = [h for h in reader.fieldnames
-                        if h not in columns and h.startswith("clim")]
-        for name in climate_cols:
-            columns[name] = []
+        climate_cols = [h for h in header
+                        if h not in required and h.startswith("clim")]
+        names = list(dict.fromkeys(required + climate_cols))
+        col = {name: k for k, name in enumerate(header)}
+        width = len(header)
+        converters = {k: _ignored for k in
+                      set(range(width)) - {col[name] for name in names}}
+        converters[col["cnt"]] = converters[col["ba"]] = _missing_as_nan
+        try:
+            with warnings.catch_warnings():
+                # a body without rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", quotechar='"',
+                                    comments=None, ndmin=2,
+                                    converters=converters)
+        except ValueError as exc:
+            fault = _first_fault(fh, names, col, width)
+            raise fault or IngestError(f"cannot parse {path}: {exc}") from None
+        if values.shape[0] == 0:
+            raise IngestError("no data rows")
+        # np.loadtxt checks that rows agree with each other, not with the header
+        if values.shape[1] != width:
+            raise IngestError("wrong number of fields", row=next(_records(fh))[0])
+        _check_rows(values, col, lambda: [line for line, _ in _records(fh)])
 
-        for record in reader:
-            line = reader.line_num
-            if None in record or any(v is None for v in record.values()):
-                raise IngestError("wrong number of fields", row=line)
-            for name in columns:
-                columns[name].append(_parse_value(record[name], name, line))
-            key = (columns["lon"][-1], columns["lat"][-1],
-                   columns["month"][-1], columns["year"][-1])
-            if key in seen_keys:
-                raise IngestError(
-                    f"duplicate (lon, lat, month, year) key {key}, "
-                    f"first seen at row {seen_keys[key]}", row=line)
-            seen_keys[key] = line
-            if not (columns["area"][-1] > 0.0):
-                raise IngestError(
-                    f"area fraction must be positive, got {columns['area'][-1]}",
-                    row=line)
-
-    if not columns["lon"]:
-        raise IngestError("no data rows")
-
-    n = len(columns["lon"])
-    land_cover = np.column_stack([columns[name] for name in lc_names])
-    climate = (np.column_stack([columns[c] for c in climate_cols])
-               if climate_cols else np.empty((n, 0)))
+    columns = {name: values[:, col[name]].copy() for name in BASE_COLUMNS}
     try:
         return build_dataset(
             lon=columns["lon"], lat=columns["lat"],
             month=columns["month"], year=columns["year"],
             area_fraction=columns["area"], cnt=columns["cnt"], ba=columns["ba"],
-            land_cover=land_cover, climate=climate,
+            land_cover=values[:, [col[name] for name in lc_names]],
+            climate=values[:, [col[c] for c in climate_cols]],
             altitude=columns["altitude"], climate_names=tuple(climate_cols),
             **dataset_kwargs)
     except DataError as exc:

@@ -201,12 +201,15 @@ def score_tables(cnt_table: PredictionTable, ba_table: PredictionTable,
 
 
 def write_prediction_csv(table: PredictionTable, path: str) -> None:
+    """One (index, threshold, probability) line per cell of the table,
+    as csv.writer writes them (no field needs quoting), one joined
+    string per row."""
+    thresholds = [f"{u:.17g}" for u in table.thresholds.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "threshold", "probability"])
-        for pos, i in enumerate(table.indices):
-            for u, p in zip(table.thresholds, table.rows[pos]):
-                writer.writerow([int(i), f"{u:.17g}", f"{p:.17g}"])
+        fh.write("index,threshold,probability\r\n")
+        for i, row in zip(table.indices.tolist(), table.rows.tolist()):
+            fh.write("".join([f"{i},{u},{p:.17g}\r\n"
+                              for u, p in zip(thresholds, row)]))
 
 
 def _csv_records(path: str, header: tuple, kind: str):

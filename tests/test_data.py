@@ -1,9 +1,17 @@
 """Dataset construction, thresholds, and CSV ingestion tests."""
 
+import csv
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from firemarg.data import (
+    BASE_COLUMNS,
+    N_LAND_COVER,
     build_dataset,
     default_ba_thresholds,
     default_cnt_thresholds,
@@ -13,6 +21,7 @@ from firemarg.data import (
 )
 from firemarg.errors import DataError, IngestError
 from firemarg.geo import zone_area_km2
+from firemarg.synth import SyntheticSpec, generate
 
 from conftest import make_grid_columns
 
@@ -196,3 +205,257 @@ def test_prediction_table_lookup():
     with pytest.raises(DataError):
         PredictionTable(variable="cnt", indices=np.array([1]),
                         thresholds=np.array([0.0]), rows=np.zeros((2, 1)))
+
+
+def reference_ingest(path, **dataset_kwargs):
+    """The row-by-row reader `ingest` replaced: csv.DictReader, one
+    float() per value and a dict of seen keys. Kept as the reference
+    that the columnar reader must match bit for bit."""
+    def parse(raw, column, line):
+        raw = raw.strip()
+        if raw in ("", "NA"):
+            if column in ("cnt", "ba"):
+                return math.nan
+            raise IngestError(f"column {column} may not be missing", row=line)
+        try:
+            return float(raw)
+        except ValueError:
+            raise IngestError(f"cannot parse {column}={raw!r}", row=line) from None
+
+    columns = {name: [] for name in BASE_COLUMNS}
+    lc_names = [f"lc{k}" for k in range(1, N_LAND_COVER + 1)]
+    for name in lc_names:
+        columns[name] = []
+    seen_keys: dict = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise IngestError("empty file")
+        missing_headers = set(columns) - set(reader.fieldnames)
+        if missing_headers:
+            raise IngestError(f"missing columns: {sorted(missing_headers)}")
+        climate_cols = [h for h in reader.fieldnames
+                        if h not in columns and h.startswith("clim")]
+        for name in climate_cols:
+            columns[name] = []
+        for record in reader:
+            line = reader.line_num
+            if None in record or any(v is None for v in record.values()):
+                raise IngestError("wrong number of fields", row=line)
+            for name in columns:
+                columns[name].append(parse(record[name], name, line))
+            key = (columns["lon"][-1], columns["lat"][-1],
+                   columns["month"][-1], columns["year"][-1])
+            if key in seen_keys:
+                raise IngestError(
+                    f"duplicate (lon, lat, month, year) key {key}, "
+                    f"first seen at row {seen_keys[key]}", row=line)
+            seen_keys[key] = line
+            if not (columns["area"][-1] > 0.0):
+                raise IngestError(
+                    f"area fraction must be positive, got {columns['area'][-1]}",
+                    row=line)
+    if not columns["lon"]:
+        raise IngestError("no data rows")
+    n = len(columns["lon"])
+    climate = (np.column_stack([columns[c] for c in climate_cols])
+               if climate_cols else np.empty((n, 0)))
+    try:
+        return build_dataset(
+            lon=columns["lon"], lat=columns["lat"], month=columns["month"],
+            year=columns["year"], area_fraction=columns["area"],
+            cnt=columns["cnt"], ba=columns["ba"],
+            land_cover=np.column_stack([columns[name] for name in lc_names]),
+            climate=climate, altitude=columns["altitude"],
+            climate_names=tuple(climate_cols), **dataset_kwargs)
+    except DataError as exc:
+        raise IngestError(str(exc)) from exc
+
+
+def assert_same_dataset(new, ref):
+    """Every array of two Datasets equal bit for bit, with its dtype and
+    shape, and every other field equal."""
+    for f in dataclasses.fields(new):
+        a, b = getattr(new, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        elif f.name == "spatial_index":
+            assert a.keys() == b.keys()
+            for key in a:
+                for attr in ("ids", "lat", "lon"):
+                    x, y = getattr(a[key], attr), getattr(b[key], attr)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (key, attr)
+        else:
+            assert a == b, f.name
+
+
+def _ingest_both(path):
+    """(ingest, reference_ingest) of one file: Datasets, or the messages
+    of the IngestErrors they raise."""
+    results = []
+    for reader in (ingest, reference_ingest):
+        try:
+            results.append(reader(path))
+        except IngestError as exc:
+            results.append(str(exc))
+    return results
+
+
+# scenes shaped like the benchmark's workloads, at a tenth of their size
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(nx=8, ny=6, months=(6,), years=(2000, 2001),
+                  cnt_missing_rate=0.14, ba_missing_rate=0.14,
+                  mask_blob_cells=0.4),
+    SyntheticSpec(nx=9, ny=6, lon0=-125.0, lat0=25.0,
+                  months=tuple(range(3, 10)), years=(2000,),
+                  cnt_missing_rate=0.14, ba_missing_rate=0.14,
+                  water_frac=0.03, small_area_frac=0.02),
+])
+def test_ingest_matches_the_row_reader_on_synthetic_scenes(tmp_path, spec):
+    ds, _ = generate(spec, seed=11)
+    path = tmp_path / "scene.csv"
+    write_csv(ds, path)
+    new, ref = _ingest_both(path)
+    assert_same_dataset(new, ref)
+    assert_same_dataset(new, ds)
+
+
+def _hand_file(tmp_path, header, rows, newline="\n"):
+    path = tmp_path / "hand.csv"
+    path.write_bytes(newline.join([header] + rows).encode() + newline.encode())
+    return path
+
+
+LC_HEAD = ",".join(f"lc{k}" for k in range(1, 19))
+
+
+@pytest.mark.parametrize("header, rows, newline", [
+    # missing tokens, padded and quoted, and quoted numbers
+    (HEADER, [
+        f'-100.25,40.25,6,2000,0.9,"",NA,800,{LC},14.2',
+        f'-100.25,40.75,6,2000,0.9, NA ,"NA",650,{LC},13.1',
+        f'"-99.75", 40.25 ,6,"2000",\t1.0\t,,"",700,{LC},"1e1"',
+        f'-99.75,40.75,6,2000," 0.5 ",  7 ," 12.5",-3,{LC}, 15 ',
+    ], "\n"),
+    # climate columns first and between the others, extra columns with
+    # text, a quoted comma and numbers ignored; CRLF and a blank line
+    ("clim_a,lon,lat,id,month,year,area,cnt,ba,clim_b,altitude,note,"
+     + LC_HEAD + ",xclim", [
+        f'1.5,-100.25,40.25,abc,6,2000,0.9,3,120.5,-2,800,"x, y",{LC},zz',
+        "",
+        f'2.5,-100.25,40.75,,6,2000,0.9,,0,-1,650,NA,{LC},9',
+    ], "\r\n"),
+    # no climate column at all
+    ("lon,lat,month,year,area,cnt,ba,altitude," + LC_HEAD, [
+        f"-100.25,40.25,6,2000,0.9,3,120.5,800,{LC}",
+    ], "\n"),
+])
+def test_ingest_matches_the_row_reader_on_hand_written_files(tmp_path, header,
+                                                            rows, newline):
+    new, ref = _ingest_both(_hand_file(tmp_path, header, rows, newline))
+    assert_same_dataset(new, ref)
+
+
+GOOD = [f"-100.25,40.25,6,2000,0.9,3,120.5,800,{LC},14.2",
+        f"-100.25,40.75,6,2000,0.9,,0,650,{LC},13.1",
+        f"-99.75,40.25,6,2000,1.0,NA,55,700,{LC},15.0",
+        f"-99.75,40.75,6,2000,1.0,2,5,700,{LC},15.0"]
+
+
+def _with(row: int, text: str) -> list:
+    rows = list(GOOD)
+    rows[row] = text
+    return rows
+
+
+@pytest.mark.parametrize("rows, message", [
+    (_with(1, f"-100.25,40.75,6,2000,0.9,,0,650,{LC}"),
+     "row 3: wrong number of fields"),
+    ([r + ",1" for r in GOOD], "row 2: wrong number of fields"),
+    (_with(2, f"-99.75,40.25,6,2000,1.0,x,55,700,{LC},15.0"),
+     "row 4: cannot parse cnt='x'"),
+    (_with(0, f"NA,40.25,6,2000,0.9,3,120.5,800,{LC},14.2"),
+     "row 2: column lon may not be missing"),
+    (_with(2, GOOD[0]),
+     "row 4: duplicate (lon, lat, month, year) key "
+     "(-100.25, 40.25, 6.0, 2000.0), first seen at row 2"),
+    (_with(1, f"-100.25,40.75,6,2000,0,1,0,650,{LC},13.1"),
+     "row 3: area fraction must be positive, got 0.0"),
+    # a repeated key with a zero area: the key is checked first
+    (_with(2, GOOD[0].replace(",0.9,", ",0,")),
+     "row 4: duplicate (lon, lat, month, year) key "
+     "(-100.25, 40.25, 6.0, 2000.0), first seen at row 2"),
+    # two faults: the earlier line is reported, whichever kind it is
+    (_with(1, GOOD[0])[:3] + [f"-99.75,40.75,6,2000,1.0,2,5,x,{LC},15.0"],
+     "row 3: duplicate (lon, lat, month, year) key "
+     "(-100.25, 40.25, 6.0, 2000.0), first seen at row 2"),
+    (_with(1, f"-100.25,40.75,6,2000,-1,1,0,650,{LC},13.1")[:3]
+     + [f"-99.75,40.75,6,2000,1.0,2,5,700,{LC}"],
+     "row 3: area fraction must be positive, got -1.0"),
+    (_with(1, f"-100.25,40.75,6,2000,0.9,1,0,y,{LC},13.1")[:3]
+     + [f"-99.75,40.75,6,2000,0,2,5,700,{LC},15.0"],
+     "row 3: cannot parse altitude='y'"),
+    (_with(1, f"-100.25,40.75,6,2000,0,1,0,650,{LC},13.1")[:3] + [GOOD[0]],
+     "row 3: area fraction must be positive, got 0.0"),
+    # a blank line counts as a file line
+    (GOOD[:2] + ["", f"-99.75,40.25,6,2000,1.0,x,55,700,{LC},15.0"],
+     "row 5: cannot parse cnt='x'"),
+    ([], "no data rows"),
+])
+def test_ingest_names_the_line_and_fault_of_the_row_reader(tmp_path, rows, message):
+    new, ref = _ingest_both(_write(tmp_path, rows))
+    assert new == ref == message
+
+
+def test_ingest_rejects_digit_group_underscores(tmp_path):
+    # the one token float() reads and np.loadtxt does not
+    path = _write(tmp_path, _with(0, f"-100.25,40.25,6,2000,0.9,3,120.5,1_0,{LC},14.2"))
+    new, ref = _ingest_both(path)
+    assert new == "row 2: cannot parse altitude='1_0'"
+    assert ref.altitude[0] == 10.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="0123456789.eE+-_ \tnaNAifIFty\"", max_size=7),
+       st.sampled_from(["cnt", "altitude"]))
+def test_ingest_reads_a_token_as_the_row_reader_does(tmp_path_factory, token, column):
+    assume("_" not in token)
+    fields = GOOD[0].split(",")
+    fields[{"cnt": 5, "altitude": 7}[column]] = token
+    path = _write(tmp_path_factory.mktemp("token"), [",".join(fields)])
+    new, ref = _ingest_both(path)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert_same_dataset(new, ref)
+
+
+def reference_derived_index(ds):
+    """Cell areas and slice index as build_dataset computed them before:
+    one zone_area_km2 call per row, one full-column mask per slice."""
+    total_area = np.array([
+        zone_area_km2(lo, la, ds.lon_width, ds.lat_height, ds.radius_km)
+        for lo, la in zip(ds.lon, ds.lat)])
+    index = {}
+    for key in {(int(m), int(y)) for m, y in zip(ds.month, ds.year)}:
+        ids = np.flatnonzero((ds.month == key[0]) & (ds.year == key[1]))
+        ids = ids[np.argsort(ds.lat[ids], kind="stable")]
+        index[key] = (ids, ds.lat[ids], ds.lon[ids])
+    return total_area, index
+
+
+def test_areas_and_slice_index_match_the_per_row_construction():
+    # shuffled rows: latitude ties inside a slice must go to the row id
+    cols = make_grid_columns(nx=5, ny=4, months=(6, 7), years=(2000, 2001, 2002),
+                             seed=7)
+    perm = np.random.default_rng(7).permutation(cols["lon"].size)
+    cols = {k: (v[perm] if isinstance(v, np.ndarray) else v) for k, v in cols.items()}
+    ds = build_dataset(**cols)
+    total_area, index = reference_derived_index(ds)
+    assert ds.total_area.tobytes() == total_area.tobytes()
+    assert ds.spatial_index.keys() == index.keys()
+    for key, arrays in index.items():
+        entry = ds.spatial_index[key]
+        for got, want in zip((entry.ids, entry.lat, entry.lon), arrays):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

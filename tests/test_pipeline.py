@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -191,6 +192,31 @@ def test_prediction_csv_round_trip(tmp_path, masked_ds):
     assert np.array_equal(back.indices, res.ba.indices)
     assert np.array_equal(back.thresholds, res.ba.thresholds)
     assert np.array_equal(back.rows, res.ba.rows)
+
+
+def test_prediction_csv_bytes_match_csv_writer(tmp_path):
+    """The joined-line writer against the csv.writer loop it replaced."""
+    tiny = 2.0 ** -1074                  # the smallest subnormal
+    table = PredictionTable(
+        variable="ba", indices=np.array([0, 7, 123456]),
+        thresholds=np.array([0.0, 0.1, 1.0, 2.5, 10.0, 100000.0]),
+        rows=np.array([[0.0, tiny, 0.5, 1 - 2.0 ** -53, 1.0, 1.0],
+                       [0.1, 0.2, 0.30000000000000004, 2.2e-308, 1.0, 1.0],
+                       [1 / 3, 2 / 3, 0.9999999999999999, 1.0, 1.0, 1.0]]))
+    path = tmp_path / "pred.csv"
+    write_prediction_csv(table, str(path))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "threshold", "probability"])
+        for pos, i in enumerate(table.indices):
+            for u, p in zip(table.thresholds, table.rows[pos]):
+                writer.writerow([int(i), f"{u:.17g}", f"{p:.17g}"])
+    assert path.read_bytes() == ref.read_bytes()
+    back = read_prediction_csv(str(path), "ba")
+    assert back.indices.tobytes() == table.indices.tobytes()
+    assert back.thresholds.tobytes() == table.thresholds.tobytes()
+    assert back.rows.tobytes() == table.rows.tobytes()
 
 
 def test_truth_csv_round_trip(tmp_path):
