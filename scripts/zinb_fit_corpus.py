@@ -1,11 +1,12 @@
-"""The ZINB count fits of the benchmark scenes: `fit_zinb` against the
-reference Newton search kept in tests/test_counts.py.
+"""The ZINB count fits of the benchmark scenes: the stacked `fit_zinbs`
+against the reference Newton search kept in tests/test_counts.py.
 
 For each seed this builds the benchmark's `tune-grid` and
 `predict-spatial` scenes, runs cross-validation on the first (as
 `firemarg run` does with k1/k2 unset) and prediction on both, in one
-process, and records every distinct sample handed to `fit_zinb`. It
-then fits each sample with `counts.fit_zinb` and with
+process, and records every distinct sample that `tuning` and `pipeline`
+hand to `fit_zinbs`; an empty corpus is an error. It then fits each
+corpus with one `counts.fit_zinbs` call and each sample with
 `reference_fit_zinb`, and prints, per corpus, the time per fit of each,
 how many fits differ in kind or fallback reason, the range of the
 log-likelihood gap relative to the reference (new minus reference,
@@ -26,9 +27,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "tests")]
 
-from firemarg import tuning  # noqa: E402
+from firemarg import pipeline, tuning  # noqa: E402
 from firemarg.config import RunConfig  # noqa: E402
-from firemarg.counts import fit_zinb  # noqa: E402
+from firemarg.counts import fit_zinbs  # noqa: E402
 from firemarg.pipeline import choose_water_cut, predict_missing, tune_parameters  # noqa: E402
 from firemarg.synth import generate  # noqa: E402
 from test_counts import reference_fit_zinb  # noqa: E402
@@ -36,17 +37,21 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def record(corpus: dict, step) -> None:
-    """Run step() with every fit_zinb sample recorded into corpus."""
-    def recording(sample, *args, **kwargs):
-        sample = np.sort(np.asarray(sample, dtype=float))
-        corpus.setdefault(sample.tobytes(), sample)
-        return fit_zinb(sample, *args, **kwargs)
+    """Run step() with every sample that `tuning` or `pipeline` fits
+    through fit_zinbs recorded into corpus."""
+    def recording(samples, *args, **kwargs):
+        for sample in samples:
+            sample = np.sort(np.asarray(sample, dtype=float))
+            corpus.setdefault(sample.tobytes(), sample)
+        return fit_zinbs(samples, *args, **kwargs)
 
-    tuning.fit_zinb = recording
+    for module in (tuning, pipeline):
+        module.fit_zinbs = recording
     try:
         step()
     finally:
-        tuning.fit_zinb = fit_zinb
+        for module in (tuning, pipeline):
+            module.fit_zinbs = fit_zinbs
 
 
 def corpora(seed: int) -> dict:
@@ -64,12 +69,15 @@ def corpora(seed: int) -> dict:
                              k2_bap=result[0].bap_quantile)
         record(out["prediction"],
                lambda: predict_missing(ds, config, choose_water_cut(ds, config)))
+    for name, samples in out.items():
+        if not samples:
+            raise RuntimeError(f"seed {seed}: no {name} sample reached fit_zinbs")
     return {name: list(samples.values()) for name, samples in out.items()}
 
 
 def timed(fit, samples):
     t0 = time.perf_counter()
-    fits = [fit(s) for s in samples]
+    fits = fit(samples)
     return fits, (time.perf_counter() - t0) / len(samples)
 
 
@@ -78,8 +86,8 @@ def relative(a: float, b: float) -> float:
 
 
 def report(name: str, samples: list) -> None:
-    new, new_s = timed(fit_zinb, samples)
-    ref, ref_s = timed(reference_fit_zinb, samples)
+    new, new_s = timed(fit_zinbs, samples)
+    ref, ref_s = timed(lambda ss: [reference_fit_zinb(s) for s in ss], samples)
     kinds = sum((a.kind, a.fallback_reason) != (b.kind, b.fallback_reason)
                 for a, b in zip(new, ref))
     both = [(a, b) for a, b in zip(new, ref) if a.kind == b.kind == "zinb"]

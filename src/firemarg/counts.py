@@ -17,12 +17,22 @@ the likelihood peaks at pi = max(0, (f0 - g0)/(1 - g0)), with f0 the
 sample's zero fraction and g0 = g(0). What is left is a zero-truncated
 negative binomial likelihood in (mu, r), or the plain one where pi = 0,
 and a damped Newton search over (log mu, log r) with analytic
-derivatives maximizes it. Each likelihood evaluation needs three dot
-products over the support; everything else in the search is scalar
-arithmetic on Python floats, and the 2 x 2 Newton step is solved in
-closed form (eigenvalues only where the surface is not concave). r is
-capped at R_MAX, the Poisson limit, where underdispersed samples end
-up. Small or degenerate samples fall back to the empirical CDF.
+derivatives maximizes it. r is capped at R_MAX, the Poisson limit,
+where underdispersed samples end up. Small or degenerate samples fall
+back to the empirical CDF.
+
+Fits are stacked. `fit_zinbs` runs the search for many samples at once
+on 2-D arrays, one row per sample, and a sample leaves the search when
+it converges or stops. Each likelihood evaluation needs three sums over
+the support, each a row sum of n_gt (the number of observations above
+k) times a term in k; everything else is elementwise arithmetic on one
+value per row, and the 2 x 2 Newton step is solved in closed form
+(eigenvalues only where the surface is not concave). Samples are
+grouped by their support length rounded up to a multiple of ZINB_PAD,
+and n_gt is zero-padded to that length, so the length a row's sums run
+over depends only on its own sample, never on the batch: a stacked fit
+equals the lone fit bit for bit. `fit_zinb` is `fit_zinbs` on one
+sample, so cross-validation scores exactly what prediction emits.
 
 A CDF row is a cumulative sum of exponentials, so it never decreases or
 goes negative; `zinb_cdf` holds the one rounding cap at 1, checked.
@@ -43,6 +53,12 @@ R_MAX = 1e8           # dispersion cap, the Poisson limit: var/mean = 1 + mu/r
 MAX_NEWTON = 100
 MAX_STEP = 2.0        # longest Newton step in log(mu) or log(r)
 NEWTON_TOL = 1e-10    # stop once the Newton decrement is below this * |loglik|
+# The stacked search pads each sample's support length up to a multiple
+# of ZINB_PAD (see the module docstring), and fits at most ZINB_BLOCK
+# support entries (samples x padded length) at once, so that a block's
+# temporaries stay near 0.5 MB each.
+ZINB_PAD = 16
+ZINB_BLOCK = 65536
 
 _PARAM_CLIP = (1e-3, 1e3)
 _LOG_R_MAX = float(np.log(R_MAX))
@@ -182,75 +198,95 @@ def _zinb_neg_loglik(theta, values, counts):
     return np.inf if not np.isfinite(total) else -total
 
 
-def _moment_start(values, counts):
-    """Moment-based (log mu, log r), where the fit starts."""
-    n = counts.sum()
-    mean = float(np.dot(counts, values)) / n
-    var = float(np.dot(counts, (values - mean) ** 2)) / n
-    pos = values > 0
-    n_pos = counts[pos].sum()
-    mu0 = float(np.dot(counts[pos], values[pos])) / n_pos if n_pos else 1.0
-    if var > mean > 0:
-        r0 = mean ** 2 / (var - mean)
-    else:
-        r0 = _PARAM_CLIP[1]
-    mu0 = float(np.clip(mu0, *_PARAM_CLIP))
-    r0 = float(np.clip(r0, *_PARAM_CLIP))
-    return np.array([np.log(mu0), np.log(r0)])
+def _histograms(samples, width: int) -> np.ndarray:
+    """Counts of 0, 1, ..., width in each sample, one row per sample."""
+    k = len(samples)
+    offsets = np.repeat(np.arange(k) * (width + 1), [s.size for s in samples])
+    flat = np.concatenate(samples).astype(np.intp) + offsets
+    return np.bincount(flat, minlength=k * (width + 1)).reshape(k, width + 1)
 
 
-class _ProfileLik:
-    """ZINB log-likelihood with pi profiled out, as a function of
-    (log mu, log r), with its gradient and Hessian.
+def _moment_starts(hist):
+    """Moment-based (log mu, log r) of each histogram row, where the
+    fits start. Every row has a positive count."""
+    support = np.arange(hist.shape[1], dtype=float)
+    n = hist.sum(axis=1)
+    total = (hist * support).sum(axis=1)
+    mean = total / n
+    var = (hist * (support - mean[:, None]) ** 2).sum(axis=1) / n
+    mu0 = total / (n - hist[:, 0])
+    over = (var > mean) & (mean > 0)
+    r0 = np.where(over, mean ** 2 / np.where(over, var - mean, 1.0), _PARAM_CLIP[1])
+    return np.log(np.clip(mu0, *_PARAM_CLIP)), np.log(np.clip(r0, *_PARAM_CLIP))
+
+
+class _ProfileLiks:
+    """ZINB log-likelihoods with pi profiled out, one per histogram row,
+    as functions of (log mu, log r), with their gradients and Hessians.
 
     For the positive observations, sum log g(j) needs the partial sums
     over k < j of log((r+k)/(r+mu)), 1/(r+k) (the digamma difference) and
     1/(r+k)^2 (the trigamma difference); summed over the sample each is
-    one dot product with n_gt[k], the number of observations above k.
-    The rest is scalar arithmetic, done on Python floats.
+    the row sum of n_gt[k], the number of observations above k, times
+    the term. Everything else is one value per row.
     """
 
-    def __init__(self, sample):
-        self.hist = hist = np.bincount(sample.astype(np.intp))
-        n = sample.size
-        self.n0 = int(hist[0])
-        self.n_pos = n - self.n0
-        self.f0 = self.n0 / n
-        self.log_f0 = math.log(self.f0) if self.n0 else -math.inf
-        self.n_gt = (n - np.cumsum(hist))[:-1].astype(float)
-        self.k = np.arange(self.n_gt.size, dtype=float)
-        self.sum_pos = float(sample.sum())
+    def __init__(self, hist):
+        support = np.arange(hist.shape[1], dtype=float)
+        n = hist.sum(axis=1)
+        n0 = hist[:, 0]
+        self.n0 = n0.astype(float)
+        self.n_pos = (n - n0).astype(float)
+        self.f0 = n0 / n
+        with np.errstate(divide="ignore"):
+            self.log_f0 = np.log(self.f0)
+        self.n_gt = (n[:, None] - np.cumsum(hist, axis=1)[:, :-1]).astype(float)
+        self.sum_pos = (hist * support).sum(axis=1)
         # -sum log j! over the sample, and the profiled zero term when pi > 0
-        self.const = -float(np.dot(hist[1:], gammaln(np.arange(2.0, hist.size + 1.0))))
-        self.const_zeros = (self.n0 * self.log_f0 + self.n_pos * math.log1p(-self.f0)
-                            if self.n0 else 0.0)
+        self.const = -(hist[:, 1:] * gammaln(support[1:] + 1.0)).sum(axis=1)
+        zeros = n0 > 0
+        self.const_zeros = np.where(
+            zeros, self.n0 * np.where(zeros, self.log_f0, 0.0)
+            + self.n_pos * np.log1p(-self.f0), 0.0)
 
-    def pi_hat(self, log_mu: float, log_r: float) -> float:
-        mu, r = math.exp(log_mu), math.exp(log_r)
-        log_g0 = -r * math.log1p(mu / r)
-        if self.log_f0 <= log_g0:
-            return 0.0
-        return (self.f0 - math.exp(log_g0)) / -math.expm1(log_g0)
+    def take(self, rows) -> "_ProfileLiks":
+        """The likelihoods of the given rows."""
+        part = object.__new__(_ProfileLiks)
+        part.__dict__ = {name: v[rows] for name, v in vars(self).items()}
+        return part
 
-    def __call__(self, log_mu: float, log_r: float):
-        """(loglik, (g_a, g_b), (h_aa, h_ab, h_bb)) at (a, b) = (log mu,
-        log r): the gradient, and the Hessian's three distinct entries."""
-        mu, r = math.exp(log_mu), math.exp(log_r)
+    def _inflated(self, log_g0):
+        """Where pi > 0, and 1 - g0 there (1 elsewhere)."""
+        inflated = self.log_f0 > log_g0
+        return inflated, np.where(inflated, -np.expm1(log_g0), 1.0)
+
+    def pi_hat(self, a, b):
+        mu, r = np.exp(a), np.exp(b)
+        log_g0 = -r * np.log1p(mu / r)
+        inflated, one_m_g0 = self._inflated(log_g0)
+        return np.where(inflated, (self.f0 - np.exp(log_g0)) / one_m_g0, 0.0)
+
+    def __call__(self, a, b):
+        """(loglik, gradient, Hessian) of each row at (a, b) = (log mu,
+        log r): the gradient as rows (g_a, g_b) and the Hessian as rows
+        of its three distinct entries (h_aa, h_ab, h_bb)."""
+        mu, r = np.exp(a), np.exp(b)
         s = r + mu
         s2 = s * s
-        l1p = math.log1p(mu / r)
-        inv = 1.0 / (r + self.k)
-        n_pos, sum_pos = self.n_pos, self.sum_pos
+        l1p = np.log1p(mu / r)
+        k = np.arange(self.n_gt.shape[1], dtype=float)
+        inv = 1.0 / (r[:, None] + k)
+        n0, n_pos, sum_pos = self.n0, self.n_pos, self.sum_pos
         excess = sum_pos - n_pos * mu
 
         # sum of log g(j) over the positive observations
-        ll = (float(np.dot(self.n_gt, _log_ratio_terms(self.k, mu, r)))
-              + self.const + log_mu * sum_pos - n_pos * r * l1p)
+        ll = ((self.n_gt * _log_ratio_terms(k, mu[:, None], r[:, None])).sum(axis=1)
+              + self.const + a * sum_pos - n_pos * r * l1p)
         ga = r * excess / s
-        gb = r * (float(np.dot(self.n_gt, inv)) - n_pos * l1p - excess / s)
+        gb = r * ((self.n_gt * inv).sum(axis=1) - n_pos * l1p - excess / s)
         haa = -r * mu * (n_pos * r + sum_pos) / s2
         hab = r * mu * excess / s2
-        hbb = gb + r * (-r * float(np.dot(self.n_gt, inv * inv))
+        hbb = gb + r * (-r * (self.n_gt * (inv * inv)).sum(axis=1)
                         + n_pos * mu / s + r * excess / s2)
 
         # zeros: log g0 and its derivatives
@@ -260,70 +296,168 @@ class _ProfileLik:
         haa0 = -r * r * mu / s2
         hab0 = -r * mu * mu / s2
         hbb0 = db0 + r * mu * mu / s2
-        if self.log_f0 > log_g0:
-            # pi > 0: zero-truncated likelihood for the positive part
-            one_m_g0 = -math.expm1(log_g0)
-            ll += self.const_zeros - n_pos * math.log(one_m_g0)
-            w = n_pos * math.exp(log_g0) / one_m_g0
-            w2 = w / one_m_g0
-            haa += w2 * da0 * da0
-            hab += w2 * da0 * db0
-            hbb += w2 * db0 * db0
-        else:
-            # pi = 0: plain negative binomial (n0 may be 0)
-            ll += self.n0 * log_g0
-            w = self.n0
-        return (ll, (ga + w * da0, gb + w * db0),
-                (haa + w * haa0, hab + w * hab0, hbb + w * hbb0))
+        # where pi > 0 the positive part is zero-truncated; elsewhere the
+        # plain negative binomial (n0 may be 0)
+        inflated, one_m_g0 = self._inflated(log_g0)
+        ll += np.where(inflated, self.const_zeros - n_pos * np.log(one_m_g0),
+                       n0 * log_g0)
+        w = np.where(inflated, n_pos * np.exp(log_g0) / one_m_g0, n0)
+        w2 = np.where(inflated, w / one_m_g0, 0.0)
+        haa += w2 * da0 * da0
+        hab += w2 * da0 * db0
+        hbb += w2 * db0 * db0
+        return (ll, np.array([ga + w * da0, gb + w * db0]),
+                np.array([haa + w * haa0, hab + w * hab0, hbb + w * hbb0]))
 
 
-def _ascent_step(grad, hess, fix_r: bool):
-    """Newton ascent direction (d_a, d_b) from the negated Hessian,
-    solved in closed form where the surface is concave; elsewhere the
-    Hessian's eigenvalues are made positive."""
+def _ascent_steps(grad, hess, fix_r):
+    """Newton ascent directions (d_a, d_b), one per column, from the
+    negated Hessians: solved in closed form where the surface is
+    concave, elsewhere with each Hessian's eigenvalues made positive.
+    Where fix_r, r stays at its cap."""
     g_a, g_b = grad
-    a_aa, a_ab, a_bb = -hess[0], -hess[1], -hess[2]
-    if fix_r:
-        return g_a / max(abs(a_aa), 1e-8), 0.0
-    if a_aa > 0 and a_aa * a_bb > a_ab * a_ab:
-        det = a_aa * a_bb - a_ab * a_ab
-        return (a_bb * g_a - a_ab * g_b) / det, (a_aa * g_b - a_ab * g_a) / det
-    lam, vec = np.linalg.eigh(np.array([[a_aa, a_ab], [a_ab, a_bb]]))
-    lam = np.maximum(np.abs(lam), 1e-8 * max(1.0, np.abs(lam).max()))
-    d_a, d_b = (vec @ ((vec.T @ np.array(grad)) / lam)).tolist()
+    a_aa, a_ab, a_bb = -hess
+    concave = (a_aa > 0) & (a_aa * a_bb > a_ab * a_ab)
+    det = np.where(concave, a_aa * a_bb - a_ab * a_ab, 1.0)
+    d_a = (a_bb * g_a - a_ab * g_b) / det
+    d_b = (a_aa * g_b - a_ab * g_a) / det
+    bent = ~concave & ~fix_r
+    if bent.any():
+        mats = np.stack([a_aa[bent], a_ab[bent], a_ab[bent], a_bb[bent]],
+                        axis=1).reshape(-1, 2, 2)
+        lam, vec = np.linalg.eigh(mats)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-8 * np.maximum(1.0, lam.max(axis=1))[:, None])
+        # vec @ ((vec.T @ grad) / lam), written out
+        g0, g1 = g_a[bent], g_b[bent]
+        c0 = (vec[:, 0, 0] * g0 + vec[:, 1, 0] * g1) / lam[:, 0]
+        c1 = (vec[:, 0, 1] * g0 + vec[:, 1, 1] * g1) / lam[:, 1]
+        d_a[bent] = vec[:, 0, 0] * c0 + vec[:, 0, 1] * c1
+        d_b[bent] = vec[:, 1, 0] * c0 + vec[:, 1, 1] * c1
+    d_a = np.where(fix_r, g_a / np.maximum(np.abs(a_aa), 1e-8), d_a)
+    d_b = np.where(fix_r, 0.0, d_b)
     return d_a, d_b
 
 
-def _newton_fit(lik: _ProfileLik, theta):
-    """Damped, projected Newton ascent over (log mu, log r <= log R_MAX).
+def _backtrack(lik: _ProfileLiks, a, b, ll, grad, hess, d_a, d_b, done):
+    """Backtracking line search of every row along its step (d_a, d_b):
+    alpha halves from 1 until the likelihood rises, at most 40 times,
+    and only once where the search is done.
 
-    Returns ((log mu, log r), loglik, converged). Each step is capped at
-    MAX_STEP per coordinate and backtracked until the likelihood rises.
+    Returns (found, a, b, ll, grad, hess): the rows that found a point
+    are at it, the others where they were.
     """
-    a, b = float(theta[0]), min(float(theta[1]), _LOG_R_MAX)
+    found = np.zeros(a.size, dtype=bool)
+    a_c, b_c, ll_c, grad_c, hess_c = a.copy(), b.copy(), ll.copy(), grad.copy(), hess.copy()
+    rows = np.arange(a.size)
+    alpha = 1.0
+    for _ in range(40):
+        ca = a[rows] + alpha * d_a[rows]
+        cb = np.minimum(b[rows] + alpha * d_b[rows], _LOG_R_MAX)
+        ll_t, grad_t, hess_t = lik(ca, cb)
+        rise = grad[0, rows] * (ca - a[rows]) + grad[1, rows] * (cb - b[rows])
+        up = ll_t > ll[rows] + 1e-4 * np.maximum(rise, 0.0)
+        hit = rows[up]
+        found[hit] = True
+        a_c[hit], b_c[hit], ll_c[hit] = ca[up], cb[up], ll_t[up]
+        grad_c[:, hit], hess_c[:, hit] = grad_t[:, up], hess_t[:, up]
+        more = ~up & ~done[rows]
+        if not more.any():
+            break
+        rows, lik = rows[more], lik.take(more)
+        alpha *= 0.5
+    return found, a_c, b_c, ll_c, grad_c, hess_c
+
+
+def _newton_fits(lik: _ProfileLiks, a, b):
+    """Damped, projected Newton ascent over (log mu, log r <= log R_MAX)
+    of every row of lik, from (a, b).
+
+    Returns (a, b, loglik, converged) per row. Each step is capped at
+    MAX_STEP per coordinate and backtracked until the likelihood rises.
+    A row leaves the search once it converges or stops.
+    """
+    b = np.minimum(b, _LOG_R_MAX)
     ll, grad, hess = lik(a, b)
+    out = np.empty((3, a.size))
+    converged = np.zeros(a.size, dtype=bool)
+    rows = np.arange(a.size)
     for _ in range(MAX_NEWTON):
-        fix_r = b >= _LOG_R_MAX and grad[1] > 0
-        d_a, d_b = _ascent_step(grad, hess, fix_r)
+        fix_r = (b >= _LOG_R_MAX) & (grad[1] > 0)
+        d_a, d_b = _ascent_steps(grad, hess, fix_r)
         decrement = grad[0] * d_a + grad[1] * d_b
         # near the optimum take the full step if it helps, then stop
-        done = decrement <= NEWTON_TOL * max(1.0, abs(ll))
-        scale = min(1.0, MAX_STEP / max(abs(d_a), abs(d_b), MAX_STEP))
-        d_a, d_b = d_a * scale, d_b * scale
-        alpha = 1.0
-        for _ in range(1 if done else 40):
-            ca, cb = a + alpha * d_a, min(b + alpha * d_b, _LOG_R_MAX)
-            ll_c, grad_c, hess_c = lik(ca, cb)
-            rise = grad[0] * (ca - a) + grad[1] * (cb - b)
-            if ll_c > ll + 1e-4 * max(rise, 0.0):
+        done = decrement <= NEWTON_TOL * np.maximum(1.0, np.abs(ll))
+        scale = np.minimum(1.0, MAX_STEP / np.maximum(
+            np.maximum(np.abs(d_a), np.abs(d_b)), MAX_STEP))
+        found, a, b, ll, grad, hess = _backtrack(lik, a, b, ll, grad, hess,
+                                                 d_a * scale, d_b * scale, done)
+        # a row stops when the step is done or finds no better point; it
+        # has converged only if the step was done
+        stop = done | ~found
+        if stop.any():
+            out[:, rows[stop]] = a[stop], b[stop], ll[stop]
+            converged[rows[stop]] = done[stop]
+            go = ~stop
+            if not go.any():
                 break
-            alpha *= 0.5
+            rows, lik = rows[go], lik.take(go)
+            a, b, ll, grad, hess = a[go], b[go], ll[go], grad[:, go], hess[:, go]
+    else:
+        out[:, rows] = a, b, ll
+    return out[0], out[1], out[2], converged
+
+
+def fit_zinbs(samples, min_fit: int = MIN_FIT) -> list:
+    """`fit_zinb` of every sample, in one stacked search: per sample, its
+    CountModel.
+
+    Samples are searched together by padded support length, in blocks
+    of at most ZINB_BLOCK support entries; see the module docstring for
+    why each fit equals fit_zinb on that sample alone, bit for bit.
+    """
+    samples = [np.asarray(s, dtype=float).reshape(-1) for s in samples]
+    if any(s.size == 0 for s in samples):
+        raise DataError("sample must be nonempty")
+    out = [None] * len(samples)
+    if not samples:
+        return out
+    flat = np.concatenate(samples)
+    if np.any(flat < 0) or np.any(flat != np.floor(flat)):
+        raise DataError("counts must be nonnegative integers")
+
+    def empirical(i, reason):
+        return CountModel(kind="empirical", sample_size=samples[i].size,
+                          sample=np.sort(samples[i]), fallback_reason=reason)
+
+    tops = np.maximum.reduceat(flat, np.cumsum([0] + [s.size for s in samples[:-1]]))
+    by_width: dict = {}
+    for i, (sample, top) in enumerate(zip(samples, tops.tolist())):
+        if sample.size < min_fit:
+            out[i] = empirical(i, "too few values")
+        elif top == 0:
+            out[i] = empirical(i, "all zero")
         else:
-            return (a, b), ll, done
-        a, b, ll, grad, hess = ca, cb, ll_c, grad_c, hess_c
-        if done:
-            return (a, b), ll, True
-    return (a, b), ll, False
+            width = -(-int(top) // ZINB_PAD) * ZINB_PAD
+            by_width.setdefault(width, []).append(i)
+    for width, group in by_width.items():
+        per_block = max(1, ZINB_BLOCK // width)
+        for first in range(0, len(group), per_block):
+            block = group[first:first + per_block]
+            hist = _histograms([samples[i] for i in block], width)
+            lik = _ProfileLiks(hist)
+            a, b, ll, converged = _newton_fits(lik, *_moment_starts(hist))
+            pi = lik.pi_hat(a, b)
+            for i, ok, pi_i, a_i, b_i, ll_i in zip(
+                    block, converged.tolist(), pi.tolist(), a.tolist(),
+                    b.tolist(), ll.tolist()):
+                if ok:
+                    params = ZinbParams(pi=pi_i, mu=math.exp(a_i), r=math.exp(b_i))
+                    out[i] = CountModel(kind="zinb", sample_size=samples[i].size,
+                                        params=params, loglik=ll_i)
+                else:
+                    out[i] = empirical(i, "optimizer did not converge")
+    return out
 
 
 def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
@@ -336,33 +470,9 @@ def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
     than min_fit values or is all zeros, and with "optimizer did not
     converge" in one case only: the search stops, after MAX_NEWTON steps
     or at a step it cannot improve on, while the Newton decrement is
-    still above its tolerance.
+    still above its tolerance. This is `fit_zinbs` on one sample.
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
-        raise DataError("sample must be nonempty")
-    if np.any(sample < 0) or np.any(sample != np.floor(sample)):
-        raise DataError("counts must be nonnegative integers")
-    sorted_sample = np.sort(sample)
-    n = sample.size
-
-    def empirical(reason):
-        return CountModel(kind="empirical", sample_size=n,
-                          sample=sorted_sample, fallback_reason=reason)
-
-    if n < min_fit:
-        return empirical("too few values")
-    if sorted_sample[-1] == 0:
-        return empirical("all zero")
-
-    lik = _ProfileLik(sorted_sample)
-    values = np.flatnonzero(lik.hist)
-    theta, ll, converged = _newton_fit(lik, _moment_start(values, lik.hist[values]))
-    if not converged:
-        return empirical("optimizer did not converge")
-    params = ZinbParams(pi=lik.pi_hat(*theta), mu=math.exp(theta[0]),
-                        r=math.exp(theta[1]))
-    return CountModel(kind="zinb", sample_size=n, params=params, loglik=ll)
+    return fit_zinbs([sample], min_fit)[0]
 
 
 def sample_zinb(params: ZinbParams, n: int, rng) -> np.ndarray:

@@ -1,13 +1,19 @@
-"""End-to-end prediction: per-index model fits, rule overrides, the
-pooled-empirical benchmark, scoring against withheld truth, and the
-`run` orchestration that writes all artifacts. Its stages
-(`load_dataset`, `tune_parameters`, `predict_missing`) are what the
-`ingest`, `explore`, `tune` and `predict` commands call.
+"""End-to-end prediction: model fits per chunk of missing indices,
+rule overrides, the pooled-empirical benchmark, scoring against
+withheld truth, and the `run` orchestration that writes all artifacts.
+Its stages (`load_dataset`, `tune_parameters`, `predict_missing`) are
+what the `ingest`, `explore`, `tune` and `predict` commands call.
 
-Burnt-area rows are modelled in proportion space and emitted against
-the absolute threshold grid; the rescaling by cell capacity stays
-internal. Per-index predictions are independent, so the worker pool
-cannot change any value: results are merged in index order.
+The missing indices of a variable are split into consecutive chunks,
+which the worker pool runs. A chunk builds each index's
+`fitting_sample`; its count models come from one stacked `fit_zinbs`
+call, and its burnt-area models from one `fit_mixture` call per index.
+Each row is built by `cdf_row`. Burnt-area rows are modelled in
+proportion space and emitted against the absolute threshold grid; the
+rescaling by cell capacity stays internal. A stacked count fit equals
+the lone fit bit for bit, so a model does not depend on its chunk, and
+the worker pool cannot change any value: results are merged in index
+order.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .burnt_area import cdf_row
+from .burnt_area import cdf_row, fit_mixture
 from .config import RunConfig, config_hash
+from .counts import fit_zinbs
 from .data import Dataset, PredictionTable, ingest
 from .errors import DataError, FiremargError
 from .neighborhoods import NeighborhoodSpec, fitting_sample
@@ -40,10 +47,9 @@ from .rules import (
     saturation_flags,
 )
 from .scoring import ScoreConfig, pooled_ecdf_row, score_rows
-from .tuning import TuningGrid, TuningResult, fit_model, select_parameters
+from .tuning import TuningGrid, TuningResult, select_parameters
 
 # bench/tracer.py wraps these names in this module; nothing here calls them
-from .burnt_area import fit_mixture  # noqa: F401
 from .counts import fit_zinb  # noqa: F401
 from .neighborhoods import build_neighborhood  # noqa: F401
 from .scoring import score_one  # noqa: F401
@@ -62,20 +68,6 @@ class Diagnostic:
     forced: str          # rule kinds applied to the row, "+"-joined
 
 
-def _predict_one(ds: Dataset, i: int, variable: str, spec: NeighborhoodSpec,
-                 k2: float | None):
-    sample, source = fitting_sample(ds, i, variable, spec)
-    if not sample.size:
-        raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
-    model = fit_model(sample, variable, k2)
-    grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
-    row = cdf_row(model, grid, float(ds.capacity[i]))
-    diag = Diagnostic(index=i, variable=variable, source=source,
-                      sample_size=int(sample.size), model=model.kind,
-                      fallback=model.fallback_reason or "", forced="")
-    return row, diag
-
-
 # The Dataset of a pool worker, set once by _init_worker when the
 # worker starts, so chunk payloads carry only indices and settings.
 _WORKER_DS: Dataset | None = None
@@ -88,10 +80,27 @@ def _init_worker(ds: Dataset) -> None:
 
 def _predict_block(payload, ds: Dataset | None = None):
     """(row, diagnostic) per index of one chunk, in order, on ds or, in
-    a pool worker, on the worker's Dataset."""
+    a pool worker, on the worker's Dataset. The chunk's count models
+    are fitted by one `fit_zinbs` call; burnt-area models are fitted
+    one index at a time."""
     indices, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
-    return [_predict_one(ds, int(i), variable, spec, k2) for i in indices]
+    samples, sources = [], []
+    for i in indices.tolist():
+        sample, source = fitting_sample(ds, i, variable, spec)
+        if not sample.size:
+            raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
+        samples.append(sample)
+        sources.append(source)
+    if variable == "cnt":
+        grid, models = ds.cnt_thresholds, fit_zinbs(samples)
+    else:
+        grid, models = ds.ba_thresholds, [fit_mixture(s, k2) for s in samples]
+    return [(cdf_row(model, grid, float(ds.capacity[i])),
+             Diagnostic(index=i, variable=variable, source=source,
+                        sample_size=int(sample.size), model=model.kind,
+                        fallback=model.fallback_reason or "", forced=""))
+            for i, sample, source, model in zip(indices.tolist(), samples, sources, models)]
 
 
 def _predict_variable(ds: Dataset, variable: str, spec: NeighborhoodSpec,

@@ -7,21 +7,24 @@ scored by fitting the marginal model to the surrogate's
 `neighborhoods.fitting_sample` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. Prediction uses the same ladder, the same
-fit path and the same row builder (`burnt_area.fit_mixture` and
-`cdf_row` are `fit_mixtures` and `cdf_rows` called with one level), so
-CV scores exactly the model that prediction emits, bit for bit. An
-empty neighborhood widens along that ladder, so each candidate is
-scored on the full plan. The candidate combination with the smallest
-total score wins; ties go to the smaller parameters.
+fit path and the same row builder: a stacked `counts.fit_zinbs` fit
+equals the lone fit, and `burnt_area.fit_mixture` and `cdf_row` are
+`fit_mixtures` and `cdf_rows` called with one level. So CV scores
+exactly the model that prediction emits, bit for bit. An empty
+neighborhood widens along that ladder, so each candidate is scored on
+the full plan. The candidate combination with the smallest total score
+wins; ties go to the smaller parameters.
 
 Each (variable, radius) is evaluated in one pass (`cv_score`): every
-distinct surrogate's sample is built once and fitted. For burnt area,
-one `fit_mixtures` call fits every surrogate at every candidate tail
-level, with all their GPD tails in one stacked search, and `cdf_rows`
-builds each surrogate's rows for all levels at once; the levels whose
-fit falls back to the empirical CDF share one row. One vectorised
-`score_rows` call then scores every (level, surrogate), and each
-level's total is summed over the plan's pairs in order.
+distinct surrogate's sample is built once and fitted. For counts, one
+`fit_zinbs` call fits every surrogate of the radius in one stacked
+Newton search. For burnt area, one `fit_mixtures` call fits every
+surrogate at every candidate tail level, with all their GPD tails in
+one stacked search, and `cdf_rows` builds each surrogate's rows for all
+levels at once; the levels whose fit falls back to the empirical CDF
+share one row. One vectorised `score_rows` call then scores every
+(level, surrogate), and each level's total is summed over the plan's
+pairs in order.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burnt_area import cdf_rows, fit_mixture, fit_mixtures
-from .counts import fit_zinb
+from .burnt_area import cdf_rows, fit_mixtures
+from .counts import fit_zinbs
 from .data import Dataset
 from .errors import DataError
 from .geo import haversine_km
@@ -40,6 +43,8 @@ from .neighborhoods import NeighborhoodSpec, fitting_sample
 from .scoring import ScoreConfig, score_rows
 
 # bench/tracer.py wraps these names in this module; nothing here calls them
+from .burnt_area import fit_mixture  # noqa: F401
+from .counts import fit_zinb  # noqa: F401
 from .neighborhoods import build_neighborhood  # noqa: F401
 from .scoring import score_one  # noqa: F401
 
@@ -101,26 +106,18 @@ def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
     return CvPlan(variable=variable, pairs=tuple(pairs), skipped=tuple(skipped))
 
 
-def fit_model(sample, variable: str, k2: float | None):
-    """The marginal model of one fitting sample: the ZINB count model
-    ("cnt", k2 unused) or the burnt-area mixture at level k2 ("ba").
-    Prediction fits through here; cross-validation fits many samples
-    and levels at once through the same functions (see the module
-    docstring)."""
-    return fit_zinb(sample) if variable == "cnt" else fit_mixture(sample, k2)
-
-
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
              config: ScoreConfig, k2=None):
     """Total score over the CV plan of the count model (plan variable
     "cnt", k2 unused) or of the burnt-area model at level k2.
 
-    k2 may be a sequence of levels; the totals then come back as a
-    tuple in the same order, from one pass over the plan: each
-    distinct surrogate's `fitting_sample` is built once, one
-    `fit_mixtures` call fits them all at every level, the empirical
-    fallbacks share one row (the empirical CDF does not depend on k2),
-    and one `score_rows` call scores every (level, surrogate). Duplicate surrogates are scored once per
+    Each distinct surrogate's `fitting_sample` is built once. Counts
+    are fitted by one `fit_zinbs` call. k2 may be a sequence of levels;
+    the totals then come back as a tuple in the same order, from one
+    pass over the plan: one `fit_mixtures` call fits every surrogate at
+    every level, and the empirical fallbacks share one row (the
+    empirical CDF does not depend on k2). One `score_rows` call scores
+    every (level, surrogate). Duplicate surrogates are scored once per
     occurrence, and each total is np.sum over the plan's pairs in
     order. A pair is skipped only when the surrogate is the lone
     observation in its month pool, which no radius can change.
@@ -138,7 +135,7 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
             samples[surrogate] = sample
     live = [s for s, sample in samples.items() if sample.size]
     if plan.variable == "cnt":
-        fits = [[fit_zinb(samples[s])] for s in live]
+        fits = [[model] for model in fit_zinbs([samples[s] for s in live])]
     else:
         fits = fit_mixtures([samples[s] for s in live], levels)
     rows = np.empty((len(levels), len(live), config.thresholds.size))

@@ -5,6 +5,8 @@ crashes `bench/run.py --trace 1`."""
 import importlib.util
 import os
 
+import pytest
+
 from firemarg.config import RunConfig
 from firemarg.data import write_csv
 from firemarg.pipeline import run_all, write_truth_csv
@@ -25,7 +27,9 @@ def test_every_traced_name_resolves():
         assert callable(getattr(owner, attr, None)), name
 
 
-def test_traced_run_counts_every_fit(tmp_path):
+def _traced_run(tmp_path):
+    """A small traced `run_all` with tuning: its artifacts, layer metrics
+    and scene."""
     ds, truth = generate(SyntheticSpec(nx=6, ny=6, cnt_missing_rate=0.15,
                                        ba_missing_rate=0.15), seed=3)
     data, truth_path = str(tmp_path / "data.csv"), str(tmp_path / "truth.csv")
@@ -45,8 +49,21 @@ def test_traced_run_counts_every_fit(tmp_path):
         artifacts = run_all(config)
     finally:
         t.uninstall()
-    layers = module.layer_metrics(t, artifacts.dataset.n, 1)
+    return artifacts, module.layer_metrics(t, artifacts.dataset.n, 1), ds
+
+
+def test_traced_run_counts_every_fit(tmp_path):
+    artifacts, layers, ds = _traced_run(tmp_path)
     # prediction alone fits one model per missing index
-    assert layers["counts.fit_zinb_calls"] >= ds.cnt_missing.size
+    cnt = [d for d in artifacts.result.diagnostics if d.variable == "cnt"]
+    assert [d.index for d in cnt] == ds.cnt_missing.tolist()
+    assert {d.model for d in cnt} <= {"zinb", "empirical"}
     assert layers["burnt_area.fit_mixture_calls"] >= ds.ba_missing.size
     assert layers["tuning.cv_score_calls"] == 4
+
+
+@pytest.mark.xfail(strict=True, reason="count fits run through fit_zinbs, which "
+                   "the tracer does not wrap yet (ROADMAP item 1)")
+def test_traced_run_counts_every_count_fit(tmp_path):
+    _, layers, ds = _traced_run(tmp_path)
+    assert layers["counts.fit_zinb_calls"] >= ds.cnt_missing.size

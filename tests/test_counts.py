@@ -4,9 +4,12 @@ The parametric pmf/CDF are tested two ways: against values frozen from a
 scipy.stats.nbinom oracle (the implementation never calls scipy.stats),
 and live against that oracle across random parameter draws. The fit is
 held to a reference: the same damped Newton search on numpy scalars,
-with np.linalg.solve for each step, as `fit_zinb` ran before its loop
-moved to Python floats and a closed-form 2 x 2 solve.
+one sample at a time, with np.linalg.solve for each step, as `fit_zinb`
+ran before its loop moved to a closed-form 2 x 2 solve and then to the
+stacked search of `fit_zinbs`.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,13 +25,17 @@ from firemarg.counts import (
     MIN_FIT,
     NEWTON_TOL,
     R_MAX,
+    ZINB_PAD,
     CountModel,
     ZinbParams,
-    _moment_start,
+    _histograms,
     _log_ratio_terms,
-    _ProfileLik,
+    _moment_starts,
+    _newton_fits,
+    _ProfileLiks,
     _zinb_neg_loglik,
     fit_zinb,
+    fit_zinbs,
     sample_zinb,
     zinb_cdf,
     zinb_log_pmf,
@@ -192,10 +199,22 @@ def test_rows_are_valid_without_repair():
 LOG_R_MAX = float(np.log(R_MAX))
 
 
+def _reference_moment_start(values, counts):
+    """Moment-based (log mu, log r) of a sample given as distinct
+    sorted values and their counts, where the reference fit starts."""
+    n = counts.sum()
+    mean = float(np.dot(counts, values)) / n
+    var = float(np.dot(counts, (values - mean) ** 2)) / n
+    pos = values > 0
+    mu0 = float(np.dot(counts[pos], values[pos])) / counts[pos].sum()
+    r0 = mean ** 2 / (var - mean) if var > mean > 0 else 1e3
+    return np.log(np.clip([mu0, r0], 1e-3, 1e3))
+
+
 class ReferenceLik:
-    """`counts._ProfileLik` as it was before its arithmetic moved to
-    Python floats: numpy scalars, with the gradient and Hessian as
-    arrays.
+    """The profiled likelihood of one sample as `counts` computed it
+    before its arithmetic moved to Python floats and then to stacked
+    rows: numpy scalars, with the gradient and Hessian as arrays.
 
     For the positive observations, sum log g(j) needs the partial sums
     over k < j of log((r+k)/(r+mu)), 1/(r+k) (the digamma difference) and
@@ -330,7 +349,7 @@ def reference_fit_zinb(sample) -> CountModel:
         return empirical("all zero")
     values, counts = np.unique(sorted_sample, return_counts=True)
     lik = ReferenceLik(sorted_sample)
-    theta, ll, converged = _reference_newton(lik, _moment_start(values, counts))
+    theta, ll, converged = _reference_newton(lik, _reference_moment_start(values, counts))
     if not converged:
         return empirical("optimizer did not converge")
     params = ZinbParams(pi=lik.pi_hat(*theta), mu=float(np.exp(theta[0])),
@@ -377,6 +396,97 @@ def test_fit_matches_the_reference_newton_on_the_corpora():
     # and every pi regime
     for s in list(_zinb_draws()) + list(_underdispersed_draws()):
         assert_matches_reference(s)
+
+
+def _bits(model):
+    """Everything a fitted CountModel holds, for exact comparison."""
+    if model.kind == "zinb":
+        p = model.params
+        values = np.array([p.pi, p.mu, p.r, model.loglik])
+    else:
+        values = model.sample
+    return model.kind, model.fallback_reason, model.sample_size, values.tobytes()
+
+
+def _stacking_batch():
+    """Samples whose largest values (support lengths) lie on both sides
+    of two padding boundaries, one alone in its padded length, the two
+    early fallbacks, ZINB draws whose search meets a surface that is not
+    concave, and underdispersed samples that end at the Poisson cap."""
+    rng = np.random.default_rng(99)
+    batch = []
+    for top in (ZINB_PAD - 1, ZINB_PAD, ZINB_PAD + 1, 2 * ZINB_PAD, 2 * ZINB_PAD + 1):
+        for _ in range(3):
+            s = np.minimum(sample_zinb(ZinbParams(0.3, top / 3.0, 1.5), 80, rng), top)
+            s[0] = top
+            batch.append(s)
+    batch.append(np.append(sample_zinb(ZinbParams(0.1, 20.0, 2.0), 50, rng), 7 * ZINB_PAD))
+    batch += [np.array([0, 1, 2, 0, 4]), np.zeros(30)]
+    batch += [s for s, _ in zip(_zinb_draws(), range(4))]
+    batch += [s for s, _ in zip(_underdispersed_draws(), range(6))]
+    return batch
+
+
+def test_stacked_fits_equal_lone_fits():
+    batch = _stacking_batch()
+    widths = Counter(-(-int(s.max()) // ZINB_PAD) for s in batch if s.size >= MIN_FIT)
+    assert widths[1] > 1 and widths[2] > 1 and widths[7] == 1
+    lone = [_bits(fit_zinb(s)) for s in batch]
+    fits = fit_zinbs(batch)
+    assert [_bits(m) for m in fits] == lone
+    assert [_bits(m) for m in fit_zinbs(batch[::-1])] == lone[::-1]
+    assert [_bits(m) for m in fit_zinbs(batch[-1:])] == lone[-1:]
+    assert {m.fallback_reason for m in fits} == {None, "too few values", "all zero"}
+    assert any(m.kind == "zinb" and m.params.r >= R_MAX * (1.0 - 1e-12) for m in fits)
+
+
+def test_stacked_fits_equal_lone_fits_that_stop_early(monkeypatch):
+    # five Newton steps: some searches converge, the rest fall back
+    monkeypatch.setattr(counts_module, "MAX_NEWTON", 5)
+    batch = _stacking_batch()
+    fits = fit_zinbs(batch)
+    assert [_bits(m) for m in fits] == [_bits(fit_zinb(s)) for s in batch]
+    reasons = Counter(m.fallback_reason for m in fits)
+    assert reasons[None] and reasons["optimizer did not converge"]
+
+
+class _QuadraticLik:
+    """Per row ll = -(a - 1)^2 - (b - 1)^2, in the interface of
+    `counts._ProfileLiks`; a flat row stays at ll = -1 with gradient
+    (1, 0), so no step can raise it."""
+
+    def __init__(self, flat):
+        self.flat = np.asarray(flat)
+
+    def take(self, rows):
+        return _QuadraticLik(self.flat[rows])
+
+    def __call__(self, a, b):
+        ones = np.ones(a.size)
+        ll = np.where(self.flat, -1.0, -(a - 1.0) ** 2 - (b - 1.0) ** 2)
+        grad = np.where(self.flat, [[1.0], [0.0]], [-2.0 * (a - 1.0), -2.0 * (b - 1.0)])
+        hess = np.where(self.flat, [[-1.0], [0.0], [-1.0]], [-2.0 * ones, 0.0 * ones, -2.0 * ones])
+        return ll, grad, hess
+
+
+def test_search_that_cannot_rise_stops_unconverged():
+    # the flat row's Newton decrement stays at 1, far above tolerance,
+    # but no step length raises its likelihood: it stops where it is
+    lik = _QuadraticLik([False, True, False])
+    a, b, ll, converged = _newton_fits(lik, np.array([0.0, 0.0, 3.0]),
+                                       np.array([0.0, 0.0, -1.0]))
+    assert converged.tolist() == [True, False, True]
+    assert a.tolist() == [1.0, 0.0, 1.0] and b.tolist() == [1.0, 0.0, 1.0]
+    assert ll.tolist() == [0.0, -1.0, 0.0]
+
+
+def test_stacked_fits_check_every_sample():
+    assert fit_zinbs([]) == []
+    for bad in ([np.arange(20.0), np.array([])],
+                [np.arange(20.0), np.array([1.5, 2.0])],
+                [np.array([-1, 2]), np.arange(20.0)]):
+        with pytest.raises(DataError):
+            fit_zinbs(bad)
 
 
 class TestFit:
@@ -433,8 +543,8 @@ class TestFit:
     def test_fit_never_degrades_start(self):
         rng = np.random.default_rng(11)
         s = sample_zinb(ZinbParams(0.25, 2.0, 1.5), 400, rng)
-        values, counts = np.unique(s.astype(float), return_counts=True)
-        start_ll = _ProfileLik(np.sort(s))(*_moment_start(values, counts))[0]
+        hist = _histograms([s], -(-int(s.max()) // ZINB_PAD) * ZINB_PAD)
+        start_ll = _ProfileLiks(hist)(*_moment_starts(hist))[0][0]
         m = fit_zinb(s)
         assert m.kind == "zinb"
         assert m.loglik >= start_ll

@@ -5,7 +5,7 @@ import pytest
 
 from firemarg import neighborhoods, tuning
 from firemarg.burnt_area import cdf_row, fit_mixture
-from firemarg.counts import fit_zinb
+from firemarg.counts import ZINB_PAD, fit_zinb
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
 from firemarg.geo import haversine_km
@@ -98,20 +98,31 @@ def test_plan_rejects_unknown_variable(grid_ds):
 
 
 def test_cv_score_matches_reference_loop():
-    ds = _ds(nx=6, ny=6, seed=21, cnt_missing_frac=0.2)
+    # the full plan at two radii, one lone fit_zinb per surrogate; the
+    # counts are overdispersed, so the samples' largest values spread
+    # over several padded support lengths of the stacked fit
+    cols = make_grid_columns(nx=6, ny=6, months=(6, 7), seed=21,
+                             cnt_missing_frac=0.25)
+    observed = ~np.isnan(cols["cnt"])
+    cols["cnt"][observed] = np.random.default_rng(21).negative_binomial(
+        0.8, 0.05, observed.sum())
+    ds = build_dataset(**cols)
     plan = build_cv_plan(ds, "cnt")
-    short = CvPlan(variable="cnt", pairs=plan.pairs[:6])
     cfg = ScoreConfig(ds.cnt_thresholds)
-    spec = NeighborhoodSpec(radius_km=150.0)
 
-    expected = []
-    for _, s in short.pairs:
-        members = spatial_neighborhood(ds, s, 150.0).members
-        members = members[members != s]
-        vals = ds.cnt[members]
-        model = fit_zinb(vals[~np.isnan(vals)])
-        expected.append(score_one(model.cdf(ds.cnt_thresholds), ds.cnt[s], cfg))
-    assert cv_score(ds, spec, short, cfg) == float(np.sum(expected))
+    for radius in (120.0, 200.0):
+        expected, widths = [], set()
+        for _, s in plan.pairs:
+            members = spatial_neighborhood(ds, s, radius).members
+            members = members[members != s]
+            vals = ds.cnt[members]
+            vals = vals[~np.isnan(vals)]
+            widths.add(-(-int(vals.max()) // ZINB_PAD))
+            model = fit_zinb(vals)
+            expected.append(score_one(model.cdf(ds.cnt_thresholds), ds.cnt[s], cfg))
+        spec = NeighborhoodSpec(radius_km=radius)
+        assert cv_score(ds, spec, plan, cfg) == float(np.sum(expected))
+        assert len(widths) >= 3
 
 
 def test_empty_neighborhood_widens_to_slice_pool():
