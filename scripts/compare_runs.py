@@ -2,14 +2,18 @@
 the outputs compared byte for byte.
 
     python scripts/compare_runs.py SRC_A SRC_B --workload tune-grid \
-        --workload predict-spatial --seeds 301 302
+        --workload predict-spatial --seeds 301 302 [--set variant=temporal]
 
 SRC_A and SRC_B are the roots of two firemarg checkouts. --workload may
-be given more than once; every workload runs on every seed. For each
+be given more than once; every workload runs on every seed. --set
+KEY=VALUE, which may also be repeated, overrides the RunConfig field KEY
+in every run; VALUE is read as JSON where it parses (1, 150.0, null)
+and as a string otherwise (temporal, altitude). For each
 workload and seed the scene is built once with SRC_A's `bench/workloads.py`
 (and its `firemarg.synth`) and written as CSV files to a temporary
 directory. Each tree's `pipeline.run_all` is then called on those files
-in a fresh process, with the workload's run settings. For every run it
+in a fresh process, with the workload's run settings and the overrides.
+For every run it
 prints the wall time of the call, the peak resident set size of that
 process (`ru_maxrss` of RUSAGE_SELF: the interpreter and its imports
 count, the prediction pool's worker processes do not), and the sha256
@@ -98,10 +102,23 @@ def column_gaps(path_a: str, path_b: str) -> str:
     return "max |A - B|: " + ", ".join(gaps)
 
 
-def compare_seed(trees: list, workload: str, seed: int, work: str) -> bool:
+def override(text: str) -> tuple:
+    """KEY=VALUE as (KEY, VALUE), VALUE read as JSON where it parses."""
+    key, sep, raw = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
+
+
+def compare_seed(trees: list, workload: str, seed: int, work: str,
+                 overrides: dict) -> bool:
     data = os.path.join(work, "data.csv")
     truth = os.path.join(work, "truth.csv")
     settings = json.loads(python(SCENE, trees[0], workload, seed, data, truth))
+    settings.update(overrides)
     results = []
     for label, tree in zip("AB", trees):
         out_dir = os.path.join(work, label)
@@ -127,6 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("src_b")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--set", type=override, action="append", default=[],
+                        metavar="KEY=VALUE", dest="overrides")
     args = parser.parse_args(argv)
     trees = [os.path.abspath(args.src_a), os.path.abspath(args.src_b)]
 
@@ -134,7 +153,8 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as work:
-                if not compare_seed(trees, workload, seed, work):
+                if not compare_seed(trees, workload, seed, work,
+                                    dict(args.overrides)):
                     differing.append(f"{workload}/{seed}")
     runs = len(args.workload) * len(args.seeds)
     if differing:

@@ -91,7 +91,7 @@ def cmd_ingest(args) -> int:
     ds = load_dataset(_config_from_args(args, data_path=args.data))
     bad = anomalous_rows(ds)
     print(f"rows: {ds.n}")
-    print(f"slices: {len(ds.spatial_index)}")
+    print(f"slices: {len(ds.slice_keys)}")
     print(f"missing cnt: {ds.cnt_missing.size}")
     print(f"missing ba: {ds.ba_missing.size}")
     print(f"zero-disagreement rows: {bad.size}")

@@ -60,6 +60,10 @@ class RunConfig:
             raise DataError("temporal variant needs ky >= 1")
         if self.k2_bap is not None and not 0.0 < self.k2_bap < 1.0:
             raise DataError("k2_bap must lie in (0,1)")
+        for name in ("k1_cnt", "k1_bap"):
+            radius = getattr(self, name)
+            if radius is not None and not radius >= 0:    # NaN fails too
+                raise DataError(f"{name} must be a nonnegative radius")
         if self.ky < 0 or self.workers < 0:
             raise DataError("ky and workers must be nonnegative")
         TuningGrid(radii=self.radii, quantiles=self.quantiles)

@@ -3,9 +3,15 @@
 A Dataset holds one row per (grid cell, month, year) as parallel numpy
 columns. Counts and burnt areas use NaN for missing; everything else is
 required. Derived geometry (cell areas, burnt-area capacity, burnt-area
-proportion) and a per-(month, year) spatial index are computed once at
-construction, after which the object is read-only and safe to share
-across worker processes.
+proportion) and the cell grid are computed once at construction, after
+which the object is read-only and safe to share across worker processes.
+
+The cell grid says which rows share a cell (lon, lat), a slice (month,
+year) or a month; `Dataset.rows` is its one reader. It holds the cells
+sorted by latitude, the slices in (month, year) order and a dense slot
+array, (slice, cell) -> row id or -1 where the cell is absent. That
+assumes a complete grid, where every slice repeats the same cells (the
+EVA table has exactly one slot per row); scattered points would not.
 
 `ingest` reads a data file column-wise: the header with the csv module,
 then the whole numeric body in one np.loadtxt call, comma-separated
@@ -20,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +59,6 @@ def default_ba_thresholds() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SliceIndex:
-    """Latitude-sorted view of one (month, year) slice for radius queries."""
-
-    ids: np.ndarray   # observation indices, ordered by latitude
-    lat: np.ndarray   # sorted latitudes
-    lon: np.ndarray   # longitudes aligned with ids
-
-
-@dataclass(frozen=True)
 class Dataset:
     lon: np.ndarray
     lat: np.ndarray
@@ -86,11 +84,24 @@ class Dataset:
     bap: np.ndarray = field(repr=False, default=None)
     cnt_missing: np.ndarray = field(repr=False, default=None)
     ba_missing: np.ndarray = field(repr=False, default=None)
-    spatial_index: dict = field(repr=False, default=None)
+    cell_lat: np.ndarray = field(repr=False, default=None)   # ascending
+    cell_lon: np.ndarray = field(repr=False, default=None)
+    slice_keys: tuple = field(repr=False, default=None)       # (month, year), ascending
+    slots: np.ndarray = field(repr=False, default=None)       # (slice, cell) -> row
 
     @property
     def n(self) -> int:
         return self.lon.size
+
+    def rows(self, month, first_year=-math.inf, last_year=math.inf,
+             cells=slice(None)) -> np.ndarray:
+        """Ascending ids of the rows at `cells` (an index into the cell
+        axis) in every (month, year) slice with first_year <= year <=
+        last_year; a cell absent from a slice adds no row."""
+        lo = bisect_left(self.slice_keys, (month, first_year))
+        hi = bisect_right(self.slice_keys, (month, last_year))
+        ids = self.slots[lo:hi, cells]
+        return np.sort(ids[ids >= 0])
 
     def covariate(self, name: str) -> np.ndarray:
         """Resolve a covariate column by name: climate names, altitude,
@@ -167,12 +178,20 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
         if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
             raise DataError(f"{label} thresholds must be finite and strictly increasing")
 
-    # one area per distinct (lon, lat) cell, mapped back to its rows; the
-    # complex key orders and compares as the pair, and sorts several
-    # times faster than np.unique(..., axis=0) on the two columns
-    cells, cell_of = np.unique(lon + 1j * lat, return_inverse=True)
+    # the cell grid; a complex key orders and compares as its pair, and
+    # sorts several times faster than np.unique(..., axis=0) on two columns
+    cells, cell_of = np.unique(lat + 1j * lon, return_inverse=True)
+    slices, slice_of = np.unique(month + 1j * year, return_inverse=True)
+    slots = np.full((slices.size, cells.size), -1, dtype=np.int64)
+    slots[slice_of, cell_of] = np.arange(n)
+    if np.count_nonzero(slots >= 0) < n:
+        _, first, key = np.unique(slice_of * cells.size + cell_of,
+                                  return_index=True, return_inverse=True)
+        i = int(np.argmax(first[key] != np.arange(n)))
+        raise DataError(f"repeated (lon, lat, month, year) key at index {i}, "
+                        f"first seen at index {first[key[i]]}")
     total_area = np.array([
-        zone_area_km2(c.real, c.imag, lon_width, lat_height, radius_km)
+        zone_area_km2(c.imag, c.real, lon_width, lat_height, radius_km)
         for c in cells.tolist()])[cell_of]
     true_area = total_area * area_fraction
     capacity = true_area * unit_scale
@@ -187,14 +206,6 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
             f"{ba[i]} > {capacity[i]:.6g}")
     np.clip(bap, None, 1.0, out=bap)
 
-    # one stable sort by (month, year, lat): latitude ties keep row order
-    order = np.lexsort((lat, year, month))
-    m, y = month[order], year[order]
-    bounds = np.flatnonzero((m[1:] != m[:-1]) | (y[1:] != y[:-1])) + 1
-    index = {(int(month[ids[0]]), int(year[ids[0]])):
-             SliceIndex(ids=ids, lat=lat[ids], lon=lon[ids])
-             for ids in np.split(order, bounds) if ids.size}
-
     ds = Dataset(
         lon=lon, lat=lat, month=month, year=year, area_fraction=area_fraction,
         cnt=cnt, ba=ba, land_cover=land_cover, climate=climate,
@@ -206,11 +217,14 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
         bap=bap,
         cnt_missing=np.flatnonzero(np.isnan(cnt)),
         ba_missing=np.flatnonzero(np.isnan(ba)),
-        spatial_index=index,
+        cell_lat=cells.real.copy(), cell_lon=cells.imag.copy(),
+        slice_keys=tuple((int(k.real), int(k.imag)) for k in slices.tolist()),
+        slots=slots,
     )
     for arr in (ds.lon, ds.lat, ds.month, ds.year, ds.area_fraction, ds.cnt,
                 ds.ba, ds.land_cover, ds.climate, ds.altitude, ds.total_area,
-                ds.true_area, ds.capacity, ds.bap):
+                ds.true_area, ds.capacity, ds.bap, ds.cell_lat, ds.cell_lon,
+                ds.slots):
         arr.setflags(write=False)
     return ds
 

@@ -8,10 +8,10 @@ distance at most radius_km):
   * cluster  - spatial members sharing the center's side of a two-way
                covariate split
 
-Queries go through the dataset's per-(month, year) latitude-sorted
-index: a latitude band is a necessary condition for the distance bound
-(great-circle distance >= R * |delta lat|), so only band candidates pay
-for an exact haversine evaluation.
+A query measures distances once per cell of the dataset's grid, over
+the latitude band that the radius allows (great-circle distance >= R *
+|delta lat|), in one haversine call whatever the year window; the cells
+within the radius then map to their rows in the window's slices.
 
 `fitting_sample` is the one sampling ladder that prediction and
 cross-validation fit on: the neighborhood, widened to the (month, year)
@@ -42,7 +42,7 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}")
-        if self.radius_km < 0:
+        if not self.radius_km >= 0:       # NaN fails too
             raise DataError("radius_km must be nonnegative")
         if self.variant == "temporal" and self.year_half_width < 1:
             raise DataError("temporal variant needs year_half_width >= 1")
@@ -57,38 +57,26 @@ class Neighborhood:
     degenerate_split: bool = False
 
 
-def _query_slice(ds: Dataset, key, center: int, radius_km: float) -> np.ndarray:
-    entry = ds.spatial_index.get(key)
-    if entry is None:
-        return np.empty(0, dtype=np.int64)
+def temporal_neighborhood(ds: Dataset, center: int, radius_km: float,
+                          year_half_width: int) -> Neighborhood:
+    """Same month, years within +/- year_half_width of the center's,
+    distance <= radius_km (closed ball)."""
     # latitude band prefilter: d >= R * |dphi| makes a wider band impossible
     band_deg = math.degrees(radius_km / ds.radius_km) + 1e-9
     lat0 = ds.lat[center]
-    lo = np.searchsorted(entry.lat, lat0 - band_deg, side="left")
-    hi = np.searchsorted(entry.lat, lat0 + band_deg, side="right")
-    if lo == hi:
-        return np.empty(0, dtype=np.int64)
-    cand = slice(lo, hi)
-    dist = haversine_km(ds.lon[center], lat0, entry.lon[cand], entry.lat[cand],
-                        radius_km=ds.radius_km)
-    return entry.ids[cand][np.atleast_1d(dist) <= radius_km]
+    lo = np.searchsorted(ds.cell_lat, lat0 - band_deg, side="left")
+    hi = np.searchsorted(ds.cell_lat, lat0 + band_deg, side="right")
+    dist = haversine_km(ds.lon[center], lat0, ds.cell_lon[lo:hi],
+                        ds.cell_lat[lo:hi], radius_km=ds.radius_km)
+    year = int(ds.year[center])
+    members = ds.rows(int(ds.month[center]), year - year_half_width,
+                      year + year_half_width, lo + (dist <= radius_km).nonzero()[0])
+    return Neighborhood(center=center, members=members)
 
 
 def spatial_neighborhood(ds: Dataset, center: int, radius_km: float) -> Neighborhood:
     """Same month, same year, distance <= radius_km (closed ball)."""
-    key = (int(ds.month[center]), int(ds.year[center]))
-    members = _query_slice(ds, key, center, radius_km)
-    return Neighborhood(center=center, members=np.sort(members))
-
-
-def temporal_neighborhood(ds: Dataset, center: int, radius_km: float,
-                          year_half_width: int) -> Neighborhood:
-    """Spatial criterion widened to years within +/- year_half_width."""
-    m = int(ds.month[center])
-    y = int(ds.year[center])
-    parts = [_query_slice(ds, (m, yr), center, radius_km)
-             for yr in range(y - year_half_width, y + year_half_width + 1)]
-    return Neighborhood(center=center, members=np.sort(np.concatenate(parts)))
+    return temporal_neighborhood(ds, center, radius_km, 0)
 
 
 def bisect_split(values: np.ndarray) -> np.ndarray | None:
@@ -157,8 +145,9 @@ def build_neighborhood(ds: Dataset, center: int, spec: NeighborhoodSpec) -> Neig
 def _ladder(ds: Dataset, center: int, spec: NeighborhoodSpec):
     """(source, candidate ids) of each rung, narrowest first."""
     yield "neighborhood", build_neighborhood(ds, center, spec).members
-    yield "slice", ds.spatial_index[(int(ds.month[center]), int(ds.year[center]))].ids
-    yield "month", np.flatnonzero(ds.month == ds.month[center])
+    month, year = int(ds.month[center]), int(ds.year[center])
+    yield "slice", ds.rows(month, year, year)
+    yield "month", ds.rows(month)
 
 
 def fitting_sample(ds: Dataset, center: int, variable: str,

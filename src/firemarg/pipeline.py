@@ -32,7 +32,7 @@ from . import __version__
 from .burnt_area import cdf_row, fit_mixture
 from .config import RunConfig, config_hash
 from .counts import fit_zinbs
-from .data import Dataset, PredictionTable, ingest
+from .data import Dataset, PredictionTable, _to_float, ingest
 from .errors import DataError, FiremargError
 from .neighborhoods import NeighborhoodSpec, fitting_sample
 from .rules import (
@@ -167,7 +167,7 @@ def benchmark_tables(ds: Dataset) -> PredictResult:
         for pos, i in enumerate(missing):
             m = int(ds.month[i])
             if m not in pool_rows:
-                sample = column[ds.month == m]
+                sample = column[ds.rows(m)]
                 sample = sample[~np.isnan(sample)]
                 if sample.size == 0:
                     raise DataError(f"no observed {variable} values for month {m}")
@@ -242,8 +242,10 @@ def _csv_records(path: str, header: tuple, kind: str):
 
 
 def _parse(raw: str, cast, path: str, line: int, column: str):
-    """cast(raw), or DataError naming path:line when raw does not parse."""
+    """cast(raw), or DataError naming path:line when raw does not parse
+    or breaks ingest's token rule (`data._to_float`)."""
     try:
+        _to_float(raw)
         return cast(raw)
     except ValueError:
         raise DataError(f"{path}:{line}: cannot parse {column}={raw!r}") from None
@@ -320,18 +322,23 @@ def write_truth_csv(indices_cnt, cnt_values: dict, indices_ba, ba_values: dict,
 
 
 def read_truth_csv(path: str) -> tuple[dict, dict]:
-    """Withheld (cnt, ba) values by index. Each must be finite and
-    nonnegative, and a count a whole number: a NaN truth would score as
-    if it lay above every threshold."""
+    """Withheld (cnt, ba) values by index, one row per index. Each must
+    be finite and nonnegative, and a count a whole number: a NaN truth
+    would score as if it lay above every threshold."""
     truth: dict = {"cnt": {}, "ba": {}}
+    first_line: dict = {}
     for line, rec in _csv_records(path, ("index", "cnt", "ba"), "truth"):
         i = _parse(rec["index"], int, path, line, "index")
+        if i in first_line:
+            raise DataError(f"{path}:{line}: repeated index {i}, first seen "
+                            f"at line {first_line[i]}")
+        first_line[i] = line
         for variable, values in truth.items():
             raw = rec[variable]
             if raw in ("", "NA"):
                 continue
             try:
-                value = float(raw)
+                value = _to_float(raw)
             except ValueError:
                 value = math.nan
             whole = variable == "ba" or value.is_integer()

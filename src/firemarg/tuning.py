@@ -62,7 +62,7 @@ class TuningGrid:
     def __post_init__(self):
         if not self.radii:
             raise DataError("radius grid must be nonempty")
-        if any(r < 0 for r in self.radii):
+        if any(not r >= 0 for r in self.radii):     # NaN fails too
             raise DataError("radii must be nonnegative")
         if any(not 0.0 < q < 1.0 for q in self.quantiles):
             raise DataError("quantiles must lie in (0,1)")
@@ -88,9 +88,9 @@ def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
     pairs = []
     skipped = []
     for i in missing:
-        key = (int(ds.month[i]), int(ds.year[i]))
-        slice_ids = ds.spatial_index[key].ids
-        cand = slice_ids[observed[slice_ids]]
+        year = int(ds.year[i])
+        cand = ds.rows(int(ds.month[i]), year, year)
+        cand = cand[observed[cand]]
         if cand.size == 0:
             skipped.append(int(i))
             continue

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from firemarg.config import (
@@ -97,6 +99,17 @@ def test_validation():
     with pytest.raises(DataError, match="quantiles must lie in"):
         load_config(text="[model]\nquantiles = 0.5 1.5\n")
     RunConfig(variant="cluster", cluster_covariate="altitude")
+
+
+def test_rejects_nan_or_negative_k1():
+    # caught here, not at stage predict after a full tune
+    for name in ("k1_cnt", "k1_bap"):
+        for bad in (math.nan, -5.0):
+            with pytest.raises(DataError, match=f"{name} must be a nonnegative radius"):
+                RunConfig(**{name: bad})
+    with pytest.raises(DataError, match="k1_cnt must be a nonnegative radius"):
+        load_config(text="[model]\nk1_cnt = nan\n")
+    RunConfig(k1_cnt=0.0, k1_bap=150.0)
 
 
 def test_with_overrides():

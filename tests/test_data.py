@@ -115,9 +115,19 @@ class TestBuildDataset:
         with pytest.raises(DataError):
             grid_ds.covariate("nope")
 
-    def test_spatial_index_covers_all(self, grid_ds):
-        total = sum(v.ids.size for v in grid_ds.spatial_index.values())
-        assert total == grid_ds.n
+    def test_grid_holds_every_row_once(self, grid_ds):
+        slotted = np.sort(grid_ds.slots[grid_ds.slots >= 0])
+        assert slotted.tolist() == list(range(grid_ds.n))
+        assert grid_ds.rows(6).tolist() == list(range(grid_ds.n))
+
+    def test_rejects_repeated_key(self):
+        # a slot holds one row: the repeated row would vanish from the grid
+        cols = make_grid_columns(nx=3, ny=3)
+        cols = {k: (np.concatenate([v, v[4:5]]) if isinstance(v, np.ndarray) else v)
+                for k, v in cols.items()}
+        with pytest.raises(DataError, match="repeated [(]lon, lat, month, year[)] "
+                                            "key at index 9, first seen at index 4"):
+            build_dataset(**cols)
 
 
 HEADER = ("lon,lat,month,year,area,cnt,ba,altitude,"
@@ -280,12 +290,6 @@ def assert_same_dataset(new, ref):
         if isinstance(a, np.ndarray):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
             assert a.tobytes() == b.tobytes(), f.name
-        elif f.name == "spatial_index":
-            assert a.keys() == b.keys()
-            for key in a:
-                for attr in ("ids", "lat", "lon"):
-                    x, y = getattr(a[key], attr), getattr(b[key], attr)
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (key, attr)
         else:
             assert a == b, f.name
 
@@ -431,31 +435,40 @@ def test_ingest_reads_a_token_as_the_row_reader_does(tmp_path_factory, token, co
         assert_same_dataset(new, ref)
 
 
-def reference_derived_index(ds):
-    """Cell areas and slice index as build_dataset computed them before:
-    one zone_area_km2 call per row, one full-column mask per slice."""
+def reference_derived_grid(ds):
+    """Cell areas and cell grid as a per-row construction gives them: one
+    zone_area_km2 call per row; cells as sorted (lat, lon) pairs and
+    slices as sorted (month, year) pairs, each row put in its slot."""
     total_area = np.array([
         zone_area_km2(lo, la, ds.lon_width, ds.lat_height, ds.radius_km)
         for lo, la in zip(ds.lon, ds.lat)])
-    index = {}
-    for key in {(int(m), int(y)) for m, y in zip(ds.month, ds.year)}:
-        ids = np.flatnonzero((ds.month == key[0]) & (ds.year == key[1]))
-        ids = ids[np.argsort(ds.lat[ids], kind="stable")]
-        index[key] = (ids, ds.lat[ids], ds.lon[ids])
-    return total_area, index
+    cells = sorted(set(zip(ds.lat.tolist(), ds.lon.tolist())))
+    slices = sorted(set(zip(ds.month.tolist(), ds.year.tolist())))
+    slots = np.full((len(slices), len(cells)), -1, dtype=np.int64)
+    for i in range(ds.n):
+        slots[slices.index((int(ds.month[i]), int(ds.year[i]))),
+              cells.index((float(ds.lat[i]), float(ds.lon[i])))] = i
+    return total_area, cells, slices, slots
 
 
-def test_areas_and_slice_index_match_the_per_row_construction():
-    # shuffled rows: latitude ties inside a slice must go to the row id
+def test_areas_and_grid_match_the_per_row_construction():
+    # shuffled rows, with one cell absent from one slice
     cols = make_grid_columns(nx=5, ny=4, months=(6, 7), years=(2000, 2001, 2002),
                              seed=7)
-    perm = np.random.default_rng(7).permutation(cols["lon"].size)
-    cols = {k: (v[perm] if isinstance(v, np.ndarray) else v) for k, v in cols.items()}
+    keep = np.random.default_rng(7).permutation(cols["lon"].size)[1:]
+    cols = {k: (v[keep] if isinstance(v, np.ndarray) else v) for k, v in cols.items()}
     ds = build_dataset(**cols)
-    total_area, index = reference_derived_index(ds)
+    total_area, cells, slices, slots = reference_derived_grid(ds)
     assert ds.total_area.tobytes() == total_area.tobytes()
-    assert ds.spatial_index.keys() == index.keys()
-    for key, arrays in index.items():
-        entry = ds.spatial_index[key]
-        for got, want in zip((entry.ids, entry.lat, entry.lon), arrays):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ds.cell_lat.tobytes() == np.array([la for la, _ in cells]).tobytes()
+    assert ds.cell_lon.tobytes() == np.array([lo for _, lo in cells]).tobytes()
+    assert ds.slice_keys == tuple(slices)
+    assert ds.slots.dtype == slots.dtype and ds.slots.tobytes() == slots.tobytes()
+    assert np.count_nonzero(ds.slots < 0) == 1
+    # rows of a month over a year window, past the data on either side too
+    for month in (5, 6, 7):
+        for first, last in ((2000, 2000), (2001, 2002), (1990, 2001), (2002, 2030),
+                            (2003, 2010), (-math.inf, math.inf)):
+            want = np.flatnonzero((ds.month == month) & (ds.year >= first)
+                                  & (ds.year <= last))
+            assert ds.rows(month, first, last).tolist() == want.tolist()

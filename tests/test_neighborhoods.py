@@ -3,10 +3,12 @@ brute-force all-pairs haversine filter, and the covariate bisection is
 checked against exhaustive bipartition enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from firemarg import neighborhoods
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
 from firemarg.geo import haversine_km
@@ -110,6 +112,36 @@ class TestTemporal:
         want = brute_force_members(multi_ds, center, 100.0, year_half_width=6)
         np.testing.assert_array_equal(got, want)
 
+    def test_window_past_the_data_with_an_absent_cell(self):
+        # years 1999-2001; one cell absent from (6, 2000), one from (4, 1999)
+        cols = make_grid_columns(nx=12, ny=12, months=(4, 6, 8),
+                                 years=(1999, 2000, 2001), seed=2)
+        gone = [np.flatnonzero((cols["month"] == m) & (cols["year"] == y))[k]
+                for m, y, k in ((6, 2000, 77), (4, 1999, 5))]
+        keep = np.setdiff1d(np.arange(cols["lon"].size), gone)
+        ds = build_dataset(**{k: (v[keep] if isinstance(v, np.ndarray) else v)
+                              for k, v in cols.items()})
+        assert np.count_nonzero(ds.slots < 0) == 2
+        rng = np.random.default_rng(9)
+        for center in rng.integers(0, ds.n, 60).tolist():
+            radius = float(rng.uniform(0.0, 300.0))
+            for ky in (0, 1, 3):
+                got = temporal_neighborhood(ds, center, radius, ky).members
+                want = brute_force_members(ds, center, radius, year_half_width=ky)
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_distance_call_whatever_the_window(self, multi_ds, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return haversine_km(*args, **kwargs)
+
+        monkeypatch.setattr(neighborhoods, "haversine_km", counted)
+        for ky in (0, 1, 6):
+            temporal_neighborhood(multi_ds, 100, 150.0, ky)
+        assert len(calls) == 3
+
     def test_monotone_in_half_width(self, multi_ds):
         center = next(i for i in range(multi_ds.n) if multi_ds.year[i] == 2000)
         a = temporal_neighborhood(multi_ds, center, 200.0, 1).members
@@ -199,6 +231,11 @@ class TestSpecAndSamples:
             NeighborhoodSpec(variant="temporal", year_half_width=0)
         with pytest.raises(DataError):
             NeighborhoodSpec(variant="cluster")
+
+    def test_spec_rejects_nan_radius(self):
+        # a NaN radius would give an empty neighborhood, center included
+        with pytest.raises(DataError, match="radius_km must be nonnegative"):
+            NeighborhoodSpec(radius_km=math.nan)
 
     def test_dispatch(self, multi_ds):
         center = 50

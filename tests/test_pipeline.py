@@ -245,6 +245,37 @@ def test_truth_csv_rejects_bad_values(tmp_path):
             read_truth_csv(str(path))
 
 
+def test_truth_csv_rejects_a_repeated_index(tmp_path):
+    # the later row would silently replace the earlier one
+    path = tmp_path / "truth.csv"
+    path.write_text("index,cnt,ba\n3,1,2\n4,0,0\n3,5,6\n")
+    with pytest.raises(DataError, match="truth.csv:4: repeated index 3, "
+                                        "first seen at line 2"):
+        read_truth_csv(str(path))
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "1_0.5"])
+def test_readers_apply_the_ingest_token_rule(tmp_path, token):
+    # int() and float() read digit-group underscores and non-ASCII
+    # digits; ingest (np.loadtxt) rejects them, and so do both readers
+    good = {"index": "3", "cnt": "1", "ba": "2"}
+    for column in good:
+        path = tmp_path / "truth.csv"
+        row = dict(good, **{column: token})
+        path.write_text("index,cnt,ba\n" + ",".join(row.values()) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="truth.csv:2: "):
+            read_truth_csv(str(path))
+    good = {"index": "3", "threshold": "1", "probability": "0.5"}
+    for column in good:
+        path = tmp_path / "pred.csv"
+        row = dict(good, **{column: token})
+        path.write_text("index,threshold,probability\n" + ",".join(row.values())
+                        + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"pred.csv:2: cannot parse {column}="):
+            read_prediction_csv(str(path), "cnt")
+
+
 @pytest.fixture
 def run_inputs(tmp_path):
     spec = SyntheticSpec(nx=8, ny=8, cnt_missing_rate=0.15,

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -254,6 +255,11 @@ def test_grid_validation():
         select_parameters(_ds(nx=3, ny=3, cnt_missing_frac=0.3),
                           TuningGrid(radii=(100.0,)),
                           TuningGrid(radii=(100.0,)))
+
+
+def test_grid_rejects_nan_radius():
+    with pytest.raises(DataError, match="radii must be nonnegative"):
+        TuningGrid(radii=(math.nan, 100.0))
 
 
 def test_select_ties_go_to_smallest_radius():
