@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import DataError
@@ -64,6 +65,10 @@ class RunConfig:
             radius = getattr(self, name)
             if radius is not None and not radius >= 0:    # NaN fails too
                 raise DataError(f"{name} must be a nonnegative radius")
+        for name in ("earth_radius_km", "unit_scale", "lon_width", "lat_height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be finite and positive, got {value}")
         if self.ky < 0 or self.workers < 0:
             raise DataError("ky and workers must be nonnegative")
         TuningGrid(radii=self.radii, quantiles=self.quantiles)

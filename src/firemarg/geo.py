@@ -30,7 +30,7 @@ def haversine_km(lon1, lat1, lon2, lat2, radius_km: float = EARTH_RADIUS_KM):
     Accepts scalars or numpy arrays (broadcasting applies). Symmetric,
     nonnegative, zero only for coincident points.
     """
-    if radius_km <= 0:
+    if not radius_km > 0:                 # NaN fails too
         raise GeometryError(f"radius_km must be positive, got {radius_km}")
     lon1, lat1, lon2, lat2 = (np.asarray(a, dtype=float) for a in (lon1, lat1, lon2, lat2))
     if not (np.all(np.isfinite(lon1)) and np.all(np.isfinite(lat1))

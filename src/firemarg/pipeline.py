@@ -4,15 +4,17 @@ withheld truth, and the `run` orchestration that writes all artifacts.
 Its stages (`load_dataset`, `tune_parameters`, `predict_missing`) are
 what the `ingest`, `explore`, `tune` and `predict` commands call.
 
-The missing indices of a variable are split into consecutive chunks,
-which the worker pool runs. A chunk builds each index's
-`fitting_sample`; its count models come from one stacked `fit_zinbs`
-call, and its burnt-area models from one `fit_mixture` call per index.
-Each row is built by `cdf_row`. Burnt-area rows are modelled in
-proportion space and emitted against the absolute threshold grid; the
-rescaling by cell capacity stays internal. A stacked count fit equals
-the lone fit bit for bit, so a model does not depend on its chunk, and
-the worker pool cannot change any value: results are merged in index
+The missing indices of each variable are split into consecutive
+chunks, and one worker pool runs the chunks of both variables. A chunk
+builds its indices' samples with one stacked `fitting_samples` query;
+its count models come from one stacked `fit_zinbs` call, and its
+burnt-area models from one `fit_mixture` call per index. Each row is
+built by `cdf_row`. Burnt-area rows are modelled in proportion space
+and emitted against the absolute threshold grid; the rescaling by cell
+capacity stays internal. A stacked query returns each center's sample
+as a lone query would, and a stacked count fit equals the lone fit bit
+for bit, so a model does not depend on its chunk, and the worker pool
+cannot change any value: results are merged back per variable in index
 order.
 """
 
@@ -34,7 +36,7 @@ from .config import RunConfig, config_hash
 from .counts import fit_zinbs
 from .data import Dataset, PredictionTable, _to_float, ingest
 from .errors import DataError, FiremargError
-from .neighborhoods import NeighborhoodSpec, fitting_sample
+from .neighborhoods import NeighborhoodSpec, fitting_samples
 from .rules import (
     DEFAULT_WATER_CUT,
     anomalous_rows,
@@ -85,13 +87,10 @@ def _predict_block(payload, ds: Dataset | None = None):
     one index at a time."""
     indices, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
-    samples, sources = [], []
-    for i in indices.tolist():
-        sample, source = fitting_sample(ds, i, variable, spec)
+    samples, sources = zip(*fitting_samples(ds, indices, variable, spec))
+    for i, sample in zip(indices.tolist(), samples):
         if not sample.size:
             raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
-        samples.append(sample)
-        sources.append(source)
     if variable == "cnt":
         grid, models = ds.cnt_thresholds, fit_zinbs(samples)
     else:
@@ -103,23 +102,33 @@ def _predict_block(payload, ds: Dataset | None = None):
             for i, sample, source, model in zip(indices.tolist(), samples, sources, models)]
 
 
-def _predict_variable(ds: Dataset, variable: str, spec: NeighborhoodSpec,
-                      k2: float | None, workers: int):
-    missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
-    grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
-    if missing.size == 0:
-        return np.zeros((0, grid.size)), []
-    payloads = [(c, variable, spec, k2) for c in
-                np.array_split(missing, max(1, min(workers * 4, missing.size)))]
+def _predict_rows(ds: Dataset, jobs, workers: int) -> list:
+    """(rows, diagnostics) of each (variable, spec, k2) job, in order.
+    Each variable's missing indices are split into `workers * 4`
+    consecutive chunks, and every chunk of every job runs on one worker
+    pool; the results are split back by job in index order."""
+    payloads, chunks = [], []
+    for variable, spec, k2 in jobs:
+        missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
+        parts = (np.array_split(missing, min(workers * 4, missing.size))
+                 if missing.size else [])
+        payloads += [(c, variable, spec, k2) for c in parts]
+        chunks.append(len(parts))
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ds,)) as pool:
             blocks = list(pool.map(_predict_block, payloads))
     else:
         blocks = [_predict_block(p, ds) for p in payloads]
-    # chunks are consecutive and map keeps their order: index order
-    results = [result for block in blocks for result in block]
-    return np.vstack([row for row, _ in results]), [diag for _, diag in results]
+    out = []
+    for (variable, _, _), n in zip(jobs, chunks):
+        # chunks are consecutive and map keeps their order: index order
+        results = [result for block in blocks[:n] for result in block]
+        blocks = blocks[n:]
+        grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
+        rows = np.array([row for row, _ in results]).reshape(-1, grid.size)
+        out.append((rows, [diag for _, diag in results]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,8 @@ def predict_tables(ds: Dataset, cnt_spec: NeighborhoodSpec,
                    water_cut: float = DEFAULT_WATER_CUT,
                    workers: int = 1) -> PredictResult:
     """Model-based CDF rows for every missing index, rules applied last."""
-    cnt_rows, cnt_diags = _predict_variable(ds, "cnt", cnt_spec, None, workers)
-    ba_rows, ba_diags = _predict_variable(ds, "ba", bap_spec, k2, workers)
+    (cnt_rows, cnt_diags), (ba_rows, ba_diags) = _predict_rows(
+        ds, (("cnt", cnt_spec, None), ("ba", bap_spec, k2)), workers)
     cnt_table = PredictionTable("cnt", ds.cnt_missing.copy(),
                                 ds.cnt_thresholds, cnt_rows)
     ba_table = PredictionTable("ba", ds.ba_missing.copy(),
@@ -252,13 +261,20 @@ def _parse(raw: str, cast, path: str, line: int, column: str):
 
 
 def read_prediction_csv(path: str, variable: str) -> PredictionTable:
+    """A prediction table, one (index, threshold) pair per line; every
+    index must carry the same threshold grid."""
     by_index: dict = {}
+    first_line: dict = {}
     for line, rec in _csv_records(path, ("index", "threshold", "probability"),
                                   "prediction"):
         i = _parse(rec["index"], int, path, line, "index")
+        u = _parse(rec["threshold"], float, path, line, "threshold")
+        if (i, u) in first_line:
+            raise DataError(f"{path}:{line}: repeated (index, threshold) "
+                            f"({i}, {u:g}), first seen at line {first_line[i, u]}")
+        first_line[i, u] = line
         by_index.setdefault(i, []).append(
-            (_parse(rec["threshold"], float, path, line, "threshold"),
-             _parse(rec["probability"], float, path, line, "probability")))
+            (u, _parse(rec["probability"], float, path, line, "probability")))
     if not by_index:
         raise DataError(f"{path}: empty prediction file")
     indices = np.array(sorted(by_index), dtype=np.int64)

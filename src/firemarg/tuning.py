@@ -3,8 +3,8 @@ tail threshold level.
 
 Each missing index is stood in for by its spatially nearest non-missing
 observation in the same (month, year) slice. Candidate parameters are
-scored by fitting the marginal model to the surrogate's
-`neighborhoods.fitting_sample` (which leaves the surrogate's own value
+scored by fitting the marginal model to the surrogate's sample from
+`neighborhoods.fitting_samples` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. Prediction uses the same ladder, the same
 fit path and the same row builder: a stacked `counts.fit_zinbs` fit
@@ -15,16 +15,16 @@ neighborhood widens along that ladder, so each candidate is scored on
 the full plan. The candidate combination with the smallest total score
 wins; ties go to the smaller parameters.
 
-Each (variable, radius) is evaluated in one pass (`cv_score`): every
-distinct surrogate's sample is built once and fitted. For counts, one
-`fit_zinbs` call fits every surrogate of the radius in one stacked
-Newton search. For burnt area, one `fit_mixtures` call fits every
-surrogate at every candidate tail level, with all their GPD tails in
-one stacked search, and `cdf_rows` builds each surrogate's rows for all
-levels at once; the levels whose fit falls back to the empirical CDF
-share one row. One vectorised `score_rows` call then scores every
-(level, surrogate), and each level's total is summed over the plan's
-pairs in order.
+Each (variable, radius) is evaluated in one pass (`cv_score`): one
+stacked `fitting_samples` query builds every distinct surrogate's
+sample once, and each is fitted. For counts, one `fit_zinbs` call fits
+every surrogate of the radius in one stacked Newton search. For burnt
+area, one `fit_mixtures` call fits every surrogate at every candidate
+tail level, with all their GPD tails in one stacked search, and
+`cdf_rows` builds each surrogate's rows for all levels at once; the
+levels whose fit falls back to the empirical CDF share one row. One
+vectorised `score_rows` call then scores every (level, surrogate), and
+each level's total is summed over the plan's pairs in order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .counts import fit_zinbs
 from .data import Dataset
 from .errors import DataError
 from .geo import haversine_km
-from .neighborhoods import NeighborhoodSpec, fitting_sample
+from .neighborhoods import NeighborhoodSpec, fitting_samples
 from .scoring import ScoreConfig, score_rows
 
 # bench/tracer.py wraps these names in this module; nothing here calls them
@@ -111,12 +111,12 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
     """Total score over the CV plan of the count model (plan variable
     "cnt", k2 unused) or of the burnt-area model at level k2.
 
-    Each distinct surrogate's `fitting_sample` is built once. Counts
-    are fitted by one `fit_zinbs` call. k2 may be a sequence of levels;
-    the totals then come back as a tuple in the same order, from one
-    pass over the plan: one `fit_mixtures` call fits every surrogate at
-    every level, and the empirical fallbacks share one row (the
-    empirical CDF does not depend on k2). One `score_rows` call scores
+    One `fitting_samples` query builds every distinct surrogate's
+    sample. Counts are fitted by one `fit_zinbs` call. k2 may be a
+    sequence of levels; the totals then come back as a tuple in the
+    same order, from one pass over the plan: one `fit_mixtures` call
+    fits every surrogate at every level, and the empirical fallbacks
+    share one row (the empirical CDF does not depend on k2). One `score_rows` call scores
     every (level, surrogate). Duplicate surrogates are scored once per
     occurrence, and each total is np.sum over the plan's pairs in
     order. A pair is skipped only when the surrogate is the lone
@@ -128,11 +128,9 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
         raise DataError("burnt-area CV needs a k2 level")
     else:
         scalar, levels = np.ndim(k2) == 0, tuple(np.atleast_1d(k2).tolist())
-    samples = {}
-    for _, surrogate in plan.pairs:
-        if surrogate not in samples:
-            sample, _ = fitting_sample(ds, surrogate, plan.variable, spec)
-            samples[surrogate] = sample
+    surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
+    samples = dict(zip(surrogates, (sample for sample, _ in fitting_samples(
+        ds, surrogates, plan.variable, spec))))
     live = [s for s, sample in samples.items() if sample.size]
     if plan.variable == "cnt":
         fits = [[model] for model in fit_zinbs([samples[s] for s in live])]

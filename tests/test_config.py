@@ -112,6 +112,18 @@ def test_rejects_nan_or_negative_k1():
     RunConfig(k1_cnt=0.0, k1_bap=150.0)
 
 
+def test_rejects_non_finite_or_non_positive_geometry():
+    # an infinite earth radius put every row on the "slice" rung, NaN
+    # failed only at stage predict, a negative one at a capacity check
+    for name in ("earth_radius_km", "unit_scale", "lon_width", "lat_height"):
+        for bad in (math.inf, -math.inf, math.nan, 0.0, -6371.0):
+            with pytest.raises(DataError, match=f"{name} must be finite and positive"):
+                RunConfig(**{name: bad})
+    with pytest.raises(DataError, match="earth_radius_km must be finite and positive"):
+        load_config(text="[geometry]\nearth_radius_km = inf\n")
+    RunConfig(earth_radius_km=6371.0, unit_scale=1.0, lon_width=0.25, lat_height=1.0)
+
+
 def test_with_overrides():
     base = RunConfig()
     same = with_overrides(base, seed=None, k1_cnt=None)

@@ -62,6 +62,12 @@ def test_haversine_rejects_nan():
         haversine_km(float("nan"), 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -6371.0, math.nan])
+def test_haversine_rejects_a_non_positive_radius(radius):
+    with pytest.raises(GeometryError, match="radius_km must be positive"):
+        haversine_km(0.0, 0.0, 1.0, 1.0, radius_km=radius)
+
+
 finite_lon = st.floats(min_value=-180.0, max_value=180.0)
 finite_lat = st.floats(min_value=-90.0, max_value=90.0)
 

@@ -19,6 +19,7 @@ from firemarg.neighborhoods import (
     build_neighborhood,
     cluster_neighborhood,
     fitting_sample,
+    fitting_samples,
     spatial_neighborhood,
     temporal_neighborhood,
 )
@@ -294,3 +295,176 @@ class TestSpecAndSamples:
             assert got == source
             assert column[1] not in sample
             np.testing.assert_array_equal(np.sort(sample), np.sort(column[expected]))
+
+
+def reference_sample(ds, center, variable, spec):
+    """The one-center ladder on brute-force members: neighborhood, then
+    (month, year) slice, then month pool, center and NaNs left out."""
+    column = ds.cnt if variable == "cnt" else ds.bap
+    ky = spec.year_half_width if spec.variant == "temporal" else 0
+    members = brute_force_members(ds, center, spec.radius_km, ky)
+    if spec.variant == "cluster" and members.size >= 2:
+        x = ds.covariate(spec.cluster_covariate)[members]
+        if np.std(x) > 0:
+            low = bisect_split((x - np.mean(x)) / np.std(x))
+            if low is not None:
+                members = members[low == low[members == center][0]]
+    same_month = ds.month == ds.month[center]
+    rungs = (("neighborhood", members),
+             ("slice", np.flatnonzero(same_month & (ds.year == ds.year[center]))),
+             ("month", np.flatnonzero(same_month)))
+    for source, ids in rungs:
+        sample = column[ids[ids != center]]
+        sample = sample[~np.isnan(sample)]
+        if sample.size:
+            break
+    return sample, source
+
+
+def drop_rows(cols, rows):
+    keep = np.setdiff1d(np.arange(cols["lon"].size), rows)
+    return build_dataset(**{k: (v[keep] if isinstance(v, np.ndarray) else v)
+                            for k, v in cols.items()})
+
+
+SPECS = (NeighborhoodSpec("spatial"),
+         NeighborhoodSpec("temporal", year_half_width=1),
+         NeighborhoodSpec("temporal", year_half_width=3),
+         NeighborhoodSpec("cluster", cluster_covariate="altitude"))
+
+
+class TestStackedSamples:
+    @pytest.fixture(scope="class")
+    def gappy_ds(self):
+        # two absent (cell, slice) pairs, a third of each variable
+        # missing, and the (8, 2000) counts all missing: radius 0 takes
+        # the slice rung, and (8, 2000) the month rung
+        cols = make_grid_columns(nx=12, ny=12, months=(4, 6, 8),
+                                 years=(1999, 2000, 2001), seed=2,
+                                 cnt_missing_frac=0.3, ba_missing_frac=0.3)
+        cols["cnt"][(cols["month"] == 8) & (cols["year"] == 2000)] = np.nan
+        gone = [np.flatnonzero((cols["month"] == m) & (cols["year"] == y))[k]
+                for m, y, k in ((6, 2000, 77), (4, 1999, 5))]
+        return drop_rows(cols, gone)
+
+    def assert_matches_reference(self, ds, centers, spec, variables=("cnt", "ba")):
+        for variable in variables:
+            got = fitting_samples(ds, centers, variable, spec)
+            assert len(got) == len(centers)
+            for center, (sample, source) in zip(centers, got):
+                want, want_source = reference_sample(ds, center, variable, spec)
+                assert source == want_source
+                assert sample.dtype == want.dtype
+                np.testing.assert_array_equal(sample, want)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.variant}{s.year_half_width}")
+    @pytest.mark.parametrize("radius", [0.0, 40.0, 120.0, 300.0])
+    def test_matches_the_reference_ladder(self, gappy_ds, spec, radius):
+        rng = np.random.default_rng(int(radius) + spec.year_half_width)
+        centers = rng.choice(gappy_ds.n, 120, replace=False).tolist()
+        spec = NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
+                                spec.cluster_covariate)
+        self.assert_matches_reference(gappy_ds, centers, spec)
+
+    def test_every_rung_is_taken(self, gappy_ds):
+        sources = {source for spec in (NeighborhoodSpec(radius_km=0.0),
+                                       NeighborhoodSpec(radius_km=100.0))
+                   for _, source in fitting_samples(gappy_ds, np.arange(gappy_ds.n),
+                                                    "cnt", spec)}
+        assert sources == {"neighborhood", "slice", "month"}
+
+    def test_radius_at_an_exact_cell_distance_is_closed(self, gappy_ds):
+        rng = np.random.default_rng(3)
+        for center in rng.choice(gappy_ds.n, 20, replace=False).tolist():
+            same = np.flatnonzero((gappy_ds.month == gappy_ds.month[center])
+                                  & (gappy_ds.year == gappy_ds.year[center]))
+            d = haversine_km(gappy_ds.lon[center], gappy_ds.lat[center],
+                             gappy_ds.lon[same], gappy_ds.lat[same],
+                             radius_km=gappy_ds.radius_km)
+            for radius in np.unique(d)[1:6].tolist():
+                for spec in SPECS:
+                    spec = NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
+                                            spec.cluster_covariate)
+                    self.assert_matches_reference(gappy_ds, [center], spec)
+                members = spatial_neighborhood(gappy_ds, center, radius).members
+                assert same[d == radius][0] in members
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.5])
+    def test_radius_past_half_the_circumference(self, gappy_ds, factor):
+        radius = factor * math.pi * gappy_ds.radius_km
+        centers = list(range(0, gappy_ds.n, 7))
+        for spec in SPECS:
+            self.assert_matches_reference(
+                gappy_ds, centers, NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
+                                                    spec.cluster_covariate))
+        same = (gappy_ds.month == gappy_ds.month[0]) & (gappy_ds.year == gappy_ds.year[0])
+        assert spatial_neighborhood(gappy_ds, 0, radius).members.size == np.count_nonzero(same)
+
+    @pytest.mark.parametrize("lon0", [178.0, -181.0])
+    def test_grid_across_the_antimeridian(self, lon0):
+        cols = make_grid_columns(nx=10, ny=6, lon0=lon0, lat0=60.0, years=(2000, 2001),
+                                 seed=4, cnt_missing_frac=0.2, ba_missing_frac=0.2)
+        cols["lon"] = (cols["lon"] + 180.0) % 360.0 - 180.0
+        ds = build_dataset(**cols)
+        assert ds.cell_lon.min() < -179.0 and ds.cell_lon.max() > 179.0
+        for radius in (0.0, 30.0, 60.0, 150.0):
+            for spec in SPECS[:2]:
+                self.assert_matches_reference(
+                    ds, list(range(ds.n)),
+                    NeighborhoodSpec(spec.variant, radius, spec.year_half_width))
+        # cells either side of the antimeridian are neighbors
+        east = int(np.argmax(ds.lon))
+        members = spatial_neighborhood(ds, east, 60.0).members
+        assert np.any(ds.lon[members] < 0.0)
+
+    def test_grid_whose_band_reaches_a_pole(self):
+        # every longitude at 80.5-89.5 N, 1 degree apart: the longitude
+        # window bites, and poleward members need a wider one than the
+        # center's own latitude allows
+        cols = make_grid_columns(nx=360, ny=10, lon0=-180.0, lat0=80.5, spacing=1.0,
+                                 years=(2000, 2001), seed=5, cnt_missing_frac=0.2)
+        ds = build_dataset(**cols)
+        centers = list(range(0, ds.n, 97))
+        for radius in (0.0, 250.0, 800.0):
+            for spec in SPECS:
+                self.assert_matches_reference(
+                    ds, centers, NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
+                                                  spec.cluster_covariate))
+
+    def test_batch_order_and_size_do_not_matter(self, gappy_ds, monkeypatch):
+        rng = np.random.default_rng(8)
+        centers = rng.choice(gappy_ds.n, 200, replace=False)
+        centers[:10] = centers[10]          # repeated centers too
+        for spec in SPECS:
+            spec = NeighborhoodSpec(spec.variant, 150.0, spec.year_half_width,
+                                    spec.cluster_covariate)
+            batch = fitting_samples(gappy_ds, centers, "ba", spec)
+            backward = fitting_samples(gappy_ds, centers[::-1], "ba", spec)[::-1]
+            ones = [fitting_sample(gappy_ds, c, "ba", spec) for c in centers.tolist()]
+            monkeypatch.setattr(neighborhoods, "QUERY_BLOCK", 500)
+            blocked = fitting_samples(gappy_ds, centers, "ba", spec)
+            monkeypatch.undo()
+            for other in (backward, ones, blocked):
+                for (a, sa), (b, sb) in zip(batch, other):
+                    assert sa == sb
+                    np.testing.assert_array_equal(a, b)
+
+    def test_one_distance_call_per_block(self, gappy_ds, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return haversine_km(*args, **kwargs)
+
+        monkeypatch.setattr(neighborhoods, "haversine_km", counted)
+        spec = NeighborhoodSpec("temporal", 150.0, year_half_width=1)
+        fitting_samples(gappy_ds, np.arange(300), "cnt", spec)
+        assert len(calls) == 1
+        monkeypatch.setattr(neighborhoods, "QUERY_BLOCK", 1)
+        fitting_samples(gappy_ds, np.arange(30), "cnt", spec)
+        assert len(calls) == 1 + 30
+        # a 2000 km band holds all 144 cells of the slice: 4 centers a block
+        monkeypatch.setattr(neighborhoods, "QUERY_BLOCK", 4 * 144)
+        fitting_samples(gappy_ds, np.arange(40), "cnt", NeighborhoodSpec(radius_km=2000.0))
+        assert len(calls) == 1 + 30 + 10
+        assert fitting_samples(gappy_ds, [], "cnt", spec) == []

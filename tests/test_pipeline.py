@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from firemarg import pipeline
 from firemarg.config import RunConfig
 from firemarg.counts import ZinbParams
 from firemarg.data import PredictionTable, build_dataset, write_csv
@@ -50,6 +51,29 @@ def test_tables_cover_missing_indices_once(masked_ds):
     variables = {(d.index, d.variable) for d in res.diagnostics}
     assert len(variables) == len(res.diagnostics)
     assert len(res.diagnostics) == masked_ds.cnt_missing.size + masked_ds.ba_missing.size
+
+
+def test_both_variables_share_one_worker_pool(masked_ds, monkeypatch, tmp_path):
+    pools = []
+
+    class CountedPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+    specs = (NeighborhoodSpec(radius_km=150.0), NeighborhoodSpec(radius_km=150.0), 0.5)
+    serial = predict_tables(masked_ds, *specs, workers=1)
+    assert pools == []
+    pooled = predict_tables(masked_ds, *specs, workers=2)
+    assert pools == [2]
+    assert pooled.diagnostics == serial.diagnostics
+    for name in ("cnt", "ba"):
+        paths = [str(tmp_path / f"{name}{k}.csv") for k in range(2)]
+        write_prediction_csv(getattr(serial, name), paths[0])
+        write_prediction_csv(getattr(pooled, name), paths[1])
+        with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_predicted_rows_near_planted_truth():
@@ -252,6 +276,17 @@ def test_truth_csv_rejects_a_repeated_index(tmp_path):
     with pytest.raises(DataError, match="truth.csv:4: repeated index 3, "
                                         "first seen at line 2"):
         read_truth_csv(str(path))
+
+
+def test_prediction_csv_rejects_a_repeated_pair(tmp_path):
+    # the repeated threshold would read as a grid the rows were never
+    # predicted on
+    path = tmp_path / "pred.csv"
+    path.write_text("index,threshold,probability\n3,1,0.5\n4,1,0.2\n"
+                    "3,2,0.7\n3,1.0,0.6\n")
+    with pytest.raises(DataError, match=r"pred.csv:5: repeated \(index, "
+                                        r"threshold\) \(3, 1\), first seen at line 2"):
+        read_prediction_csv(str(path), "cnt")
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "1_0.5"])

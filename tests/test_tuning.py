@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from firemarg import neighborhoods, tuning
+from firemarg import tuning
 from firemarg.burnt_area import cdf_row, fit_mixture
 from firemarg.counts import ZINB_PAD, fit_zinb
 from firemarg.data import build_dataset
@@ -156,27 +156,31 @@ def test_duplicate_surrogates_score_per_occurrence():
 
 def test_select_parameters_queries_once_per_radius_and_pair(monkeypatch):
     # the burnt-area quantiles share each radius's samples, so the
-    # neighborhood queries carry no quantile factor
+    # neighborhood queries carry no quantile factor: one stacked query
+    # per (variable, radius), over each distinct surrogate once
     ds = _ds(nx=5, ny=5, seed=29, cnt_missing_frac=0.25, ba_missing_frac=0.25)
     radii = (100.0, 150.0)
-    plans, queries = {}, Counter()
-    plan_fn, query_fn = tuning.build_cv_plan, neighborhoods.build_neighborhood
+    plans, queries = {}, []
+    plan_fn, query_fn = tuning.build_cv_plan, tuning.fitting_samples
 
     def plan(ds, variable):
         plans[variable] = plan_fn(ds, variable)
         return plans[variable]
 
-    def query(*args, **kwargs):
-        queries[list(plans)[-1]] += 1
-        return query_fn(*args, **kwargs)
+    def query(ds, centers, variable, spec):
+        queries.append((variable, spec.radius_km, list(centers)))
+        return query_fn(ds, centers, variable, spec)
 
     monkeypatch.setattr(tuning, "build_cv_plan", plan)
-    monkeypatch.setattr(neighborhoods, "build_neighborhood", query)
+    monkeypatch.setattr(tuning, "fitting_samples", query)
     select_parameters(ds, TuningGrid(radii=radii),
                       TuningGrid(radii=radii, quantiles=(0.3, 0.5, 0.7)))
-    assert queries["ba"] > 0
     for variable in ("cnt", "ba"):
-        assert queries[variable] <= len(radii) * len(plans[variable].pairs)
+        surrogates = sorted({s for _, s in plans[variable].pairs})
+        batches = [(r, c) for v, r, c in queries if v == variable]
+        assert [r for r, _ in batches] == list(radii)
+        for _, centers in batches:
+            assert sorted(centers) == surrogates
 
 
 def test_bap_scores_equal_a_per_pair_reference_loop():
