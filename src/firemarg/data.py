@@ -7,11 +7,12 @@ proportion) and the cell grid are computed once at construction, after
 which the object is read-only and safe to share across worker processes.
 
 The cell grid says which rows share a cell (lon, lat), a slice (month,
-year) or a month; `Dataset.rows` is its one reader. It holds the cells
-sorted by latitude, the slices in (month, year) order and a dense slot
-array, (slice, cell) -> row id or -1 where the cell is absent. That
-assumes a complete grid, where every slice repeats the same cells (the
-EVA table has exactly one slot per row); scattered points would not.
+year) or a month; `Dataset.rows` reads whole slices and months from
+it. It holds the cells sorted by latitude, the slices in (month, year)
+order and a dense slot array, (slice, cell) -> row id or -1 where the
+cell is absent. That assumes a complete grid, where every slice repeats
+the same cells (the EVA table has exactly one slot per row); scattered
+points would not.
 
 `ingest` reads a data file column-wise: the header with the csv module,
 then the whole numeric body in one np.loadtxt call, comma-separated
@@ -93,14 +94,13 @@ class Dataset:
     def n(self) -> int:
         return self.lon.size
 
-    def rows(self, month, first_year=-math.inf, last_year=math.inf,
-             cells=slice(None)) -> np.ndarray:
-        """Ascending ids of the rows at `cells` (an index into the cell
-        axis) in every (month, year) slice with first_year <= year <=
-        last_year; a cell absent from a slice adds no row."""
+    def rows(self, month, first_year=-math.inf, last_year=math.inf) -> np.ndarray:
+        """Ascending ids of the rows in every (month, year) slice with
+        first_year <= year <= last_year; a cell absent from a slice adds
+        no row."""
         lo = bisect_left(self.slice_keys, (month, first_year))
         hi = bisect_right(self.slice_keys, (month, last_year))
-        ids = self.slots[lo:hi, cells]
+        ids = self.slots[lo:hi]
         return np.sort(ids[ids >= 0])
 
     def covariate(self, name: str) -> np.ndarray:

@@ -16,9 +16,10 @@ call: the latitude band the radius allows (great-circle distance >= R
 within the radius (the closed ball) then map through the slot rows of
 each center's year window, and each center's ids are sorted ascending.
 Batches are cut into blocks of at most QUERY_BLOCK entries, one
-distance call each, so their temporaries stay bounded. A one-center
-query (`build_neighborhood`, `fitting_sample` and the variant
-functions) is a batch of one, so the query exists once.
+distance call each, so their temporaries stay bounded. The variant
+is applied in the same pass: the spec sets the year window, and a
+cluster neighborhood is split per center. `build_neighborhood`, the one
+single-center query, is a batch of one, so the query exists once.
 
 `fitting_samples` is the one sampling ladder that prediction and
 cross-validation fit on: the neighborhood, widened to the (month, year)
@@ -66,7 +67,6 @@ class NeighborhoodSpec:
 class Neighborhood:
     center: int
     members: np.ndarray     # ascending observation ids, includes the center
-    degenerate_split: bool = False
 
 
 def _lon_bounds(ds: Dataset, radius_km: float, lat: np.ndarray,
@@ -88,13 +88,13 @@ def _per_center(owner: np.ndarray, values: np.ndarray, size: int) -> list:
     return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-def _blocks(ds: Dataset, centers: np.ndarray, radius_km: float,
-            year_half_width: int):
-    """Yield (positions, owner, ids) per block of the batch: the
-    neighborhoods (same month, years within +/- year_half_width,
-    distance <= radius_km, center included) of centers[positions], as
-    ids ascending within each owner, an index into positions. Owners
-    ascend. Each block makes one distance call."""
+def _blocks(ds: Dataset, centers: np.ndarray, spec: NeighborhoodSpec):
+    """Yield (positions, owner, ids) per block of the batch: the spec's
+    neighborhoods (module docstring; center included) of
+    centers[positions], as ids ascending within each owner, an index
+    into positions. Owners ascend. Each block makes one distance call."""
+    radius_km = spec.radius_km
+    year_half_width = spec.year_half_width if spec.variant == "temporal" else 0
     lat, lon = ds.lat[centers], ds.lon[centers]
     cell = np.searchsorted(ds.cell_lat + 1j * ds.cell_lon, lat + 1j * lon)
     band_deg = math.degrees(radius_km / ds.radius_km) + 1e-9
@@ -141,20 +141,14 @@ def _blocks(ds: Dataset, centers: np.ndarray, radius_km: float,
         ids = ds.slots[first[pos][owner] + k // w, cand[offset[owner] + k % w]]
         present = ids >= 0
         key = np.sort(owner[present] * ds.n + ids[present])
-        yield pos, key // ds.n, key % ds.n
-
-
-def temporal_neighborhood(ds: Dataset, center: int, radius_km: float,
-                          year_half_width: int) -> Neighborhood:
-    """Same month, years within +/- year_half_width of the center's,
-    distance <= radius_km (closed ball)."""
-    _, _, members = next(_blocks(ds, np.array([center]), radius_km, year_half_width))
-    return Neighborhood(center=center, members=members)
-
-
-def spatial_neighborhood(ds: Dataset, center: int, radius_km: float) -> Neighborhood:
-    """Same month, same year, distance <= radius_km (closed ball)."""
-    return temporal_neighborhood(ds, center, radius_km, 0)
+        owner, ids = key // ds.n, key % ds.n
+        if spec.variant == "cluster":
+            kept = [_cluster_split(ds, c, members, spec.cluster_covariate)
+                    for c, members in zip(centers[pos].tolist(),
+                                          _per_center(owner, ids, pos.size))]
+            owner = np.repeat(np.arange(pos.size), [m.size for m in kept])
+            ids = np.concatenate(kept)
+        yield pos, owner, ids
 
 
 def bisect_split(values: np.ndarray) -> np.ndarray | None:
@@ -187,42 +181,31 @@ def bisect_split(values: np.ndarray) -> np.ndarray | None:
 
 
 def _cluster_split(ds: Dataset, center: int, members: np.ndarray,
-                   covariate: str) -> Neighborhood:
-    """The spatial members on the center's side of the covariate split."""
+                   covariate: str) -> np.ndarray:
+    """The members on the center's side of a covariate split.
+
+    The covariate is standardized over the members and split into two
+    groups by exact variance-minimizing bisection. Members that cannot
+    be split (fewer than two, or a constant covariate) come back whole.
+    """
     if members.size < 2:
-        return Neighborhood(center=center, members=members, degenerate_split=True)
+        return members
     x = ds.covariate(covariate)[members]
     sd = float(np.std(x))
     if sd == 0.0:
-        return Neighborhood(center=center, members=members, degenerate_split=True)
-    z = (x - float(np.mean(x))) / sd
-    low_mask = bisect_split(z)
+        return members
+    low_mask = bisect_split((x - float(np.mean(x))) / sd)
     if low_mask is None:
-        return Neighborhood(center=center, members=members, degenerate_split=True)
+        return members
     center_low = bool(low_mask[np.searchsorted(members, center)])
-    keep = low_mask if center_low else ~low_mask
-    return Neighborhood(center=center, members=members[keep])
-
-
-def cluster_neighborhood(ds: Dataset, center: int, radius_km: float,
-                         covariate: str) -> Neighborhood:
-    """Keep the spatial members on the center's side of a covariate split.
-
-    The covariate is standardized over the neighborhood and split into
-    two groups by exact variance-minimizing bisection. Neighborhoods
-    that cannot be split (size < 2 or constant covariate) are returned
-    whole with the degenerate flag set.
-    """
-    members = spatial_neighborhood(ds, center, radius_km).members
-    return _cluster_split(ds, center, members, covariate)
+    return members[low_mask if center_low else ~low_mask]
 
 
 def build_neighborhood(ds: Dataset, center: int, spec: NeighborhoodSpec) -> Neighborhood:
-    if spec.variant == "spatial":
-        return spatial_neighborhood(ds, center, spec.radius_km)
-    if spec.variant == "temporal":
-        return temporal_neighborhood(ds, center, spec.radius_km, spec.year_half_width)
-    return cluster_neighborhood(ds, center, spec.radius_km, spec.cluster_covariate)
+    """The spec's neighborhood of one center: the stacked query on a
+    batch of one."""
+    _, _, members = next(_blocks(ds, np.array([center]), spec))
+    return Neighborhood(center=center, members=members)
 
 
 def _widened(ds: Dataset, center: int, column: np.ndarray) -> tuple[np.ndarray, str]:
@@ -257,15 +240,8 @@ def fitting_samples(ds: Dataset, centers, variable: str,
     """
     column = ds.cnt if variable == "cnt" else ds.bap
     centers = np.asarray(centers, dtype=np.int64).reshape(-1)
-    ky = spec.year_half_width if spec.variant == "temporal" else 0
     samples = [None] * centers.size
-    for pos, owner, ids in _blocks(ds, centers, spec.radius_km, ky):
-        if spec.variant == "cluster":
-            kept = [_cluster_split(ds, c, members, spec.cluster_covariate).members
-                    for c, members in zip(centers[pos].tolist(),
-                                          _per_center(owner, ids, pos.size))]
-            owner = np.repeat(np.arange(pos.size), [m.size for m in kept])
-            ids = np.concatenate(kept)
+    for pos, owner, ids in _blocks(ds, centers, spec):
         other = ids != centers[pos][owner]
         owner, values = owner[other], column[ids[other]]
         observed = ~np.isnan(values)
@@ -275,8 +251,3 @@ def fitting_samples(ds: Dataset, centers, variable: str,
     return [(sample, "neighborhood") if sample.size else _widened(ds, center, column)
             for center, sample in zip(centers.tolist(), samples)]
 
-
-def fitting_sample(ds: Dataset, center: int, variable: str,
-                   spec: NeighborhoodSpec) -> tuple[np.ndarray, str]:
-    """`fitting_samples` of one center."""
-    return fitting_samples(ds, [center], variable, spec)[0]

@@ -48,7 +48,7 @@ from .rules import (
     resolve_forced,
     saturation_flags,
 )
-from .scoring import ScoreConfig, pooled_ecdf_row, score_rows
+from .scoring import ROW_TOL, ScoreConfig, pooled_ecdf_row, score_rows
 from .tuning import TuningGrid, TuningResult, select_parameters
 
 # bench/tracer.py wraps these names in this module; nothing here calls them
@@ -262,19 +262,25 @@ def _parse(raw: str, cast, path: str, line: int, column: str):
 
 def read_prediction_csv(path: str, variable: str) -> PredictionTable:
     """A prediction table, one (index, threshold) pair per line; every
-    index must carry the same threshold grid."""
+    index must carry the same threshold grid. Thresholds must be finite
+    and probabilities lie in [0, 1] to `scoring.ROW_TOL`, as
+    `score_rows` requires."""
     by_index: dict = {}
     first_line: dict = {}
     for line, rec in _csv_records(path, ("index", "threshold", "probability"),
                                   "prediction"):
         i = _parse(rec["index"], int, path, line, "index")
         u = _parse(rec["threshold"], float, path, line, "threshold")
+        if not math.isfinite(u):
+            raise DataError(f"{path}:{line}: threshold {u} is not finite")
         if (i, u) in first_line:
             raise DataError(f"{path}:{line}: repeated (index, threshold) "
                             f"({i}, {u:g}), first seen at line {first_line[i, u]}")
         first_line[i, u] = line
-        by_index.setdefault(i, []).append(
-            (u, _parse(rec["probability"], float, path, line, "probability")))
+        p = _parse(rec["probability"], float, path, line, "probability")
+        if not -ROW_TOL <= p <= 1.0 + ROW_TOL:       # NaN fails too
+            raise DataError(f"{path}:{line}: probability {p} is not in [0, 1]")
+        by_index.setdefault(i, []).append((u, p))
     if not by_index:
         raise DataError(f"{path}: empty prediction file")
     indices = np.array(sorted(by_index), dtype=np.int64)

@@ -77,29 +77,25 @@ class CvPlan:
 
 def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
     """Surrogate = nearest same-slice observation with the variable
-    present; ties broken by the smallest observation id."""
-    if variable == "cnt":
-        missing, column = ds.cnt_missing, ds.cnt
-    elif variable == "ba":
-        missing, column = ds.ba_missing, ds.ba
-    else:
+    present; ties broken by the smallest observation id. One distance
+    call per (month, year) slice, over its missing rows x its observed
+    rows."""
+    if variable not in ("cnt", "ba"):
         raise DataError(f"unknown variable {variable!r}")
-    observed = ~np.isnan(column)
-    pairs = []
-    skipped = []
-    for i in missing:
-        year = int(ds.year[i])
-        cand = ds.rows(int(ds.month[i]), year, year)
-        cand = cand[observed[cand]]
+    observed = ~np.isnan(ds.cnt if variable == "cnt" else ds.ba)
+    pairs, skipped = [], []
+    for slots in ds.slots:
+        ids = np.sort(slots[slots >= 0])
+        rows, cand = ids[~observed[ids]], ids[observed[ids]]
         if cand.size == 0:
-            skipped.append(int(i))
-            continue
-        d = np.atleast_1d(haversine_km(ds.lon[i], ds.lat[i],
-                                       ds.lon[cand], ds.lat[cand],
-                                       radius_km=ds.radius_km))
-        best = d.min()
-        surrogate = int(cand[d == best].min())
-        pairs.append((int(i), surrogate))
+            skipped += rows.tolist()
+        elif rows.size:
+            d = haversine_km(ds.lon[rows, None], ds.lat[rows, None],
+                             ds.lon[cand], ds.lat[cand], radius_km=ds.radius_km)
+            # argmin takes the first minimum: the smallest id among ties
+            pairs += zip(rows.tolist(), cand[np.argmin(d, axis=1)].tolist())
+    pairs.sort()
+    skipped.sort()
     if skipped:
         log.warning("cv plan (%s): %d indices had no same-slice candidate",
                     variable, len(skipped))

@@ -17,7 +17,7 @@ from firemarg.cli import main as cli_main
 from firemarg.counts import ZinbParams, fit_zinb, sample_zinb, zinb_cdf, zinb_pmf
 from firemarg.dependence import chi_u, chibar_u, kendall_tau
 from firemarg.geo import EARTH_RADIUS_KM, haversine_km, zone_area_km2
-from firemarg.neighborhoods import NeighborhoodSpec, spatial_neighborhood
+from firemarg.neighborhoods import NeighborhoodSpec, build_neighborhood
 from firemarg.pipeline import (
     benchmark_tables,
     predict_tables,
@@ -47,7 +47,7 @@ def test_c01_geodesy():
     centers = rng.integers(0, ds.n, size=1000)
     radii = rng.uniform(20.0, 600.0, size=1000)
     for c, r in zip(centers, radii):
-        got = spatial_neighborhood(ds, int(c), float(r)).members
+        got = build_neighborhood(ds, int(c), NeighborhoodSpec(radius_km=float(r))).members
         same = (ds.month == ds.month[c]) & (ds.year == ds.year[c])
         dist = haversine_km(ds.lon[c], ds.lat[c], ds.lon, ds.lat)
         np.testing.assert_array_equal(got, np.flatnonzero(same & (dist <= r)))

@@ -4,6 +4,7 @@ checked against exhaustive bipartition enumeration."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,7 @@ from firemarg.neighborhoods import (
     NeighborhoodSpec,
     bisect_split,
     build_neighborhood,
-    cluster_neighborhood,
-    fitting_sample,
     fitting_samples,
-    spatial_neighborhood,
-    temporal_neighborhood,
 )
 
 from conftest import make_grid_columns
@@ -37,6 +34,20 @@ def brute_force_members(ds, center, radius_km, year_half_width=0):
     return ids[np.atleast_1d(d) <= radius_km]
 
 
+def reference_members(ds, center, spec):
+    """The spec's neighborhood from brute-force members: the year window
+    of a temporal spec, the covariate split of a cluster spec."""
+    ky = spec.year_half_width if spec.variant == "temporal" else 0
+    members = brute_force_members(ds, center, spec.radius_km, ky)
+    if spec.variant == "cluster" and members.size >= 2:
+        x = ds.covariate(spec.cluster_covariate)[members]
+        if np.std(x) > 0:
+            low = bisect_split((x - np.mean(x)) / np.std(x))
+            if low is not None:
+                members = members[low == low[members == center][0]]
+    return members
+
+
 @pytest.fixture(scope="module")
 def multi_ds():
     cols = make_grid_columns(nx=12, ny=12, months=(4, 6, 8),
@@ -50,12 +61,12 @@ class TestSpatial:
         for _ in range(300):
             center = int(rng.integers(0, multi_ds.n))
             radius = float(rng.uniform(0.0, 500.0))
-            got = spatial_neighborhood(multi_ds, center, radius).members
+            got = build_neighborhood(multi_ds, center, NeighborhoodSpec(radius_km=radius)).members
             want = brute_force_members(multi_ds, center, radius)
             np.testing.assert_array_equal(got, want)
 
     def test_zero_radius_collocated_only(self, multi_ds):
-        nb = spatial_neighborhood(multi_ds, 40, 0.0)
+        nb = build_neighborhood(multi_ds, 40, NeighborhoodSpec(radius_km=0.0))
         assert nb.members.tolist() == [40]
 
     def test_axial_neighbors_at_55km_spacing(self):
@@ -63,14 +74,14 @@ class TestSpatial:
         cols = make_grid_columns(nx=5, ny=5, lon0=-1.0, lat0=-1.0, seed=1)
         ds = build_dataset(**cols)
         center = 12  # middle of the 5x5 grid
-        nb = spatial_neighborhood(ds, center, 60.0)
+        nb = build_neighborhood(ds, center, NeighborhoodSpec(radius_km=60.0))
         assert nb.members.size == 5
         assert center in nb.members
         got = set(nb.members.tolist()) - {center}
         assert got == {7, 11, 13, 17}
 
     def test_whole_domain_radius(self, multi_ds):
-        nb = spatial_neighborhood(multi_ds, 0, 20015.0)
+        nb = build_neighborhood(multi_ds, 0, NeighborhoodSpec(radius_km=20015.0))
         same_slice = (multi_ds.month == multi_ds.month[0]) & (multi_ds.year == multi_ds.year[0])
         assert nb.members.size == np.count_nonzero(same_slice)
 
@@ -79,28 +90,33 @@ class TestSpatial:
         for _ in range(30):
             center = int(rng.integers(0, multi_ds.n))
             r1, r2 = sorted(rng.uniform(0, 400, 2))
-            a = spatial_neighborhood(multi_ds, center, r1).members
-            b = spatial_neighborhood(multi_ds, center, r2).members
+            a = build_neighborhood(multi_ds, center, NeighborhoodSpec(radius_km=r1)).members
+            b = build_neighborhood(multi_ds, center, NeighborhoodSpec(radius_km=r2)).members
             assert set(a) <= set(b)
 
     def test_symmetry(self, multi_ds):
         rng = np.random.default_rng(5)
         for _ in range(20):
             i = int(rng.integers(0, multi_ds.n))
-            r = float(rng.uniform(50, 300))
-            for j in spatial_neighborhood(multi_ds, i, r).members:
-                assert i in spatial_neighborhood(multi_ds, int(j), r).members
+            spec = NeighborhoodSpec(radius_km=float(rng.uniform(50, 300)))
+            for j in build_neighborhood(multi_ds, i, spec).members:
+                assert i in build_neighborhood(multi_ds, int(j), spec).members
 
 
 class TestTemporal:
     def test_zero_half_width_is_spatial(self, multi_ds):
-        a = temporal_neighborhood(multi_ds, 100, 150.0, 0).members
-        b = spatial_neighborhood(multi_ds, 100, 150.0).members
-        np.testing.assert_array_equal(a, b)
+        # the spatial variant takes a zero half-width whatever the spec
+        # holds, and it is the center's own year of a temporal window
+        spatial = build_neighborhood(multi_ds, 100, NeighborhoodSpec(radius_km=150.0)).members
+        wide = build_neighborhood(multi_ds, 100, NeighborhoodSpec("spatial", 150.0, 2)).members
+        np.testing.assert_array_equal(wide, spatial)
+        np.testing.assert_array_equal(spatial, brute_force_members(multi_ds, 100, 150.0))
+        a = build_neighborhood(multi_ds, 100, NeighborhoodSpec("temporal", 150.0, 1)).members
+        np.testing.assert_array_equal(a[multi_ds.year[a] == multi_ds.year[100]], spatial)
 
     def test_interior_year_unions_three_slices(self, multi_ds):
         center = next(i for i in range(multi_ds.n) if multi_ds.year[i] == 2000)
-        got = temporal_neighborhood(multi_ds, center, 120.0, 1).members
+        got = build_neighborhood(multi_ds, center, NeighborhoodSpec("temporal", 120.0, 1)).members
         want = brute_force_members(multi_ds, center, 120.0, year_half_width=1)
         np.testing.assert_array_equal(got, want)
         years = set(multi_ds.year[got].tolist())
@@ -108,7 +124,7 @@ class TestTemporal:
 
     def test_boundary_year_truncates(self, multi_ds):
         center = next(i for i in range(multi_ds.n) if multi_ds.year[i] == 1999)
-        got = temporal_neighborhood(multi_ds, center, 100.0, 6).members
+        got = build_neighborhood(multi_ds, center, NeighborhoodSpec("temporal", 100.0, 6)).members
         assert set(multi_ds.year[got].tolist()) <= {1999, 2000, 2001}
         want = brute_force_members(multi_ds, center, 100.0, year_half_width=6)
         np.testing.assert_array_equal(got, want)
@@ -127,7 +143,8 @@ class TestTemporal:
         for center in rng.integers(0, ds.n, 60).tolist():
             radius = float(rng.uniform(0.0, 300.0))
             for ky in (0, 1, 3):
-                got = temporal_neighborhood(ds, center, radius, ky).members
+                spec = NeighborhoodSpec("temporal" if ky else "spatial", radius, ky)
+                got = build_neighborhood(ds, center, spec).members
                 want = brute_force_members(ds, center, radius, year_half_width=ky)
                 np.testing.assert_array_equal(got, want)
 
@@ -140,13 +157,14 @@ class TestTemporal:
 
         monkeypatch.setattr(neighborhoods, "haversine_km", counted)
         for ky in (0, 1, 6):
-            temporal_neighborhood(multi_ds, 100, 150.0, ky)
+            build_neighborhood(multi_ds, 100,
+                               NeighborhoodSpec("temporal" if ky else "spatial", 150.0, ky))
         assert len(calls) == 3
 
     def test_monotone_in_half_width(self, multi_ds):
         center = next(i for i in range(multi_ds.n) if multi_ds.year[i] == 2000)
-        a = temporal_neighborhood(multi_ds, center, 200.0, 1).members
-        b = temporal_neighborhood(multi_ds, center, 200.0, 2).members
+        a = build_neighborhood(multi_ds, center, NeighborhoodSpec("temporal", 200.0, 1)).members
+        b = build_neighborhood(multi_ds, center, NeighborhoodSpec("temporal", 200.0, 2)).members
         assert set(a) <= set(b)
 
 
@@ -179,45 +197,45 @@ class TestBisectSplit:
         assert mask.tolist() == [True, True, True, False, True]
 
 
+ALTITUDE = NeighborhoodSpec("cluster", 5000.0, cluster_covariate="altitude")
+
+
 class TestCluster:
     def test_two_obvious_groups(self):
         cols = make_grid_columns(nx=6, ny=1, lon0=-100.0, lat0=40.0, seed=7)
         cols["altitude"] = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
         ds = build_dataset(**cols)
-        nb = cluster_neighborhood(ds, 0, 5000.0, "altitude")
+        nb = build_neighborhood(ds, 0, ALTITUDE)
         assert nb.members.tolist() == [0, 1, 2]
-        assert not nb.degenerate_split
-        high = cluster_neighborhood(ds, 4, 5000.0, "altitude")
+        high = build_neighborhood(ds, 4, ALTITUDE)
         assert high.members.tolist() == [3, 4, 5]
 
     def test_constant_covariate_degenerate(self):
         cols = make_grid_columns(nx=4, ny=1, seed=8)
         cols["altitude"] = np.full(4, 700.0)
         ds = build_dataset(**cols)
-        nb = cluster_neighborhood(ds, 1, 5000.0, "altitude")
-        assert nb.degenerate_split
-        assert nb.members.size == 4
+        nb = build_neighborhood(ds, 1, ALTITUDE)
+        assert nb.members.tolist() == [0, 1, 2, 3]
 
     def test_two_members_forced_singleton(self):
         cols = make_grid_columns(nx=2, ny=1, seed=9)
         cols["altitude"] = np.array([100.0, 900.0])
         ds = build_dataset(**cols)
-        nb = cluster_neighborhood(ds, 0, 5000.0, "altitude")
+        nb = build_neighborhood(ds, 0, ALTITUDE)
         assert nb.members.tolist() == [0]
-        assert not nb.degenerate_split
 
     def test_singleton_neighborhood_flagged(self, multi_ds):
-        nb = cluster_neighborhood(multi_ds, 3, 0.0, "altitude")
-        assert nb.degenerate_split
+        nb = build_neighborhood(multi_ds, 3, replace(ALTITUDE, radius_km=0.0))
         assert nb.members.tolist() == [3]
 
     def test_subset_of_spatial(self, multi_ds):
         rng = np.random.default_rng(10)
         for _ in range(20):
             center = int(rng.integers(0, multi_ds.n))
-            r = float(rng.uniform(50, 300))
-            clustered = cluster_neighborhood(multi_ds, center, r, "clim_temp").members
-            spatial = spatial_neighborhood(multi_ds, center, r).members
+            spec = NeighborhoodSpec("cluster", float(rng.uniform(50, 300)),
+                                    cluster_covariate="clim_temp")
+            clustered = build_neighborhood(multi_ds, center, spec).members
+            spatial = build_neighborhood(multi_ds, center, replace(spec, variant="spatial")).members
             assert set(clustered) <= set(spatial)
             assert center in clustered
 
@@ -240,38 +258,29 @@ class TestSpecAndSamples:
 
     def test_dispatch(self, multi_ds):
         center = 50
-        spatial = build_neighborhood(multi_ds, center, NeighborhoodSpec("spatial", 150.0))
-        np.testing.assert_array_equal(
-            spatial.members, spatial_neighborhood(multi_ds, center, 150.0).members)
-        temporal = build_neighborhood(
-            multi_ds, center, NeighborhoodSpec("temporal", 150.0, year_half_width=2))
-        np.testing.assert_array_equal(
-            temporal.members,
-            temporal_neighborhood(multi_ds, center, 150.0, 2).members)
-        cluster = build_neighborhood(
-            multi_ds, center,
-            NeighborhoodSpec("cluster", 150.0, cluster_covariate="altitude"))
-        np.testing.assert_array_equal(
-            cluster.members,
-            cluster_neighborhood(multi_ds, center, 150.0, "altitude").members)
+        for spec in SPECS:
+            spec = replace(spec, radius_km=150.0)
+            nb = build_neighborhood(multi_ds, center, spec)
+            assert isinstance(nb, Neighborhood) and nb.center == center
+            np.testing.assert_array_equal(nb.members, reference_members(multi_ds, center, spec))
 
     def test_sample_extraction_skips_missing(self):
         cols = make_grid_columns(nx=5, ny=5, cnt_missing_frac=0.3,
                                  ba_missing_frac=0.3, seed=11)
         ds = build_dataset(**cols)
         spec = NeighborhoodSpec(radius_km=10000.0)
-        members = spatial_neighborhood(ds, 0, 10000.0).members[1:]
-        cs, source = fitting_sample(ds, 0, "cnt", spec)
+        members = build_neighborhood(ds, 0, spec).members[1:]
+        cs, source = fitting_samples(ds, [0], "cnt", spec)[0]
         assert source == "neighborhood"
         assert not np.any(np.isnan(cs))
         assert cs.size == np.count_nonzero(~np.isnan(ds.cnt[members]))
-        bs, _ = fitting_sample(ds, 0, "ba", spec)
+        bs, _ = fitting_samples(ds, [0], "ba", spec)[0]
         assert bs.size == np.count_nonzero(~np.isnan(ds.bap[members]))
 
     def test_sample_exclusion(self, multi_ds):
-        nb = spatial_neighborhood(multi_ds, 10, 200.0)
-        sample, _ = fitting_sample(multi_ds, 10, "cnt",
-                                   NeighborhoodSpec(radius_km=200.0))
+        spec = NeighborhoodSpec(radius_km=200.0)
+        nb = build_neighborhood(multi_ds, 10, spec)
+        sample, _ = fitting_samples(multi_ds, [10], "cnt", spec)[0]
         assert not np.isnan(multi_ds.cnt[10])
         assert sample.size == np.count_nonzero(~np.isnan(multi_ds.cnt[nb.members])) - 1
 
@@ -291,7 +300,7 @@ class TestSpecAndSamples:
             cols[variable][list(masked)] = np.nan
             ds = build_dataset(**cols)
             column = ds.cnt if variable == "cnt" else ds.bap
-            sample, got = fitting_sample(ds, 1, variable, spec)
+            sample, got = fitting_samples(ds, [1], variable, spec)[0]
             assert got == source
             assert column[1] not in sample
             np.testing.assert_array_equal(np.sort(sample), np.sort(column[expected]))
@@ -301,14 +310,7 @@ def reference_sample(ds, center, variable, spec):
     """The one-center ladder on brute-force members: neighborhood, then
     (month, year) slice, then month pool, center and NaNs left out."""
     column = ds.cnt if variable == "cnt" else ds.bap
-    ky = spec.year_half_width if spec.variant == "temporal" else 0
-    members = brute_force_members(ds, center, spec.radius_km, ky)
-    if spec.variant == "cluster" and members.size >= 2:
-        x = ds.covariate(spec.cluster_covariate)[members]
-        if np.std(x) > 0:
-            low = bisect_split((x - np.mean(x)) / np.std(x))
-            if low is not None:
-                members = members[low == low[members == center][0]]
+    members = reference_members(ds, center, spec)
     same_month = ds.month == ds.month[center]
     rungs = (("neighborhood", members),
              ("slice", np.flatnonzero(same_month & (ds.year == ds.year[center]))),
@@ -386,7 +388,8 @@ class TestStackedSamples:
                     spec = NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
                                             spec.cluster_covariate)
                     self.assert_matches_reference(gappy_ds, [center], spec)
-                members = spatial_neighborhood(gappy_ds, center, radius).members
+                members = build_neighborhood(gappy_ds, center,
+                                             NeighborhoodSpec(radius_km=radius)).members
                 assert same[d == radius][0] in members
 
     @pytest.mark.parametrize("factor", [1.0, 1.5, 2.5])
@@ -398,7 +401,8 @@ class TestStackedSamples:
                 gappy_ds, centers, NeighborhoodSpec(spec.variant, radius, spec.year_half_width,
                                                     spec.cluster_covariate))
         same = (gappy_ds.month == gappy_ds.month[0]) & (gappy_ds.year == gappy_ds.year[0])
-        assert spatial_neighborhood(gappy_ds, 0, radius).members.size == np.count_nonzero(same)
+        nb = build_neighborhood(gappy_ds, 0, NeighborhoodSpec(radius_km=radius))
+        assert nb.members.size == np.count_nonzero(same)
 
     @pytest.mark.parametrize("lon0", [178.0, -181.0])
     def test_grid_across_the_antimeridian(self, lon0):
@@ -414,7 +418,7 @@ class TestStackedSamples:
                     NeighborhoodSpec(spec.variant, radius, spec.year_half_width))
         # cells either side of the antimeridian are neighbors
         east = int(np.argmax(ds.lon))
-        members = spatial_neighborhood(ds, east, 60.0).members
+        members = build_neighborhood(ds, east, NeighborhoodSpec(radius_km=60.0)).members
         assert np.any(ds.lon[members] < 0.0)
 
     def test_grid_whose_band_reaches_a_pole(self):
@@ -440,7 +444,7 @@ class TestStackedSamples:
                                     spec.cluster_covariate)
             batch = fitting_samples(gappy_ds, centers, "ba", spec)
             backward = fitting_samples(gappy_ds, centers[::-1], "ba", spec)[::-1]
-            ones = [fitting_sample(gappy_ds, c, "ba", spec) for c in centers.tolist()]
+            ones = [fitting_samples(gappy_ds, [c], "ba", spec)[0] for c in centers.tolist()]
             monkeypatch.setattr(neighborhoods, "QUERY_BLOCK", 500)
             blocked = fitting_samples(gappy_ds, centers, "ba", spec)
             monkeypatch.undo()

@@ -289,6 +289,21 @@ def test_prediction_csv_rejects_a_repeated_pair(tmp_path):
         read_prediction_csv(str(path), "cnt")
 
 
+@pytest.mark.parametrize("line, fault", [
+    ("3,1,nan", "probability nan is not in"),
+    ("3,1,1.5", "probability 1.5 is not in"),
+    ("3,1,-0.25", "probability -0.25 is not in"),
+    ("3,inf,0.9", "threshold inf is not finite"),
+    ("3,nan,0.7", "threshold nan is not finite"),
+])
+def test_prediction_csv_rejects_an_unscorable_value(tmp_path, line, fault):
+    # score_rows would reject each of these later, without naming a line
+    path = tmp_path / "pred.csv"
+    path.write_text(f"index,threshold,probability\n3,0,0.5\n{line}\n")
+    with pytest.raises(DataError, match=f"pred.csv:3: {fault}"):
+        read_prediction_csv(str(path), "cnt")
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "1_0.5"])
 def test_readers_apply_the_ingest_token_rule(tmp_path, token):
     # int() and float() read digit-group underscores and non-ASCII
@@ -365,6 +380,18 @@ def test_run_all_tunes_when_unset(tmp_path, run_inputs):
     assert os.path.exists(os.path.join(out, "tuning.csv"))
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["selected"]["k1_cnt"] == artifacts.config.k1_cnt
+
+
+def test_tuned_run_is_byte_identical_across_worker_counts(tmp_path, run_inputs):
+    outs = [str(tmp_path / f"w{workers}") for workers in (1, 2)]
+    for out, workers in zip(outs, (1, 2)):
+        run_all(_run_config(run_inputs, out, k1_cnt=None, k1_bap=None, k2_bap=None,
+                            radii=(100.0, 150.0), quantiles=(0.4, 0.6), workers=workers))
+    for name in ("tuning.csv", "predictions_cnt.csv", "predictions_ba.csv",
+                 "diagnostics.csv", "scores.csv"):
+        with open(os.path.join(outs[0], name), "rb") as a, \
+                open(os.path.join(outs[1], name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 def test_run_all_labels_failing_stage(tmp_path, run_inputs):

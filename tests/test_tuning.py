@@ -10,7 +10,7 @@ from firemarg.counts import ZINB_PAD, fit_zinb
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
 from firemarg.geo import haversine_km
-from firemarg.neighborhoods import NeighborhoodSpec, fitting_sample, spatial_neighborhood
+from firemarg.neighborhoods import NeighborhoodSpec, build_neighborhood, fitting_samples
 from firemarg.scoring import ScoreConfig, score_one
 from firemarg.tuning import (
     DEFAULT_QUANTILES,
@@ -82,14 +82,17 @@ def test_plan_tie_breaks_to_smallest_id():
 
 
 def test_plan_skips_uncovered_slice(caplog):
-    cols = make_grid_columns(nx=3, ny=3, months=(6, 7), seed=5)
-    month = cols["month"]
-    cols["cnt"][month == 7] = np.nan
+    # rows run year by year and slices month by month, so the two
+    # uncovered slices come in the opposite order to their ids
+    cols = make_grid_columns(nx=3, ny=3, months=(6, 7), years=(2000, 2001), seed=5)
+    month, year = cols["month"], cols["year"]
+    uncovered = ((month == 7) & (year == 2000)) | ((month == 6) & (year == 2001))
+    cols["cnt"][uncovered] = np.nan
     ds = build_dataset(**cols)
     with caplog.at_level("WARNING", logger="firemarg.tuning"):
         plan = build_cv_plan(ds, "cnt")
     assert plan.pairs == ()
-    assert sorted(plan.skipped) == list(np.flatnonzero(month == 7))
+    assert plan.skipped == tuple(np.flatnonzero(uncovered).tolist())
     assert "no same-slice candidate" in caplog.text
 
 
@@ -114,7 +117,7 @@ def test_cv_score_matches_reference_loop():
     for radius in (120.0, 200.0):
         expected, widths = [], set()
         for _, s in plan.pairs:
-            members = spatial_neighborhood(ds, s, radius).members
+            members = build_neighborhood(ds, s, NeighborhoodSpec(radius_km=radius)).members
             members = members[members != s]
             vals = ds.cnt[members]
             vals = vals[~np.isnan(vals)]
@@ -200,7 +203,7 @@ def test_bap_scores_equal_a_per_pair_reference_loop():
         for q in quantiles:
             scores = []
             for _, s in plan.pairs:
-                model = fit_mixture(fitting_sample(ds, s, "ba", spec)[0], q)
+                model = fit_mixture(fitting_samples(ds, [s], "ba", spec)[0][0], q)
                 outcomes[model.fallback_reason or model.kind] += 1
                 row = cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
                 scores.append(score_one(row, float(ds.ba[s]), cfg))
