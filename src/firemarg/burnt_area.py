@@ -19,12 +19,12 @@ GPD tail of every sample to one `fit_gpds` call. That runs Grimshaw's
 profile search on 2-D arrays, one block per exceedance count m: within
 a block each set's sums run over exactly its own m values in a
 contiguous layout, so they pair their terms as a lone fit does and a
-stacked fit equals the lone fit bit for bit. `cdf_rows` builds the rows
-of all levels of one sample in one vectorised pass. The single-model
-entry points are these called with one item: `fit_gpd` is `fit_gpds` on
-one set, `fit_mixture` is `fit_mixtures` on one sample at one level,
-and `cdf_row` is `cdf_rows` on one model, so prediction and
-cross-validation share one fit path and one row builder.
+stacked fit equals the lone fit bit for bit. The single-model entry
+points are these called with one item: `fit_gpd` is `fit_gpds` on one
+set, and `fit_mixture` is `fit_mixtures` on one sample at one level.
+`cdf_rows` builds the rows of a batch of fitted models, count or
+burnt-area, each sample's levels in one vectorised pass, so prediction
+and cross-validation share one fit path and one row builder.
 
 Rows lie in [0, 1] and never decrease with no clip or repair: H_u(u) is
 exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
@@ -191,7 +191,7 @@ def _profile_search(r):
     return nll[rows, g], xi[rows, g], sigma[rows, g]
 
 
-def fit_gpds(sets, min_exceed: int = MIN_EXCEED) -> list:
+def fit_gpds(sets) -> list:
     """`fit_gpd` of every (values, threshold) of sets, in one stacked
     search: per set, its GpdParams or the GpdFitError fit_gpd raises.
 
@@ -203,8 +203,8 @@ def fit_gpds(sets, min_exceed: int = MIN_EXCEED) -> list:
     by_size: dict = {}
     for i, (values, threshold) in enumerate(sets):
         values = np.asarray(values, dtype=float)
-        if values.size < min_exceed:
-            out[i] = GpdFitError(f"need at least {min_exceed} exceedances, "
+        if values.size < MIN_EXCEED:
+            out[i] = GpdFitError(f"need at least {MIN_EXCEED} exceedances, "
                                  f"got {values.size}")
         else:
             by_size.setdefault(values.size, []).append((i, values, float(threshold)))
@@ -240,7 +240,7 @@ def fit_gpds(sets, min_exceed: int = MIN_EXCEED) -> list:
     return out
 
 
-def fit_gpd(values, threshold: float, min_exceed: int = MIN_EXCEED) -> GpdParams:
+def fit_gpd(values, threshold: float) -> GpdParams:
     """MLE of (sigma, xi) on exceedances of the threshold.
 
     sigma is profiled out (Grimshaw 1993), so the search is over one
@@ -249,7 +249,7 @@ def fit_gpd(values, threshold: float, min_exceed: int = MIN_EXCEED) -> GpdParams
     they are all identical; callers treat that as the signal to fall
     back to an empirical CDF. This is `fit_gpds` on one set.
     """
-    fit, = fit_gpds([(values, threshold)], min_exceed)
+    fit, = fit_gpds([(values, threshold)])
     if isinstance(fit, GpdFitError):
         raise fit
     return fit
@@ -317,7 +317,7 @@ def threshold_order_statistic(sorted_sample: np.ndarray, k2):
     return sorted_sample[idx.astype(np.intp) - 1]
 
 
-def fit_mixtures(samples, levels, min_exceed: int = MIN_EXCEED) -> list:
+def fit_mixtures(samples, levels) -> list:
     """`fit_mixture` of every sample at every level: per sample, the
     list of its fits in the order of levels.
 
@@ -348,14 +348,14 @@ def fit_mixtures(samples, levels, min_exceed: int = MIN_EXCEED) -> list:
             # u == 0 exactly when the zero count reaches the k2 order statistic
             if u_q <= 0.0:
                 reasons.append("zero mass at or above the k2 level")
-            elif n - first < min_exceed:
+            elif n - first < MIN_EXCEED:
                 reasons.append("too few exceedances")
             else:
                 reasons.append(None)
                 sets.append((srt[first:], u_q))
         prepared.append((srt, u, reasons))
 
-    tails = iter(fit_gpds(sets, min_exceed))
+    tails = iter(fit_gpds(sets))
     fits = []
     for srt, u, reasons in prepared:
         n = srt.size
@@ -377,21 +377,22 @@ def fit_mixtures(samples, levels, min_exceed: int = MIN_EXCEED) -> list:
     return fits
 
 
-def fit_mixture(sample, k2: float, min_exceed: int = MIN_EXCEED) -> BaMixture:
+def fit_mixture(sample, k2: float) -> BaMixture:
     """Fit the zero/bulk/GPD mixture at non-exceedance level k2.
 
     Falls back to the full-sample empirical CDF when the zero mass
-    reaches k2 (threshold degenerates to 0), when fewer than min_exceed
+    reaches k2 (threshold degenerates to 0), when fewer than MIN_EXCEED
     values lie strictly above the threshold, or when the tail fit fails.
     This is `fit_mixtures` on one sample at one level.
     """
-    return fit_mixtures([sample], (k2,), min_exceed)[0][0]
+    return fit_mixtures([sample], (k2,))[0][0]
 
 
-def cdf_rows(models, thresholds, capacity: float) -> np.ndarray:
-    """CDF rows on an absolute threshold grid of models fitted to one
-    sample (for a burnt-area sample, one per tail level), one row per
-    model.
+def cdf_rows(fits, thresholds, capacities, levels: int = 1) -> np.ndarray:
+    """CDF rows on an absolute threshold grid, of shape (levels, centers,
+    thresholds): fits holds, per center, the models of its levels (one
+    per burnt-area tail level, or one model), and capacities one cell
+    capacity per center. levels shapes an empty batch.
 
     A count model's CDF already is its row. A burnt-area mixture lives
     on the proportion scale: the grid is divided by the cell capacity,
@@ -399,18 +400,17 @@ def cdf_rows(models, thresholds, capacity: float) -> np.ndarray:
     regardless of the fitted tail. This is the one capacity pin, for
     predicted and CV rows alike; `rules.saturation_flags` only labels
     the rows it touched. The pins are a suffix of the increasing grid.
+    Each center's rows are built alone, whatever the batch.
     """
-    if not isinstance(models[0], BaMixture):
-        return np.array([model.cdf(thresholds) for model in models])
-    scaled, forced = rescaled_thresholds(thresholds, capacity)
-    rows = _mixture_cdf(models, scaled)
-    rows[:, forced] = 1.0
+    rows = np.empty((levels, len(fits), thresholds.size))
+    for j, (models, capacity) in enumerate(zip(fits, capacities)):
+        if isinstance(models[0], BaMixture):
+            scaled, forced = rescaled_thresholds(thresholds, capacity)
+            rows[:, j] = _mixture_cdf(models, scaled)
+            rows[:, j, forced] = 1.0
+        else:
+            rows[:, j] = [model.cdf(thresholds) for model in models]
     return rows
-
-
-def cdf_row(model, thresholds, capacity: float) -> np.ndarray:
-    """CDF row of one fitted model: `cdf_rows` on one model."""
-    return cdf_rows([model], thresholds, capacity)[0]
 
 
 def sample_gpd(params: GpdParams, n: int, rng) -> np.ndarray:

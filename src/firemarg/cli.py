@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig, format_config, load_config, with_overrides
 from .data import write_csv
 from .dependence import dependence_report, quadrant_split
-from .errors import FiremargError
+from .errors import DataError, FiremargError
 from .neighborhoods import VARIANTS
 from .pipeline import (
     choose_water_cut,
@@ -44,8 +44,22 @@ def _ints(raw: str) -> tuple:
 
 
 def _read_weights(path: str) -> tuple:
-    with open(path) as fh:
-        return tuple(float(line) for line in fh if line.strip())
+    """Score weights, one per nonblank line; DataError naming the path,
+    and the line for a value that does not parse."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read weights {path}: {exc}") from exc
+    weights = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                weights.append(float(line))
+            except ValueError:
+                raise DataError(f"{path}:{number}: cannot parse weight "
+                                f"{line.strip()!r}") from None
+    return tuple(weights)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -69,6 +69,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DataError(f"{name} must be finite and positive, got {value}")
+        for name in ("water_cut", "water_target"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:                # NaN fails too
+                raise DataError(f"{name} must lie in [0, 1], got {value}")
         if self.ky < 0 or self.workers < 0:
             raise DataError("ky and workers must be nonnegative")
         TuningGrid(radii=self.radii, quantiles=self.quantiles)

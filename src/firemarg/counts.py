@@ -408,7 +408,7 @@ def _newton_fits(lik: _ProfileLiks, a, b):
     return out[0], out[1], out[2], converged
 
 
-def fit_zinbs(samples, min_fit: int = MIN_FIT) -> list:
+def fit_zinbs(samples) -> list:
     """`fit_zinb` of every sample, in one stacked search: per sample, its
     CountModel.
 
@@ -433,7 +433,7 @@ def fit_zinbs(samples, min_fit: int = MIN_FIT) -> list:
     tops = np.maximum.reduceat(flat, np.cumsum([0] + [s.size for s in samples[:-1]]))
     by_width: dict = {}
     for i, (sample, top) in enumerate(zip(samples, tops.tolist())):
-        if sample.size < min_fit:
+        if sample.size < MIN_FIT:
             out[i] = empirical(i, "too few values")
         elif top == 0:
             out[i] = empirical(i, "all zero")
@@ -460,19 +460,19 @@ def fit_zinbs(samples, min_fit: int = MIN_FIT) -> list:
     return out
 
 
-def fit_zinb(sample, min_fit: int = MIN_FIT) -> CountModel:
+def fit_zinb(sample) -> CountModel:
     """Maximum-likelihood ZINB fit with empirical fallback.
 
     pi is profiled out in closed form and a damped Newton search from
     the moment-based start maximizes the rest over (log mu, log r), with
     r capped at R_MAX (the Poisson limit). The fit is deterministic and
     never ends below its start. Falls back when the sample has fewer
-    than min_fit values or is all zeros, and with "optimizer did not
+    than MIN_FIT values or is all zeros, and with "optimizer did not
     converge" in one case only: the search stops, after MAX_NEWTON steps
     or at a step it cannot improve on, while the Newton decrement is
     still above its tolerance. This is `fit_zinbs` on one sample.
     """
-    return fit_zinbs([sample], min_fit)[0]
+    return fit_zinbs([sample])[0]
 
 
 def sample_zinb(params: ZinbParams, n: int, rng) -> np.ndarray:

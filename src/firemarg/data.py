@@ -177,6 +177,10 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
     for grid, label in ((cnt_t, "cnt"), (ba_t, "ba")):
         if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
             raise DataError(f"{label} thresholds must be finite and strictly increasing")
+    # a count grid may start below 0 (the CDF is 0 there), but burnt-area
+    # thresholds are rescaled to proportions, which are never negative
+    if np.any(ba_t < 0):
+        raise DataError(f"burnt-area threshold grid must be nonnegative, got {ba_t[0]:g}")
 
     # the cell grid; a complex key orders and compares as its pair, and
     # sorts several times faster than np.unique(..., axis=0) on two columns

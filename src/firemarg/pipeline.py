@@ -8,14 +8,13 @@ The missing indices of each variable are split into consecutive
 chunks, and one worker pool runs the chunks of both variables. A chunk
 builds its indices' samples with one stacked `fitting_samples` query;
 its count models come from one stacked `fit_zinbs` call, and its
-burnt-area models from one `fit_mixture` call per index. Each row is
-built by `cdf_row`. Burnt-area rows are modelled in proportion space
-and emitted against the absolute threshold grid; the rescaling by cell
-capacity stays internal. A stacked query returns each center's sample
-as a lone query would, and a stacked count fit equals the lone fit bit
-for bit, so a model does not depend on its chunk, and the worker pool
-cannot change any value: results are merged back per variable in index
-order.
+burnt-area models from one `fit_mixture` call per index, and its rows
+from one `cdf_rows` call, as in cross-validation. Burnt-area rows are
+modelled in proportion space and emitted against the absolute
+threshold grid; the rescaling by cell capacity stays internal. Samples,
+fits and rows of a stacked call equal lone calls bit for bit, so a row
+does not depend on its chunk, and the worker pool cannot change any
+value: each variable's chunks are joined back in index order.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .burnt_area import cdf_row, fit_mixture
+from .burnt_area import cdf_rows, fit_mixture
 from .config import RunConfig, config_hash
 from .counts import fit_zinbs
 from .data import Dataset, PredictionTable, _to_float, ingest
@@ -81,10 +80,10 @@ def _init_worker(ds: Dataset) -> None:
 
 
 def _predict_block(payload, ds: Dataset | None = None):
-    """(row, diagnostic) per index of one chunk, in order, on ds or, in
-    a pool worker, on the worker's Dataset. The chunk's count models
-    are fitted by one `fit_zinbs` call; burnt-area models are fitted
-    one index at a time."""
+    """(rows, diagnostics) of one chunk, in index order, on ds or, in a
+    pool worker, on the worker's Dataset. Count models are fitted by one
+    `fit_zinbs` call, burnt-area models one index at a time, and the
+    rows, one array, by one `cdf_rows` call."""
     indices, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
     samples, sources = zip(*fitting_samples(ds, indices, variable, spec))
@@ -95,18 +94,18 @@ def _predict_block(payload, ds: Dataset | None = None):
         grid, models = ds.cnt_thresholds, fit_zinbs(samples)
     else:
         grid, models = ds.ba_thresholds, [fit_mixture(s, k2) for s in samples]
-    return [(cdf_row(model, grid, float(ds.capacity[i])),
-             Diagnostic(index=i, variable=variable, source=source,
-                        sample_size=int(sample.size), model=model.kind,
-                        fallback=model.fallback_reason or "", forced=""))
-            for i, sample, source, model in zip(indices.tolist(), samples, sources, models)]
+    rows = cdf_rows([[model] for model in models], grid, ds.capacity[indices])[0]
+    return rows, [Diagnostic(index=i, variable=variable, source=source,
+                             sample_size=int(sample.size), model=model.kind,
+                             fallback=model.fallback_reason or "", forced="")
+                  for i, sample, source, model in zip(indices.tolist(), samples, sources, models)]
 
 
 def _predict_rows(ds: Dataset, jobs, workers: int) -> list:
     """(rows, diagnostics) of each (variable, spec, k2) job, in order.
     Each variable's missing indices are split into `workers * 4`
     consecutive chunks, and every chunk of every job runs on one worker
-    pool; the results are split back by job in index order."""
+    pool; the results are joined back by job in index order."""
     payloads, chunks = [], []
     for variable, spec, k2 in jobs:
         missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
@@ -122,12 +121,12 @@ def _predict_rows(ds: Dataset, jobs, workers: int) -> list:
         blocks = [_predict_block(p, ds) for p in payloads]
     out = []
     for (variable, _, _), n in zip(jobs, chunks):
-        # chunks are consecutive and map keeps their order: index order
-        results = [result for block in blocks[:n] for result in block]
-        blocks = blocks[n:]
+        # chunks are consecutive and map keeps their order: index order;
+        # the empty block shapes a variable with no missing index
         grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
-        rows = np.array([row for row, _ in results]).reshape(-1, grid.size)
-        out.append((rows, [diag for _, diag in results]))
+        rows = np.concatenate([np.empty((0, grid.size))] + [r for r, _ in blocks[:n]])
+        out.append((rows, [d for _, diags in blocks[:n] for d in diags]))
+        blocks = blocks[n:]
     return out
 
 

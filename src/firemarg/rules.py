@@ -10,9 +10,9 @@ indices, in index order; `resolve_forced` merges the masks and
 fitting. Deduced values are never inserted into neighborhood samples.
 
 A third, geometric certainty, probability 1 at every burnt-area
-threshold at or above the cell capacity, has one pin: `cdf_row` sets
-those entries when it builds the row. `saturation_flags` only finds
-them, for the `tail_one` label.
+threshold at or above the cell capacity, has one pin:
+`burnt_area.cdf_rows` sets those entries when it builds the rows.
+`saturation_flags` only finds them, for the `tail_one` label.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def deduce_from_water(ds: Dataset, water_cut: float = DEFAULT_WATER_CUT) -> dict
 
 def saturation_flags(ds: Dataset) -> np.ndarray:
     """Burnt-area thresholds at or above capacity: one row per index of
-    ds.ba_missing, one column per threshold. `cdf_row` has already
-    pinned these entries to 1; a row with any flag is labelled
+    ds.ba_missing, one column per threshold. `burnt_area.cdf_rows` has
+    already pinned these entries to 1; a row with any flag is labelled
     TAIL_ONE."""
     return rescaled_thresholds(ds.ba_thresholds, ds.capacity[ds.ba_missing, None])[1]
 

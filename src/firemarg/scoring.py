@@ -42,8 +42,10 @@ class ScoreConfig:
         if w.shape != t.shape:
             raise DataError(
                 f"weights length {w.size} does not match {t.size} thresholds")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise DataError("weights must be nonnegative and not all zero")
+        # a NaN or infinite weight gives NaN scores, and NaN CV totals
+        # leave the grid search's minimum arbitrary
+        if not (np.all((w >= 0) & np.isfinite(w)) and np.any(w > 0)):
+            raise DataError("weights must be finite, nonnegative and not all zero")
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "weights", w)
 

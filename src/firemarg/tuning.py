@@ -8,9 +8,9 @@ scored by fitting the marginal model to the surrogate's sample from
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. Prediction uses the same ladder, the same
 fit path and the same row builder: a stacked `counts.fit_zinbs` fit
-equals the lone fit, and `burnt_area.fit_mixture` and `cdf_row` are
-`fit_mixtures` and `cdf_rows` called with one level. So CV scores
-exactly the model that prediction emits, bit for bit. An empty
+equals the lone fit, `burnt_area.fit_mixture` is `fit_mixtures` called
+with one level, and `burnt_area.cdf_rows` builds both their rows. So CV
+scores exactly the model that prediction emits, bit for bit. An empty
 neighborhood widens along that ladder, so each candidate is scored on
 the full plan. The candidate combination with the smallest total score
 wins; ties go to the smaller parameters.
@@ -20,11 +20,11 @@ stacked `fitting_samples` query builds every distinct surrogate's
 sample once, and each is fitted. For counts, one `fit_zinbs` call fits
 every surrogate of the radius in one stacked Newton search. For burnt
 area, one `fit_mixtures` call fits every surrogate at every candidate
-tail level, with all their GPD tails in one stacked search, and
-`cdf_rows` builds each surrogate's rows for all levels at once; the
-levels whose fit falls back to the empirical CDF share one row. One
-vectorised `score_rows` call then scores every (level, surrogate), and
-each level's total is summed over the plan's pairs in order.
+tail level, with all their GPD tails in one stacked search. One
+`cdf_rows` call builds the rows of every (level, surrogate); the levels
+whose fit falls back to the empirical CDF share one row. One vectorised
+`score_rows` call then scores them all, and each level's total is
+summed over the plan's pairs in order.
 """
 
 from __future__ import annotations
@@ -103,27 +103,27 @@ def build_cv_plan(ds: Dataset, variable: str) -> CvPlan:
 
 
 def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
-             config: ScoreConfig, k2=None):
-    """Total score over the CV plan of the count model (plan variable
-    "cnt", k2 unused) or of the burnt-area model at level k2.
+             config: ScoreConfig, k2=None) -> tuple:
+    """Total score over the CV plan per level, as a tuple: one level for
+    the count model (plan variable "cnt", k2 unused), and for the
+    burnt-area model one per level of k2, a level or a sequence.
 
     One `fitting_samples` query builds every distinct surrogate's
-    sample. Counts are fitted by one `fit_zinbs` call. k2 may be a
-    sequence of levels; the totals then come back as a tuple in the
-    same order, from one pass over the plan: one `fit_mixtures` call
-    fits every surrogate at every level, and the empirical fallbacks
-    share one row (the empirical CDF does not depend on k2). One `score_rows` call scores
-    every (level, surrogate). Duplicate surrogates are scored once per
-    occurrence, and each total is np.sum over the plan's pairs in
-    order. A pair is skipped only when the surrogate is the lone
-    observation in its month pool, which no radius can change.
+    sample. Counts are fitted by one `fit_zinbs` call, burnt area by one
+    `fit_mixtures` call at every level, and one `cdf_rows` call builds
+    every row; the empirical fallbacks share one row (the empirical CDF
+    does not depend on k2). One `score_rows` call scores every (level,
+    surrogate). Duplicate surrogates are scored once per occurrence, and
+    each total is np.sum over the plan's pairs in order. A pair is
+    skipped only when the surrogate is the lone observation in its
+    month pool, which no radius can change.
     """
     if plan.variable == "cnt":
-        scalar, levels = True, (None,)
+        levels = (None,)
     elif k2 is None:
         raise DataError("burnt-area CV needs a k2 level")
     else:
-        scalar, levels = np.ndim(k2) == 0, tuple(np.atleast_1d(k2).tolist())
+        levels = tuple(np.atleast_1d(k2).tolist())
     surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
     samples = dict(zip(surrogates, (sample for sample, _ in fitting_samples(
         ds, surrogates, plan.variable, spec))))
@@ -132,15 +132,12 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
         fits = [[model] for model in fit_zinbs([samples[s] for s in live])]
     else:
         fits = fit_mixtures([samples[s] for s in live], levels)
-    rows = np.empty((len(levels), len(live), config.thresholds.size))
-    for j, (surrogate, models) in enumerate(zip(live, fits)):
-        rows[:, j] = cdf_rows(models, config.thresholds, float(ds.capacity[surrogate]))
+    rows = cdf_rows(fits, config.thresholds, ds.capacity[live], len(levels))
     column = ds.cnt if plan.variable == "cnt" else ds.ba
     scores = score_rows(rows, column[live], config)
     column_of = {surrogate: j for j, surrogate in enumerate(live)}
     pairs = [column_of[s] for _, s in plan.pairs if s in column_of]
-    totals = tuple(float(np.sum(level_scores)) for level_scores in scores[:, pairs])
-    return totals[0] if scalar else totals
+    return tuple(float(np.sum(level_scores)) for level_scores in scores[:, pairs])
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ def select_parameters(ds: Dataset, cnt_grid: TuningGrid, bap_grid: TuningGrid,
     for radius in cnt_grid.radii:
         spec = replace(base_spec, radius_km=float(radius))
         cnt_scores.append((float(radius),
-                           cv_score(ds, spec, cnt_plan, cnt_cfg)))
+                           cv_score(ds, spec, cnt_plan, cnt_cfg)[0]))
     cnt_best = min(cnt_scores, key=lambda t: (t[1], t[0]))[0]
 
     ba_plan = build_cv_plan(ds, "ba")

@@ -22,13 +22,16 @@ from firemarg.burnt_area import (
     XI_LO,
     BaMixture,
     GpdParams,
+    cdf_rows,
     fit_gpd,
     fit_gpds,
     fit_mixture,
+    fit_mixtures,
     gpd_cdf,
     sample_gpd,
     threshold_order_statistic,
 )
+from firemarg.counts import fit_zinb
 from firemarg.data import default_ba_thresholds
 from firemarg.errors import DataError, GpdFitError
 
@@ -307,6 +310,36 @@ def test_rows_are_valid_without_repair():
                 assert np.all((row >= 0.0) & (row <= 1.0))
                 assert np.all(np.diff(row) >= 0.0)
     assert tails > 500
+
+
+def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
+    # a ZINB fit, an empirical count fallback, a GPD mixture, an
+    # empirical burnt-area fallback and a mixture pinned at capacity
+    rng = np.random.default_rng(41)
+    sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
+    zinb = fit_zinb(rng.negative_binomial(2, 0.3, 200).astype(float))
+    counted = fit_zinb(np.array([0.0, 1.0, 3.0]))
+    tail, flat = fit_mixture(sample, 0.5), fit_mixture(sample, 0.1)
+    assert [m.kind for m in (zinb, counted, tail, flat)] == \
+        ["zinb", "empirical", "mixture", "empirical"]
+    thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
+    fits = [[zinb], [counted], [tail], [flat], [tail]]
+    capacities = [500.0, 500.0, 2000.0, 2000.0, 150.0]
+    batch = cdf_rows(fits, thresholds, capacities)
+    assert batch.shape == (1, len(fits), thresholds.size)
+    for j, (models, capacity) in enumerate(zip(fits, capacities)):
+        assert np.array_equal(batch[:, j], cdf_rows([models], thresholds, [capacity])[:, 0])
+    assert np.all(batch[0, 4, thresholds >= 150.0] == 1.0)
+    assert batch[0, 2, 4] < 1.0
+
+    # every level of each sample, and an empty batch keeps its levels
+    levels = (0.1, 0.5, 0.9)
+    fits = fit_mixtures([sample, sample[::2]], levels)
+    batch = cdf_rows(fits, thresholds, [2000.0, 150.0], len(levels))
+    for j, (models, capacity) in enumerate(zip(fits, [2000.0, 150.0])):
+        assert np.array_equal(batch[:, j],
+                              cdf_rows([models], thresholds, [capacity], len(levels))[:, 0])
+    assert cdf_rows([], thresholds, [], len(levels)).shape == (len(levels), 0, thresholds.size)
 
 
 def test_threshold_order_statistic():

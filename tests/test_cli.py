@@ -7,6 +7,7 @@ import pytest
 
 from firemarg.cli import main
 from firemarg.config import RunConfig, format_config, load_config
+from firemarg.data import default_cnt_thresholds
 from firemarg.pipeline import read_prediction_csv
 
 
@@ -159,6 +160,37 @@ def test_weights_file_changes_scores(tmp_path, synth_dir, capsys):
         line = [x for x in printed.splitlines() if x.startswith("total score:")]
         totals.append(float(line[0].split()[-1]))
     assert totals[0] != totals[1]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read weights"),
+    ("1.0\nabc\n", "w.txt:2: cannot parse weight 'abc'"),
+])
+def test_bad_weights_file_is_a_cli_error(tmp_path, synth_dir, capsys, content, message):
+    weights = tmp_path / "w.txt"
+    if content is not None:
+        weights.write_text(content)
+    code = main(["run", "--data", os.path.join(synth_dir, "data.csv"),
+                 "--out", str(tmp_path / "out"), "--weights", str(weights)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert str(weights) in err
+
+
+def test_run_rejects_non_finite_score_weights(tmp_path, synth_dir, capsys):
+    # NaN CV totals would leave the tuned radius to the order of the grid
+    weights = ["1"] * default_cnt_thresholds().size
+    weights[1] = "nan"
+    config_path = tmp_path / "nan.ini"
+    config_path.write_text("[model]\nradii = 100 150\nquantiles = 0.5\n"
+                           f"[score]\ncnt_weights = {' '.join(weights)}\n"
+                           "[run]\nworkers = 1\n")
+    code = main(["run", "--data", os.path.join(synth_dir, "data.csv"),
+                 "--config", str(config_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weights must be finite" in err
 
 
 def test_tune_command(tmp_path, synth_dir, capsys):

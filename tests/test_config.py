@@ -124,6 +124,17 @@ def test_rejects_non_finite_or_non_positive_geometry():
     RunConfig(earth_radius_km=6371.0, unit_scale=1.0, lon_width=0.25, lat_height=1.0)
 
 
+@pytest.mark.parametrize("name", ["water_cut", "water_target"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1, 5.0])
+def test_rejects_water_settings_outside_the_unit_interval(name, value):
+    # lc18 > nan is always False, and a target above 1 is never met
+    with pytest.raises(DataError, match=rf"{name} must lie in \[0, 1\]"):
+        RunConfig(**{name: value})
+    with pytest.raises(DataError, match=rf"{name} must lie in \[0, 1\]"):
+        load_config(text=f"[rules]\n{name} = {value}\n")
+    assert getattr(RunConfig(**{name: 1.0}), name) == 1.0
+
+
 def test_with_overrides():
     base = RunConfig()
     same = with_overrides(base, seed=None, k1_cnt=None)

@@ -88,6 +88,15 @@ class TestBuildDataset:
             with pytest.raises(DataError, match="finite and strictly increasing"):
                 build_dataset(**make_grid_columns(), **grid)
 
+    def test_rejects_negative_burnt_area_thresholds(self):
+        # a proportion is never negative, so the run would fail later
+        # in tune or predict, naming no setting
+        with pytest.raises(DataError, match="burnt-area threshold grid"):
+            build_dataset(**make_grid_columns(), ba_thresholds=[-1.0, 0.0, 10.0, 100.0])
+        # a count CDF is 0 below zero, so a count grid may start there
+        ds = build_dataset(**make_grid_columns(), cnt_thresholds=[-1.0, 0.0, 1.0])
+        assert ds.cnt_thresholds[0] == -1.0
+
     def test_rejects_fractional_count(self):
         cols = make_grid_columns()
         cols["cnt"][0] = 2.5

@@ -53,6 +53,20 @@ def test_tables_cover_missing_indices_once(masked_ds):
     assert len(res.diagnostics) == masked_ds.cnt_missing.size + masked_ds.ba_missing.size
 
 
+@pytest.mark.parametrize("variable, kinds", [("cnt", {"zinb"}),
+                                             ("ba", {"mixture", "empirical"})])
+def test_chunk_rows_equal_single_index_chunks(masked_ds, variable, kinds):
+    indices = masked_ds.cnt_missing if variable == "cnt" else masked_ds.ba_missing
+    payload = (indices, variable, NeighborhoodSpec(radius_km=300.0), 0.7)
+    rows, diags = pipeline._predict_block(payload, masked_ds)
+    alone = [pipeline._predict_block((indices[p:p + 1],) + payload[1:], masked_ds)
+             for p in range(indices.size)]
+    assert rows.shape == (indices.size, 28)
+    assert np.array_equal(rows, np.concatenate([r for r, _ in alone]))
+    assert diags == [d for _, block in alone for d in block]
+    assert {d.model for d in diags} == kinds
+
+
 def test_both_variables_share_one_worker_pool(masked_ds, monkeypatch, tmp_path):
     pools = []
 

@@ -39,6 +39,14 @@ def test_config_validation():
             ScoreConfig(thresholds=np.array(bad))
 
 
+def test_config_rejects_non_finite_weights():
+    # a NaN weight scores every row NaN, and NaN CV totals would leave
+    # the grid search's minimum arbitrary
+    for bad in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+        with pytest.raises(DataError, match="weights must be finite"):
+            ScoreConfig(np.array([0.0, 1.0, 2.0]), np.array(bad))
+
+
 def test_perfect_forecast_scores_zero():
     cfg = ScoreConfig(thresholds=np.array([0.0, 1.0, 5.0, 10.0]))
     observed = 3.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from firemarg import tuning
-from firemarg.burnt_area import cdf_row, fit_mixture
+from firemarg.burnt_area import cdf_rows, fit_mixture
 from firemarg.counts import ZINB_PAD, fit_zinb
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
@@ -125,7 +125,7 @@ def test_cv_score_matches_reference_loop():
             model = fit_zinb(vals)
             expected.append(score_one(model.cdf(ds.cnt_thresholds), ds.cnt[s], cfg))
         spec = NeighborhoodSpec(radius_km=radius)
-        assert cv_score(ds, spec, plan, cfg) == float(np.sum(expected))
+        assert cv_score(ds, spec, plan, cfg)[0] == float(np.sum(expected))
         assert len(widths) >= 3
 
 
@@ -135,7 +135,7 @@ def test_empty_neighborhood_widens_to_slice_pool():
     ds = _ds(nx=4, ny=4, seed=9, cnt_missing_frac=0.1)
     plan = build_cv_plan(ds, "cnt")
     cfg = ScoreConfig(ds.cnt_thresholds)
-    tiny = cv_score(ds, NeighborhoodSpec(radius_km=5.0), plan, cfg)
+    tiny, = cv_score(ds, NeighborhoodSpec(radius_km=5.0), plan, cfg)
     assert tiny > 0.0
 
     expected = []
@@ -151,8 +151,8 @@ def test_duplicate_surrogates_score_per_occurrence():
     s = int(build_cv_plan(ds, "cnt").pairs[0][1])
     cfg = ScoreConfig(ds.cnt_thresholds)
     spec = NeighborhoodSpec(radius_km=120.0)
-    one = cv_score(ds, spec, CvPlan("cnt", ((0, s),)), cfg)
-    two = cv_score(ds, spec, CvPlan("cnt", ((0, s), (1, s))), cfg)
+    one, = cv_score(ds, spec, CvPlan("cnt", ((0, s),)), cfg)
+    two, = cv_score(ds, spec, CvPlan("cnt", ((0, s), (1, s))), cfg)
     assert two == pytest.approx(2.0 * one)
     assert one > 0.0
 
@@ -205,7 +205,7 @@ def test_bap_scores_equal_a_per_pair_reference_loop():
             for _, s in plan.pairs:
                 model = fit_mixture(fitting_samples(ds, [s], "ba", spec)[0][0], q)
                 outcomes[model.fallback_reason or model.kind] += 1
-                row = cdf_row(model, ds.ba_thresholds, float(ds.capacity[s]))
+                row = cdf_rows([[model]], ds.ba_thresholds, [float(ds.capacity[s])])[0, 0]
                 scores.append(score_one(row, float(ds.ba[s]), cfg))
             expected.append((radius, q, float(np.sum(scores))))
     assert set(outcomes) == {"zero mass at or above the k2 level",
@@ -243,14 +243,17 @@ def test_identical_members_give_identical_scores():
     ds = _ds(nx=4, ny=4, seed=17, cnt_missing_frac=0.2)
     cfg = ScoreConfig(ds.cnt_thresholds)
     plan = build_cv_plan(ds, "cnt")
-    a = cv_score(ds, NeighborhoodSpec(radius_km=300.0), plan, cfg)
-    b = cv_score(ds, NeighborhoodSpec(radius_km=301.0), plan, cfg)
+    a, = cv_score(ds, NeighborhoodSpec(radius_km=300.0), plan, cfg)
+    b, = cv_score(ds, NeighborhoodSpec(radius_km=301.0), plan, cfg)
     assert a == b
 
 
 def test_empty_plan_scores_zero(grid_ds):
     cfg = ScoreConfig(grid_ds.cnt_thresholds)
-    assert cv_score(grid_ds, NeighborhoodSpec(), CvPlan("cnt", ()), cfg) == 0.0
+    assert cv_score(grid_ds, NeighborhoodSpec(), CvPlan("cnt", ()), cfg)[0] == 0.0
+    ba_cfg = ScoreConfig(grid_ds.ba_thresholds)
+    assert cv_score(grid_ds, NeighborhoodSpec(), CvPlan("ba", ()), ba_cfg,
+                    k2=(0.3, 0.5)) == (0.0, 0.0)
 
 
 def test_grid_validation():
@@ -304,7 +307,7 @@ def test_ba_cdf_row_saturates_at_capacity():
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
     model = fit_mixture(sample, 0.5)
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
-    row = cdf_row(model, thresholds, capacity=150.0)
+    row = cdf_rows([[model]], thresholds, [150.0])[0, 0]
     assert row[0] == pytest.approx(0.2)          # zero mass
     assert np.all(row[thresholds >= 150.0] == 1.0)
     assert row[3] < 1.0
