@@ -1,8 +1,17 @@
 """Command-line interface.
 
-Commands: config, ingest, synth, explore, tune, predict, score, run.
-Every command accepts --config plus the shared model flags; command
-flags override the config file, which overrides built-in defaults.
+Settings flags by command; each takes only those its handler reads:
+
+    config, run     --config --seed --workers --no-rules --variant --k1 --k2
+                    --ky --weights
+    predict         --config --workers --no-rules --variant --k1 --k2 --ky
+    tune            --config --variant --ky --weights
+    score           --config --weights
+    synth, explore  --config --seed
+    ingest          --config
+
+Flags override the config file, which overrides built-in defaults.
+Numbers are read by ingest's token rule (data._to_float), so "1_0" fails.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, format_config, load_config, with_overrides
-from .data import write_csv
+from .config import (RunConfig, _integer, _numbers, format_config, load_config,
+                     with_overrides)
+from .data import _to_float, write_csv
 from .dependence import dependence_report, quadrant_split
 from .errors import DataError, FiremargError
 from .neighborhoods import VARIANTS
@@ -39,8 +49,8 @@ from .synth import SyntheticSpec, generate
 log = logging.getLogger(__name__)
 
 
-def _ints(raw: str) -> tuple:
-    return tuple(int(t) for t in raw.replace(",", " ").split())
+def _integers(raw: str) -> tuple:
+    return tuple(_integer(t) for t in raw.replace(",", " ").split())
 
 
 def _read_weights(path: str) -> tuple:
@@ -55,31 +65,30 @@ def _read_weights(path: str) -> tuple:
     for number, line in enumerate(lines, 1):
         if line.strip():
             try:
-                weights.append(float(line))
+                weights.append(_to_float(line.strip()))
             except ValueError:
                 raise DataError(f"{path}:{number}: cannot parse weight "
                                 f"{line.strip()!r}") from None
     return tuple(weights)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="INI config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--no-rules", action="store_true",
-                   help="disable the pair and water deductions")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--k1", type=float, metavar="KM",
-                   help="neighborhood radius for both variables")
-    p.add_argument("--k2", type=float, metavar="LEVEL",
-                   help="non-exceedance level of the burnt-area tail threshold")
-    p.add_argument("--ky", type=int, help="year half-width (temporal variant)")
-    p.add_argument("--weights", metavar="FILE",
-                   help="score weights, one per line, applied to both grids")
+# The settings flags by argparse dest; each command adds those it reads.
+_SETTINGS = {
+    "config": dict(metavar="FILE", help="INI config file"),
+    "seed": dict(type=_integer),
+    "workers": dict(type=_integer),
+    "no_rules": dict(action="store_true", help="disable the pair and water deductions"),
+    "variant": dict(choices=VARIANTS),
+    "k1": dict(type=_to_float, metavar="KM", help="neighborhood radius for both variables"),
+    "k2": dict(type=_to_float, metavar="LEVEL",
+               help="non-exceedance level of the burnt-area tail threshold"),
+    "ky": dict(type=_integer, help="year half-width (temporal variant)"),
+    "weights": dict(metavar="FILE", help="score weights, one per line, applied to both grids"),
+}
 
 
 def _config_from_args(args, **extra) -> RunConfig:
-    config = load_config(getattr(args, "config", None))
+    config = load_config(args.config)
     overrides = dict(seed=args.seed, workers=args.workers,
                      variant=args.variant, ky=args.ky, k2_bap=args.k2)
     if args.k1 is not None:
@@ -94,10 +103,7 @@ def _config_from_args(args, **extra) -> RunConfig:
 
 
 def cmd_config(args) -> int:
-    if args.defaults:
-        print(format_config(), end="")
-    else:
-        print(format_config(_config_from_args(args)), end="")
+    print(format_config(None if args.defaults else _config_from_args(args)), end="")
     return 0
 
 
@@ -119,7 +125,7 @@ def cmd_synth(args) -> int:
     config = _config_from_args(args)
     spec = SyntheticSpec(
         nx=args.nx, ny=args.ny, spacing=args.spacing,
-        months=_ints(args.months), years=_ints(args.years),
+        months=args.months, years=args.years,
         block_km=args.block_km, year_drift=args.drift,
         cnt_missing_rate=args.rate, ba_missing_rate=args.rate,
         mask_overlap=args.overlap, water_frac=args.water_frac,
@@ -143,7 +149,6 @@ def cmd_synth(args) -> int:
 def cmd_explore(args) -> int:
     config = _config_from_args(args, data_path=args.data)
     ds = load_dataset(config)
-    levels = tuple(float(t) for t in args.levels.replace(",", " ").split())
     paired = ~np.isnan(ds.cnt) & ~np.isnan(ds.ba)
     regions = {"ALL": np.flatnonzero(paired)}
     for name, ids in quadrant_split(ds.lon, ds.lat).items():
@@ -152,7 +157,7 @@ def cmd_explore(args) -> int:
     lines = ["region,n,u,tau,tau_lo,tau_hi,chi,chi_lo,chi_hi,"
              "chibar,chibar_lo,chibar_hi"]
     for name, ids in regions.items():
-        for u in levels:
+        for u in args.levels:
             try:
                 rep = dependence_report(ds.cnt[ids], ds.ba[ids], name, u,
                                         n_boot=args.boot, seed=config.seed)
@@ -233,75 +238,76 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _add_command(sub, name, handler, help, settings) -> argparse.ArgumentParser:
+    """Subcommand `name`, run by `handler`, with the named settings flags."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    for setting in settings:
+        p.add_argument("--" + setting.replace("_", "-"), **_SETTINGS[setting])
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firemarg",
         description="Marginal models for gridded wildfire counts and burnt areas.")
+    parser.set_defaults(**dict.fromkeys(_SETTINGS))   # None where a command has no flag
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("config", help="print the effective configuration")
+    p = _add_command(sub, "config", cmd_config, "print the effective configuration",
+                     _SETTINGS)
     p.add_argument("--defaults", action="store_true",
                    help="print built-in defaults, ignoring --config")
-    _add_common(p)
-    p.set_defaults(handler=cmd_config)
 
-    p = sub.add_parser("ingest", help="validate a data file and summarize it")
+    p = _add_command(sub, "ingest", cmd_ingest, "validate a data file and summarize it",
+                     ["config"])
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--out", metavar="FILE", help="write the normalized CSV")
-    _add_common(p)
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with truth")
+    p = _add_command(sub, "synth", cmd_synth, "generate a synthetic dataset with truth",
+                     ["config", "seed"])
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--nx", type=int, default=20)
-    p.add_argument("--ny", type=int, default=20)
-    p.add_argument("--spacing", type=float, default=0.5)
-    p.add_argument("--months", default="6")
-    p.add_argument("--years", default="2000")
-    p.add_argument("--block-km", type=float, default=300.0)
-    p.add_argument("--drift", type=float, default=0.0)
-    p.add_argument("--rate", type=float, default=0.1,
+    p.add_argument("--nx", type=_integer, default=20)
+    p.add_argument("--ny", type=_integer, default=20)
+    p.add_argument("--spacing", type=_to_float, default=0.5)
+    p.add_argument("--months", type=_integers, default="6")
+    p.add_argument("--years", type=_integers, default="2000")
+    p.add_argument("--block-km", type=_to_float, default=300.0)
+    p.add_argument("--drift", type=_to_float, default=0.0)
+    p.add_argument("--rate", type=_to_float, default=0.1,
                    help="missingness rate for both variables")
-    p.add_argument("--overlap", type=float, default=0.4)
-    p.add_argument("--water-frac", type=float, default=0.0)
-    p.add_argument("--small-area-frac", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(handler=cmd_synth)
+    p.add_argument("--overlap", type=_to_float, default=0.4)
+    p.add_argument("--water-frac", type=_to_float, default=0.0)
+    p.add_argument("--small-area-frac", type=_to_float, default=0.0)
 
-    p = sub.add_parser("explore", help="dependence diagnostics per region")
+    p = _add_command(sub, "explore", cmd_explore, "dependence diagnostics per region",
+                     ["config", "seed"])
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--levels", default="0.9,0.95,0.99")
-    p.add_argument("--boot", type=int, default=1000)
-    _add_common(p)
-    p.set_defaults(handler=cmd_explore)
+    p.add_argument("--levels", type=_numbers, default="0.9,0.95,0.99")
+    p.add_argument("--boot", type=_integer, default=1000)
 
-    p = sub.add_parser("tune", help="cross-validate k1 and k2")
+    p = _add_command(sub, "tune", cmd_tune, "cross-validate k1 and k2",
+                     ["config", "variant", "ky", "weights"])
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--out", metavar="DIR")
-    _add_common(p)
-    p.set_defaults(handler=cmd_tune)
 
-    p = sub.add_parser("predict", help="write prediction tables")
+    p = _add_command(sub, "predict", cmd_predict, "write prediction tables",
+                     ["config", "workers", "no_rules", "variant", "k1", "k2", "ky"])
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--out", metavar="DIR")
-    _add_common(p)
-    p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("score", help="score prediction tables against truth")
+    p = _add_command(sub, "score", cmd_score, "score prediction tables against truth",
+                     ["config", "weights"])
     p.add_argument("--pred", required=True, metavar="DIR")
     p.add_argument("--truth", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    _add_common(p)
-    p.set_defaults(handler=cmd_score)
 
-    p = sub.add_parser("run", help="all stages: ingest, rules, tune, predict, score")
+    p = _add_command(sub, "run", cmd_run,
+                     "all stages: ingest, rules, tune, predict, score", _SETTINGS)
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--truth", metavar="FILE")
     p.add_argument("--out", metavar="DIR")
-    _add_common(p)
-    p.set_defaults(handler=cmd_run)
-
     return parser
 
 

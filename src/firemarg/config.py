@@ -14,10 +14,12 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 
+from .data import _to_float
 from .errors import DataError
 from .geo import ACRES_PER_KM2, EARTH_RADIUS_KM
 from .neighborhoods import VARIANTS
 from .rules import DEFAULT_WATER_CUT, DEFAULT_WATER_TARGET
+from .scoring import check_weights
 from .tuning import DEFAULT_QUANTILES, DEFAULT_RADII, TuningGrid
 
 _NONE_TOKENS = {"", "none"}
@@ -75,6 +77,9 @@ class RunConfig:
                 raise DataError(f"{name} must lie in [0, 1], got {value}")
         if self.ky < 0 or self.workers < 0:
             raise DataError("ky and workers must be nonnegative")
+        for name in ("cnt_weights", "ba_weights"):
+            if getattr(self, name) is not None:    # length is checked per grid
+                check_weights(getattr(self, name), name)
         TuningGrid(radii=self.radii, quantiles=self.quantiles)
         if not self.quantiles:
             raise DataError("quantile grid must be nonempty")
@@ -96,14 +101,14 @@ _SECTIONS = {
 _HASH_EXEMPT = {"out_dir", "workers"}
 
 
-def _floats(raw: str) -> tuple:
-    return tuple(float(t) for t in raw.replace(",", " ").split())
+def _integer(raw: str) -> int:
+    """int(raw) for a token ingest's rule (data._to_float) accepts."""
+    _to_float(raw)
+    return int(raw)
 
 
-def _opt(parser):
-    def parse(raw: str):
-        return None if raw.strip().lower() in _NONE_TOKENS else parser(raw)
-    return parse
+def _numbers(raw: str) -> tuple:
+    return tuple(_to_float(t) for t in raw.replace(",", " ").split())
 
 
 def _bool(raw: str) -> bool:
@@ -115,19 +120,17 @@ def _bool(raw: str) -> bool:
         raise DataError(f"cannot parse boolean {raw!r}") from None
 
 
-_PARSERS = {
-    "data_path": str, "truth_path": _opt(str), "out_dir": str,
-    "earth_radius_km": float, "unit_scale": float,
-    "lon_width": float, "lat_height": float,
-    "cnt_thresholds": _opt(_floats), "ba_thresholds": _opt(_floats),
-    "variant": str, "k1_cnt": _opt(float), "k1_bap": _opt(float),
-    "k2_bap": _opt(float), "ky": int, "cluster_covariate": _opt(str),
-    "radii": _floats, "quantiles": _floats,
-    "cnt_weights": _opt(_floats), "ba_weights": _opt(_floats),
-    "pair_rule": _bool, "water_rule": _bool, "water_cut": float,
-    "calibrate_water": _bool, "water_target": float,
-    "seed": int, "workers": int,
-}
+_TYPE_PARSERS = {"str": str, "float": _to_float, "int": _integer,
+                 "bool": _bool, "tuple": _numbers}
+
+
+def _parse(annotation: str, raw: str):
+    """raw as a RunConfig field of this annotation: a _TYPE_PARSERS key,
+    optionally `| None`, when "none" (or nothing) reads as None."""
+    base = annotation.removesuffix(" | None")
+    if base != annotation and raw.strip().lower() in _NONE_TOKENS:
+        return None
+    return _TYPE_PARSERS[base](raw)
 
 
 def _format_value(value) -> str:
@@ -136,7 +139,9 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return " ".join(f"{v:g}" for v in value)
+        # `:g` text where it reads back exactly, else the shortest that does
+        return " ".join(f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
+                        for v in value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -176,7 +181,7 @@ def load_config(path: str | None = None, text: str | None = None) -> RunConfig:
             if key not in _SECTIONS[section]:
                 raise DataError(f"unknown config key {key!r} in [{section}]")
             try:
-                values[key] = _PARSERS[key](raw)
+                values[key] = _parse(RunConfig.__annotations__[key], raw)
             except (ValueError, DataError) as exc:
                 raise DataError(f"bad value for {key!r}: {exc}") from None
     return RunConfig(**values)

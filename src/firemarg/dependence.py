@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, linregress, rankdata
+from scipy.stats import kendalltau, rankdata
 
 from .errors import DataError
 
@@ -167,19 +167,3 @@ def dependence_report(x, y, region: str, u: float, level: float = 0.95,
         chibar_ci=bootstrap_ci(lambda a, b: chibar_u(a, b, u), x, y, level, n_boot, seed + 2),
     )
 
-
-def annual_mean_trend(years, values):
-    """OLS slope of annual means against year, with a 5% two-sided t-test.
-
-    Returns (slope, p_value, significant). Descriptive only.
-    """
-    years = np.asarray(years)
-    values = np.asarray(values, dtype=float)
-    if years.shape != values.shape:
-        raise DataError("years and values must align")
-    uniq = np.unique(years)
-    if uniq.size < 3:
-        raise DataError("need at least three distinct years")
-    means = np.array([values[years == yr].mean() for yr in uniq])
-    fit = linregress(uniq.astype(float), means)
-    return float(fit.slope), float(fit.pvalue), bool(fit.pvalue < 0.05)

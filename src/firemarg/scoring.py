@@ -28,6 +28,14 @@ def default_weights(n_thresholds: int) -> np.ndarray:
     return 1.0 + 3.0 * k / (n_thresholds - 1)
 
 
+def check_weights(weights, name: str = "weights") -> None:
+    """DataError unless finite, nonnegative and not all zero: a NaN weight
+    gives NaN scores, and NaN CV totals leave the grid search's minimum arbitrary."""
+    w = np.asarray(weights, dtype=float)
+    if not (np.all((w >= 0) & np.isfinite(w)) and np.any(w > 0)):
+        raise DataError(f"{name} must be finite, nonnegative and not all zero")
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     thresholds: np.ndarray
@@ -42,10 +50,7 @@ class ScoreConfig:
         if w.shape != t.shape:
             raise DataError(
                 f"weights length {w.size} does not match {t.size} thresholds")
-        # a NaN or infinite weight gives NaN scores, and NaN CV totals
-        # leave the grid search's minimum arbitrary
-        if not (np.all((w >= 0) & np.isfinite(w)) and np.any(w > 0)):
-            raise DataError("weights must be finite, nonnegative and not all zero")
+        check_weights(w)
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "weights", w)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from firemarg.cli import main
+from firemarg.cli import build_parser, main
 from firemarg.config import RunConfig, format_config, load_config
 from firemarg.data import default_cnt_thresholds
 from firemarg.pipeline import read_prediction_csv
@@ -239,3 +240,82 @@ def test_explore_command(tmp_path, synth_dir):
 def test_unknown_command_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# The settings flags each command takes: those its handler reads.
+ALL_SETTINGS = ("--config", "--seed", "--workers", "--no-rules", "--variant",
+                "--k1", "--k2", "--ky", "--weights")
+COMMAND_SETTINGS = {
+    "config": ALL_SETTINGS,
+    "ingest": ("--config",),
+    "synth": ("--config", "--seed"),
+    "explore": ("--config", "--seed"),
+    "tune": ("--config", "--variant", "--ky", "--weights"),
+    "predict": ("--config", "--workers", "--no-rules", "--variant", "--k1",
+                "--k2", "--ky"),
+    "score": ("--config", "--weights"),
+    "run": ALL_SETTINGS,
+}
+REQUIRED = {"synth": ["--out", "d"], "score": ["--pred", "d", "--truth", "t.csv"]}
+FLAG_VALUES = {"--config": ["c.ini"], "--seed": ["3"], "--workers": ["2"],
+               "--no-rules": [], "--variant": ["temporal"], "--k1": ["100"],
+               "--k2": ["0.5"], "--ky": ["2"], "--weights": ["w.txt"]}
+
+
+def test_settings_flag_slots():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    slots = {name: tuple(flag for action in sub._actions
+                         for flag in action.option_strings if flag in ALL_SETTINGS)
+             for name, sub in commands.items()}
+    assert slots == COMMAND_SETTINGS
+    assert sum(map(len, slots.values())) == 36
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+@pytest.mark.parametrize("flag", ALL_SETTINGS)
+def test_command_takes_only_the_settings_it_reads(command, flag, capsys):
+    argv = [command] + REQUIRED.get(command, []) + [flag] + FLAG_VALUES[flag]
+    if flag in COMMAND_SETTINGS[command]:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["predict", "--k1", "1_0"], "--k1", "1_0"),
+    (["run", "--seed", "1_0"], "--seed", "1_0"),
+    (["synth", "--out", "d", "--months", "6 1_0"], "--months", "6 1_0"),
+    (["synth", "--out", "d", "--nx", "1_0"], "--nx", "1_0"),
+    (["explore", "--levels", "0.9 0.9_5"], "--levels", "0.9 0.9_5"),
+])
+def test_digit_group_underscores_rejected_in_flags(argv, flag, token, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(token) in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[model]\nradii = 1_00 200\n", "radii"),
+    ("[model]\nk1_cnt = 1_0\n", "k1_cnt"),
+    ("[run]\nseed = 1_0\n", "seed"),
+])
+def test_digit_group_underscores_rejected_in_config_values(tmp_path, capsys, text, key):
+    path = tmp_path / "u.ini"
+    path.write_text(text)
+    assert main(["config", "--config", str(path)]) == 2
+    assert f"error: bad value for {key!r}: " in capsys.readouterr().err
+
+
+def test_digit_group_underscores_rejected_in_weights_file(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n1_0\n")
+    assert main(["config", "--weights", str(weights)]) == 2
+    assert f"{weights}:2: cannot parse weight '1_0'" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
+from firemarg import config as config_module
 from firemarg.config import (
     RunConfig,
     config_hash,
@@ -10,6 +12,7 @@ from firemarg.config import (
     with_overrides,
 )
 from firemarg.errors import DataError
+from firemarg.tuning import DEFAULT_RADII
 
 
 def test_defaults_round_trip():
@@ -151,3 +154,36 @@ def test_hash_ignores_output_only_settings():
     assert config_hash(base) != config_hash(RunConfig(k1_cnt=100.0))
     assert config_hash(base) != config_hash(RunConfig(seed=1))
     assert config_hash(base) != config_hash(RunConfig(water_cut=0.9))
+
+
+def test_every_field_has_one_section_and_a_parser():
+    listed = [key for keys in config_module._SECTIONS.values() for key in keys]
+    assert sorted(listed) == sorted(f.name for f in fields(RunConfig))
+    for f in fields(RunConfig):
+        assert f.type.removesuffix(" | None") in config_module._TYPE_PARSERS
+        text = config_module._format_value(f.default)
+        assert config_module._parse(f.type, text) == f.default, f.name
+
+
+def test_tuple_entries_round_trip_exactly():
+    odd = RunConfig(radii=(100.0, 123.4567891), k1_cnt=123.4567891,
+                    cnt_thresholds=(0.0, 1234567.0, 1234568.0),
+                    quantiles=(0.1, 1.0 / 3.0), ba_weights=(1e-7, 2.5e12))
+    assert load_config(text=format_config(odd)) == odd
+    assert config_hash(odd) != config_hash(replace(odd, radii=(100.0, 123.4567892)))
+    # entries `:g` writes exactly keep its text, so default manifests do not change
+    assert "radii = " + " ".join(f"{r:g}" for r in DEFAULT_RADII) in format_config()
+    assert "cnt_thresholds = 0 1234567.0 1234568.0\n" in format_config(odd)
+
+
+@pytest.mark.parametrize("name", ["cnt_weights", "ba_weights"])
+@pytest.mark.parametrize("weights", [(1.0, math.nan), (1.0, math.inf),
+                                     (1.0, -1.0), (0.0, 0.0), ()])
+def test_rejects_score_weights_that_are_not_finite_nonnegative_and_nonzero(name, weights):
+    # caught here, not where a ScoreConfig is first built (stage tune or score)
+    with pytest.raises(DataError, match=f"{name} must be finite, nonnegative"):
+        RunConfig(**{name: weights})
+    text = " ".join(str(w) for w in weights) or ","
+    with pytest.raises(DataError, match=f"{name} must be finite, nonnegative"):
+        load_config(text=f"[score]\n{name} = {text}\n")
+    RunConfig(**{name: (0.0, 2.0, 1.0)})

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from firemarg.dependence import (
-    annual_mean_trend,
     bootstrap_ci,
     chi_u,
     chibar_u,
@@ -197,23 +196,3 @@ def test_dependence_report_fields():
     assert 0 <= rep.chi <= 1
     assert -1 < rep.chibar <= 1
 
-
-class TestTrend:
-    def test_clear_trend_detected(self):
-        years = np.repeat(np.arange(1993, 2016), 20)
-        rng = np.random.default_rng(12)
-        values = 0.5 * (years - 1993) + rng.normal(0, 1, years.size)
-        slope, p, sig = annual_mean_trend(years, values)
-        assert slope == pytest.approx(0.5, abs=0.1)
-        assert sig
-
-    def test_flat_series_not_significant(self):
-        years = np.repeat(np.arange(1993, 2016), 20)
-        rng = np.random.default_rng(13)
-        values = rng.normal(0, 1, years.size)
-        _, _, sig = annual_mean_trend(years, values)
-        assert not sig
-
-    def test_needs_three_years(self):
-        with pytest.raises(DataError):
-            annual_mean_trend(np.array([2000, 2000, 2001]), np.zeros(3))
