@@ -12,11 +12,14 @@ to `run_seconds` in SRC_A's BENCHMARK.json.
 
 For every end-to-end metric that BENCHMARK.json declares, it prints
 each pair's two values and which side was better, then each side's
-median and interquartile range (IQR), and B's wins over the pairs (ties
-count for neither side). It marks a metric "gain" when B wins at least
-nine pairs in ten and its median is better than A's by more than A's
-IQR, the rule a claimed gain must meet. It exits with status 1 when a
-run reports a failed output check.
+median and interquartile range (IQR), B's wins over the pairs (ties
+count for neither side), and the relative change of B's median from
+A's next to the metric's declared `bound`. It marks a metric "gain"
+when B wins at least nine pairs in ten and its median is better than
+A's by more than A's IQR, the rule a claimed gain must meet; "gain
+below bound" when such a gain is no larger than the bound; and "worse
+than bound" when B's median is worse than A's by more than the bound.
+It exits with status 1 when a run reports a failed output check.
 """
 
 import argparse
@@ -93,9 +96,17 @@ def main(argv=None) -> int:
         (med_a, iqr_a), (med_b, iqr_b) = spread(values["A"]), spread(values["B"])
         gap = med_a - med_b if direction == "lower" else med_b - med_a
         gain = wins >= 0.9 * len(reports) and gap > iqr_a
+        # how much better B's median is than A's, relative to A's (< 0: worse)
+        rel = gap / abs(med_a) if med_a else 0.0
+        bound = metric["bound"]
+        verdict = ""
+        if gain:
+            verdict = "; gain" if rel > bound else "; gain below bound"
+        elif -rel > bound:
+            verdict = "; worse than bound"
         print(f"  A median {med_a:.6g} IQR {iqr_a:.3g}; B median {med_b:.6g} "
-              f"IQR {iqr_b:.3g}; B better in {wins} of {len(reports)} pairs"
-              + ("; gain" if gain else ""))
+              f"IQR {iqr_b:.3g}; B better in {wins} of {len(reports)} pairs; "
+              f"B better by {100 * rel:+.1f}% (bound {100 * bound:g}%)" + verdict)
     failed = [seed for seed, r in zip(args.seeds, reports)
               if not (r["A"]["correct"] and r["B"]["correct"])]
     if failed:

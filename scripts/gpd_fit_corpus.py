@@ -4,8 +4,8 @@ the Nelder-Mead reference, and stacked fits against lone ones.
 This builds the benchmark's `tune-grid` scene for one seed, runs
 `pipeline.tune_parameters` on it as `firemarg run` does with k1/k2
 unset, and records every distinct exceedance set that cross-validation
-hands to the stacked search `burnt_area.fit_gpds`, with the fit it got
-there. It prints how many of those stacked fits differ from
+hands to the stacked search `burnt_area.fit_gpds`, a row of one of its
+blocks, with the fit it got there. It prints how many of those stacked fits differ from
 `burnt_area.fit_gpd` on the set alone (there should be none). It then
 fits each set with `fit_gpd` and with the Nelder-Mead reference kept in
 tests/test_burnt_area.py, and prints the time per fit of each (and of
@@ -49,16 +49,16 @@ def record_corpus(seed: int) -> tuple:
     spent = [0.0, 0]
     original = burnt_area.fit_gpds
 
-    def recording(sets, *args, **kwargs):
+    def recording(block, thresholds):
         t0 = time.perf_counter()
-        fits = original(sets, *args, **kwargs)
+        sigma, xi = original(block, thresholds)
         spent[0] += time.perf_counter() - t0
-        spent[1] += len(sets)
-        for (values, threshold), fit in zip(sets, fits):
-            values = np.asarray(values, dtype=float)
-            corpus.setdefault((values.tobytes(), float(threshold)),
-                              (values.copy(), float(threshold), fit))
-        return fits
+        spent[1] += len(block)
+        for values, threshold, fit in zip(block, np.asarray(thresholds).tolist(),
+                                          zip(sigma.tolist(), xi.tolist())):
+            corpus.setdefault((values.tobytes(), threshold),
+                              (values.copy(), threshold, fit))
+        return sigma, xi
 
     burnt_area.fit_gpds = recording
     try:
@@ -80,10 +80,10 @@ def timed(fit, corpus):
 
 
 def same_fit(stacked, alone) -> bool:
-    """Bit for bit: the same parameters, or the same failure."""
-    if isinstance(stacked, GpdFitError):
-        return alone is None
-    return alone is not None and stacked == alone
+    """Bit for bit: the same (sigma, xi), or a failure (NaN) in both."""
+    if alone is None:
+        return all(np.isnan(stacked))
+    return stacked == (alone.sigma, alone.xi)
 
 
 def main(argv=None):

@@ -13,18 +13,29 @@ positive part, and H_u the GPD CDF of excesses. When the zero mass
 already reaches the k2 level the threshold degenerates to 0 and the
 fully empirical CDF is used instead.
 
-Fits are stacked. `fit_mixtures` sorts each sample once, works out z,
-u and the exceedance suffix of all its levels together, and hands every
-GPD tail of every sample to one `fit_gpds` call. That runs Grimshaw's
-profile search on 2-D arrays, one block per exceedance count m: within
-a block each set's sums run over exactly its own m values in a
-contiguous layout, so they pair their terms as a lone fit does and a
-stacked fit equals the lone fit bit for bit. The single-model entry
-points are these called with one item: `fit_gpd` is `fit_gpds` on one
-set, and `fit_mixture` is `fit_mixtures` on one sample at one level.
-`cdf_rows` builds the rows of a batch of fitted models, count or
-burnt-area, each sample's levels in one vectorised pass, so prediction
-and cross-validation share one fit path and one row builder.
+Fits are stacked and columnar. `fit_mixtures` returns one
+`MixtureFits` per batch: per sample its sorted values, size and zero
+count, and per (sample, level) u, lam, sigma, xi and a fallback code,
+each an array. It sorts each sample once and works out z, u and the
+exceedance count of every (sample, level) with array arithmetic. The
+GPD tails are gathered from the sorted samples into blocks of one
+exceedance count m, and `fit_gpds` runs Grimshaw's profile search on
+each block's 2-D array: each set's sums run over exactly its own m
+values in a contiguous layout, so they pair their terms as a lone fit
+does and a stacked fit equals the lone fit bit for bit. The
+single-model entry points are these called with one item: `fit_gpd` is
+`fit_gpds` on one set, and `fit_mixture` is `fit_mixtures` on one
+sample at one level, viewed as a `BaMixture`.
+
+`cdf_rows` builds the rows of a batch of fitted models with one
+stacked kernel per family: `counts.count_rows` for count models, and
+`_mixture_cdf` for burnt area, which takes every sample's counts of
+values at or below each scaled threshold and each u, then builds the
+rows of all mixture (sample, level) pairs elementwise. Every operation
+on a row is elementwise or runs along that row alone, so a row does not
+depend on its batch: prediction and cross-validation share one fit
+path and one row builder, and `BaMixture.cdf` is the kernel on a batch
+of one.
 
 Rows lie in [0, 1] and never decrease with no clip or repair: H_u(u) is
 exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
@@ -33,10 +44,11 @@ exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .counts import count_rows
 from .errors import DataError, GpdFitError
 from .geo import rescaled_thresholds
 
@@ -59,6 +71,10 @@ S_TINY = 1e-150
 # arrays hold each excess at every grid point, up to about 70 of them
 # on the coarse grid, so a block's temporaries stay near 2 MB each.
 GPD_BLOCK = 4096
+# Most (sample, level, threshold) entries of mixture rows built in one
+# pass of the row kernel, so that a pass's temporaries stay near 0.5 MB
+# each.
+ROW_BLOCK = 65536
 
 # the coarse grid below S_FINE, the same for every set
 _GRID_HEAD = np.concatenate([np.arange(S_MIN, -S_FINE, S_COARSE_STEP),
@@ -191,53 +207,37 @@ def _profile_search(r):
     return nll[rows, g], xi[rows, g], sigma[rows, g]
 
 
-def fit_gpds(sets) -> list:
-    """`fit_gpd` of every (values, threshold) of sets, in one stacked
-    search: per set, its GpdParams or the GpdFitError fit_gpd raises.
+def fit_gpds(values, thresholds) -> tuple:
+    """`fit_gpd` of each row of values (K, m), a set of m exceedances of
+    its entry of thresholds, in one stacked search: (sigma, xi), two
+    arrays, NaN where a set's exceedances are all equal.
 
-    Sets of one size m are searched together, in blocks of at most
-    GPD_BLOCK excesses; see the module docstring for why each fit
-    equals fit_gpd on that set alone, bit for bit.
+    Callers hand it blocks of at most GPD_BLOCK excesses; see the module
+    docstring for why each fit equals fit_gpd on that set alone, bit for
+    bit. Raises GpdFitError when m < MIN_EXCEED.
     """
-    out = [None] * len(sets)
-    by_size: dict = {}
-    for i, (values, threshold) in enumerate(sets):
-        values = np.asarray(values, dtype=float)
-        if values.size < MIN_EXCEED:
-            out[i] = GpdFitError(f"need at least {MIN_EXCEED} exceedances, "
-                                 f"got {values.size}")
-        else:
-            by_size.setdefault(values.size, []).append((i, values, float(threshold)))
-    for m, group in by_size.items():
-        per_block = max(1, GPD_BLOCK // m)
-        for first in range(0, len(group), per_block):
-            block = group[first:first + per_block]
-            values = np.array([v for _, v, _ in block])
-            threshold = np.array([u for _, _, u in block])
-            if np.any(values <= threshold[:, None]):
-                raise DataError("exceedances must lie strictly above the threshold")
-            excess = values - threshold[:, None]
-            degenerate = np.ptp(excess, axis=1) == 0.0
-            for j in np.flatnonzero(degenerate):
-                out[block[j][0]] = GpdFitError("degenerate sample: all exceedances equal")
-            fitted = [b for b, d in zip(block, degenerate.tolist()) if not d]
-            if not fitted:
-                continue
-            excess = excess[~degenerate]
-            x_max = excess.max(axis=1)
-            nll, xi, sigma = _profile_search(excess / x_max[:, None])
-            for (i, _, u), scale, nll_k, xi_k, sigma_k in zip(
-                    fitted, x_max.tolist(), nll.tolist(), xi.tolist(), sigma.tolist()):
-                # Edge fit: when no interior point beats it, the supremum
-                # of the likelihood is the xi -> -1 edge, the uniform law
-                # on (0, x_max] with nll per excess log(x_max), i.e. 0 in
-                # scaled units. It is reached only in the limit, so it is
-                # returned explicitly.
-                if nll_k >= 0.0:
-                    out[i] = GpdParams(sigma=scale, xi=XI_LO, threshold=u)
-                else:
-                    out[i] = GpdParams(sigma=sigma_k * scale, xi=xi_k, threshold=u)
-    return out
+    values = np.asarray(values, dtype=float)
+    threshold = np.asarray(thresholds, dtype=float)[:, None]
+    if values.shape[1] < MIN_EXCEED:
+        raise GpdFitError(f"need at least {MIN_EXCEED} exceedances, "
+                          f"got {values.shape[1]}")
+    if np.any(values <= threshold):
+        raise DataError("exceedances must lie strictly above the threshold")
+    excess = values - threshold
+    sigma, xi = np.full((2, values.shape[0]), np.nan)
+    fitted = np.ptp(excess, axis=1) != 0.0
+    if fitted.any():
+        excess = excess[fitted]
+        x_max = excess.max(axis=1)
+        nll, xi_k, sigma_k = _profile_search(excess / x_max[:, None])
+        # Edge fit: when no interior point beats it, the supremum of the
+        # likelihood is the xi -> -1 edge, the uniform law on (0, x_max]
+        # with nll per excess log(x_max), i.e. 0 in scaled units. It is
+        # reached only in the limit, so it is returned explicitly.
+        edge = nll >= 0.0
+        sigma[fitted] = np.where(edge, x_max, sigma_k * x_max)
+        xi[fitted] = np.where(edge, XI_LO, xi_k)
+    return sigma, xi
 
 
 def fit_gpd(values, threshold: float) -> GpdParams:
@@ -249,132 +249,174 @@ def fit_gpd(values, threshold: float) -> GpdParams:
     they are all identical; callers treat that as the signal to fall
     back to an empirical CDF. This is `fit_gpds` on one set.
     """
-    fit, = fit_gpds([(values, threshold)])
-    if isinstance(fit, GpdFitError):
-        raise fit
-    return fit
+    (sigma,), (xi,) = fit_gpds(np.reshape(values, (1, -1)), [threshold])
+    if math.isnan(sigma):
+        raise GpdFitError(FALLBACKS[DEGENERATE])
+    return GpdParams(sigma=float(sigma), xi=float(xi), threshold=float(threshold))
+
+
+# MixtureFits.code of each (sample, level): MIXTURE, or the empirical
+# fallback whose reason FALLBACKS holds at that index
+MIXTURE, ZERO_MASS, FEW_EXCEEDANCES, DEGENERATE = range(4)
+FALLBACKS = (None, "zero mass at or above the k2 level", "too few exceedances",
+             "degenerate sample: all exceedances equal")
+
+
+@dataclass(frozen=True)
+class MixtureFits:
+    """The fits of S samples at L levels, column by column.
+
+    Per sample: its values sorted, all samples end to end in values
+    (sample s has n[s] of them, after those of samples before it), and
+    its zero count n_zero. Per (sample, level), as (S, L) arrays: the
+    threshold u, the exceedance probability lam, the tail's sigma and
+    xi (NaN off the mixtures) and the fallback code.
+    """
+
+    values: np.ndarray
+    n: np.ndarray
+    n_zero: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
+    sigma: np.ndarray
+    xi: np.ndarray
+    code: np.ndarray
+
+
+def _side_by_side(parts) -> MixtureFits:
+    """The fits of parts, all at the same number of levels, as one batch
+    of their samples in order."""
+    return MixtureFits(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(MixtureFits)))
 
 
 @dataclass(frozen=True)
 class BaMixture:
-    """Fitted zero/bulk/tail mixture (kind "mixture") or its fully
-    empirical fallback (kind "empirical")."""
+    """One sample's fit at one level: the zero/bulk/tail mixture (kind
+    "mixture") or its fully empirical fallback (kind "empirical"), read
+    off fits, the batch of one it was fitted as."""
 
     kind: str
     sample_size: int
     z: float
     u: float
     lam: float
-    sample: np.ndarray            # full sorted sample (empirical CDF base)
-    positives: np.ndarray | None = None   # sorted positive part (F*)
-    gpd: GpdParams | None = None
-    fallback_reason: str | None = None
+    gpd: GpdParams | None
+    fallback_reason: str | None
+    fits: MixtureFits = field(repr=False)
 
     def cdf(self, x):
-        """Model CDF at x >= 0 (scalar or array)."""
+        """Model CDF at proportions x >= 0 (scalar or array): the row
+        kernel on this fit alone."""
         x = np.asarray(x, dtype=float)
-        out = _mixture_cdf([self], x.reshape(-1))[0]
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+        row = _mixture_cdf(self.fits, x.reshape(1, -1))[0, 0]
+        return float(row[0]) if x.ndim == 0 else row.reshape(x.shape)
 
 
-def _mixture_cdf(models, x) -> np.ndarray:
-    """CDF rows at the proportions x (1-D) of models fitted to one
-    sample, one row per model. The empirical fallbacks share one row,
-    and the mixtures' bulk ECDF is evaluated once."""
+def _mixture_cdf(fits: MixtureFits, x) -> np.ndarray:
+    """CDF rows (levels, samples, T) of fits at the proportions x (S, T),
+    row s of x for sample s.
+
+    Every row starts as its sample's ECDF, from the sample's count of
+    values at or below each x, which is the whole row of an empirical
+    fallback. The mixtures' rows are then built from those counts and
+    the counts at or below u, in passes of at most ROW_BLOCK entries.
+    """
     if np.any(x < 0):
         raise DataError("burnt-area proportions are nonnegative")
-    out = np.empty((len(models), x.size))
-    tails = [q for q, m in enumerate(models) if m.kind == "mixture"]
-    if len(tails) < len(models):
-        empirical = [q for q, m in enumerate(models) if m.kind != "mixture"]
-        sample = models[empirical[0]].sample
-        out[empirical] = np.searchsorted(sample, x, side="right") / sample.size
-    if not tails:
-        return out
-    fits = [models[q] for q in tails]
-    z, positives = fits[0].z, fits[0].positives
-    u = np.array([m.u for m in fits])
-    lam = np.array([m.lam for m in fits])
-    sigma = np.array([m.gpd.sigma for m in fits])
-    xi = np.array([m.gpd.xi for m in fits])
-    ecdf = np.searchsorted(positives, x, side="right") / positives.size
-    f_u = np.searchsorted(positives, u, side="right") / positives.size
-    rows = ((1.0 - lam - z) / f_u)[:, None] * ecdf + z
-    rows[:, x == 0.0] = z
-    tail = x >= u[:, None]
-    level, col = np.nonzero(tail)
-    h = _excess_cdf((x[col] - u[level]) / sigma[level], xi[level])
-    rows[tail] = 1.0 - lam[level] * (1.0 - h)
-    out[tails] = rows
-    return out
+    n_s, n_l = fits.u.shape
+    n_t = x.shape[1]
+    samples = np.split(fits.values, np.cumsum(fits.n)[:-1])
+    below = np.array([np.searchsorted(sample, q, side="right") for sample, q in
+                      zip(samples, np.concatenate([x, fits.u], axis=1))])
+    below = below.reshape(n_s, n_t + n_l)
+    rows = np.empty((n_l, n_s, n_t))
+    rows[:] = below[:, :n_t] / fits.n[:, None]
+    level, sample = np.nonzero(fits.code.T == MIXTURE)
+    step = max(1, ROW_BLOCK // max(n_t, 1))
+    for first in range(0, sample.size, step):
+        lev, s = level[first:first + step], sample[first:first + step]
+        n_zero, n_pos = fits.n_zero[s], fits.n[s] - fits.n_zero[s]
+        z = n_zero / fits.n[s]
+        u, lam = fits.u[s, lev], fits.lam[s, lev]
+        sigma, xi = fits.sigma[s, lev], fits.xi[s, lev]
+        # F* below u: the ECDF of the positive part, scaled to 1 - lam - z
+        f_u = (below[s, n_t + lev] - n_zero) / n_pos
+        ecdf = (below[s, :n_t] - n_zero[:, None]) / n_pos[:, None]
+        body = ((1.0 - lam - z) / f_u)[:, None] * ecdf + z[:, None]
+        at = x[s]
+        body = np.where(at == 0.0, z[:, None], body)
+        tail = at >= u[:, None]
+        k, _ = np.nonzero(tail)
+        h = _excess_cdf((at[tail] - u[k]) / sigma[k], xi[k])
+        body[tail] = 1.0 - lam[k] * (1.0 - h)
+        rows[lev, s] = body
+    return rows
+
+
+def _order_statistic(n, k2):
+    """The rank ceil(k2 * n) that `threshold_order_statistic` takes, for
+    n and k2 that broadcast."""
+    rank = np.ceil(np.asarray(k2, dtype=float) * n - 1e-12)
+    return np.minimum(np.maximum(rank, 1), n).astype(np.intp)
 
 
 def threshold_order_statistic(sorted_sample: np.ndarray, k2):
     """Left-continuous inverse-ECDF quantile: order statistic ceil(k2*n),
     at one level or at an array of them."""
-    n = sorted_sample.size
-    idx = np.clip(np.ceil(np.asarray(k2, dtype=float) * n - 1e-12), 1, n)
-    return sorted_sample[idx.astype(np.intp) - 1]
+    return sorted_sample[_order_statistic(sorted_sample.size, k2) - 1]
 
 
-def fit_mixtures(samples, levels) -> list:
-    """`fit_mixture` of every sample at every level: per sample, the
-    list of its fits in the order of levels.
+def fit_mixtures(samples, levels) -> MixtureFits:
+    """`fit_mixture` of every sample at every level, as one MixtureFits.
 
-    Each sample is sorted once, and z, u and the exceedance suffix of
-    all its levels come from one pass; every GPD tail, of every sample
-    and level, is fitted by one `fit_gpds` call.
+    Each sample is sorted once. z, u and the exceedance count of every
+    (sample, level) are array arithmetic on all of them. The GPD tails
+    are gathered from the sorted samples in blocks of one exceedance
+    count m and at most GPD_BLOCK excesses, and each block is fitted by
+    one `fit_gpds` call.
     """
-    k2 = np.array(levels, dtype=float)
-    bad = k2[~((k2 > 0.0) & (k2 < 1.0))]
-    if bad.size:
-        raise DataError(f"k2 must lie in (0,1), got {bad[0]}")
-    lam = (1.0 - k2).tolist()
-
-    prepared, sets = [], []
-    for sample in samples:
-        srt = np.sort(np.asarray(sample, dtype=float))
-        n = srt.size
-        if n == 0:
-            raise DataError("sample must be nonempty")
-        # NaN and +inf sort last and -inf first, so the two ends bound them all
-        if not (srt[0] >= 0.0 and srt[-1] <= 1.0):
-            raise DataError("burnt-area proportions must lie in [0, 1]")
-        u = threshold_order_statistic(srt, k2)
-        starts = np.searchsorted(srt, u, side="right").tolist()
-        u = u.tolist()
-        reasons = []
-        for u_q, first in zip(u, starts):
-            # u == 0 exactly when the zero count reaches the k2 order statistic
-            if u_q <= 0.0:
-                reasons.append("zero mass at or above the k2 level")
-            elif n - first < MIN_EXCEED:
-                reasons.append("too few exceedances")
-            else:
-                reasons.append(None)
-                sets.append((srt[first:], u_q))
-        prepared.append((srt, u, reasons))
-
-    tails = iter(fit_gpds(sets))
-    fits = []
-    for srt, u, reasons in prepared:
-        n = srt.size
-        n_zero = int(np.searchsorted(srt, 0.0, side="right"))
-        z = n_zero / n
-        models = []
-        for u_q, lam_q, reason in zip(u, lam, reasons):
-            gpd = next(tails) if reason is None else None
-            if isinstance(gpd, GpdFitError):
-                reason = str(gpd)
-            if reason is None:
-                models.append(BaMixture(kind="mixture", sample_size=n, z=z, u=u_q,
-                                        lam=lam_q, sample=srt,
-                                        positives=srt[n_zero:], gpd=gpd))
-            else:
-                models.append(BaMixture(kind="empirical", sample_size=n, z=z, u=u_q,
-                                        lam=lam_q, sample=srt, fallback_reason=reason))
-        fits.append(models)
-    return fits
+    k2 = np.asarray(levels, dtype=float).reshape(-1)
+    for level in k2.tolist():
+        if not 0.0 < level < 1.0:
+            raise DataError(f"k2 must lie in (0,1), got {level}")
+    srt = [np.sort(np.asarray(sample, dtype=float).reshape(-1)) for sample in samples]
+    sizes = [sample.size for sample in srt]
+    if 0 in sizes:
+        raise DataError("sample must be nonempty")
+    n = np.array(sizes, dtype=np.int64)
+    values = np.concatenate(srt) if srt else np.empty(0)
+    # NaN fails both comparisons
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise DataError("burnt-area proportions must lie in [0, 1]")
+    head = np.cumsum(n) - n
+    u = values[head[:, None] + _order_statistic(n[:, None], k2) - 1]
+    # the counts at or below 0 and at or below each u
+    queries = np.concatenate([np.zeros((n.size, 1)), u], axis=1)
+    below = np.array([np.searchsorted(sample, q, side="right")
+                      for sample, q in zip(srt, queries)]).reshape(queries.shape)
+    first = below[:, 1:]
+    m = n[:, None] - first
+    # u == 0 exactly when the zero count reaches the k2 order statistic
+    code = np.where(u <= 0.0, ZERO_MASS,
+                    np.where(m < MIN_EXCEED, FEW_EXCEEDANCES, MIXTURE))
+    sigma, xi = np.full((2,) + u.shape, np.nan)
+    mixture = code == MIXTURE
+    if mixture.any():
+        tails = np.flatnonzero(mixture)
+        sizes, tops = m.ravel()[tails], (head[:, None] + first).ravel()[tails]
+        for size in np.unique(sizes).tolist():
+            group = np.flatnonzero(sizes == size)
+            step = max(1, GPD_BLOCK // size)
+            for block in (group[i:i + step] for i in range(0, group.size, step)):
+                at = tails[block]
+                sigma.flat[at], xi.flat[at] = fit_gpds(
+                    values[tops[block, None] + np.arange(size)], u.flat[at])
+        code[np.isnan(sigma) & (code == MIXTURE)] = DEGENERATE
+    lam = np.empty(u.shape)
+    lam[:] = 1.0 - k2
+    return MixtureFits(values=values, n=n, n_zero=below[:, 0], u=u, lam=lam,
+                       sigma=sigma, xi=xi, code=code)
 
 
 def fit_mixture(sample, k2: float) -> BaMixture:
@@ -385,31 +427,41 @@ def fit_mixture(sample, k2: float) -> BaMixture:
     values lie strictly above the threshold, or when the tail fit fails.
     This is `fit_mixtures` on one sample at one level.
     """
-    return fit_mixtures([sample], (k2,))[0][0]
+    fits = fit_mixtures([sample], (k2,))
+    code, u = int(fits.code[0, 0]), float(fits.u[0, 0])
+    gpd = (GpdParams(sigma=float(fits.sigma[0, 0]), xi=float(fits.xi[0, 0]), threshold=u)
+           if code == MIXTURE else None)
+    n = int(fits.n[0])
+    return BaMixture(kind="empirical" if gpd is None else "mixture", sample_size=n,
+                     z=int(fits.n_zero[0]) / n, u=u, lam=float(fits.lam[0, 0]),
+                     gpd=gpd, fallback_reason=FALLBACKS[code], fits=fits)
 
 
-def cdf_rows(fits, thresholds, capacities, levels: int = 1) -> np.ndarray:
+def cdf_rows(fits, thresholds, capacities) -> np.ndarray:
     """CDF rows on an absolute threshold grid, of shape (levels, centers,
-    thresholds): fits holds, per center, the models of its levels (one
-    per burnt-area tail level, or one model), and capacities one cell
-    capacity per center. levels shapes an empty batch.
+    thresholds), one center per fitted sample: fits is a list of count
+    models (one level), a list of `BaMixture`s (one level) or a
+    `MixtureFits` (its levels), and capacities holds one cell capacity
+    per center.
 
-    A count model's CDF already is its row. A burnt-area mixture lives
-    on the proportion scale: the grid is divided by the cell capacity,
-    and thresholds at or above capacity are certainties, pinned to 1
-    regardless of the fitted tail. This is the one capacity pin, for
-    predicted and CV rows alike; `rules.saturation_flags` only labels
-    the rows it touched. The pins are a suffix of the increasing grid.
-    Each center's rows are built alone, whatever the batch.
+    A count model's CDF already is its row (`counts.count_rows`). A
+    burnt-area mixture lives on the proportion scale: the grid is
+    divided by the cell capacity, and thresholds at or above capacity
+    are certainties, pinned to 1 regardless of the fitted tail. This is
+    the one capacity pin, for predicted and CV rows alike;
+    `rules.saturation_flags` only labels the rows it touched. The pins
+    are a suffix of the increasing grid. Each family's rows come from
+    one stacked kernel, and each row equals that center's row alone,
+    bit for bit.
     """
-    rows = np.empty((levels, len(fits), thresholds.size))
-    for j, (models, capacity) in enumerate(zip(fits, capacities)):
-        if isinstance(models[0], BaMixture):
-            scaled, forced = rescaled_thresholds(thresholds, capacity)
-            rows[:, j] = _mixture_cdf(models, scaled)
-            rows[:, j, forced] = 1.0
-        else:
-            rows[:, j] = [model.cdf(thresholds) for model in models]
+    if not isinstance(fits, MixtureFits):
+        if not fits or not isinstance(fits[0], BaMixture):
+            return count_rows(fits, thresholds)[None]
+        fits = _side_by_side([model.fits for model in fits])
+    capacities = np.asarray(capacities, dtype=float).reshape(-1, 1)
+    scaled, forced = rescaled_thresholds(thresholds, capacities)
+    rows = _mixture_cdf(fits, scaled)
+    rows[:, forced] = 1.0
     return rows
 
 

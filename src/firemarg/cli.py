@@ -53,9 +53,27 @@ def _integers(raw: str) -> tuple:
     return tuple(_integer(t) for t in raw.replace(",", " ").split())
 
 
+def _flag_type(parse, kind: str):
+    """parse as an argparse type: a token it rejects is reported as
+    "invalid <kind>: '<token>'" after the flag's name."""
+    def read(raw: str):
+        try:
+            return parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind}: {raw!r}") from None
+    return read
+
+
+_NUMBER = _flag_type(_to_float, "number")
+_INTEGER = _flag_type(_integer, "integer")
+_NUMBERS = _flag_type(_numbers, "list of numbers")
+_INTEGERS = _flag_type(_integers, "list of integers")
+
+
 def _read_weights(path: str) -> tuple:
     """Score weights, one per nonblank line; DataError naming the path,
-    and the line for a value that does not parse."""
+    and the line for a value that does not parse, or saying that the
+    file holds none."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -69,20 +87,22 @@ def _read_weights(path: str) -> tuple:
             except ValueError:
                 raise DataError(f"{path}:{number}: cannot parse weight "
                                 f"{line.strip()!r}") from None
+    if not weights:
+        raise DataError(f"weights file {path} holds no weights")
     return tuple(weights)
 
 
 # The settings flags by argparse dest; each command adds those it reads.
 _SETTINGS = {
     "config": dict(metavar="FILE", help="INI config file"),
-    "seed": dict(type=_integer),
-    "workers": dict(type=_integer),
+    "seed": dict(type=_INTEGER),
+    "workers": dict(type=_INTEGER),
     "no_rules": dict(action="store_true", help="disable the pair and water deductions"),
     "variant": dict(choices=VARIANTS),
-    "k1": dict(type=_to_float, metavar="KM", help="neighborhood radius for both variables"),
-    "k2": dict(type=_to_float, metavar="LEVEL",
+    "k1": dict(type=_NUMBER, metavar="KM", help="neighborhood radius for both variables"),
+    "k2": dict(type=_NUMBER, metavar="LEVEL",
                help="non-exceedance level of the burnt-area tail threshold"),
-    "ky": dict(type=_integer, help="year half-width (temporal variant)"),
+    "ky": dict(type=_INTEGER, help="year half-width (temporal variant)"),
     "weights": dict(metavar="FILE", help="score weights, one per line, applied to both grids"),
 }
 
@@ -267,25 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "synth", cmd_synth, "generate a synthetic dataset with truth",
                      ["config", "seed"])
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--nx", type=_integer, default=20)
-    p.add_argument("--ny", type=_integer, default=20)
-    p.add_argument("--spacing", type=_to_float, default=0.5)
-    p.add_argument("--months", type=_integers, default="6")
-    p.add_argument("--years", type=_integers, default="2000")
-    p.add_argument("--block-km", type=_to_float, default=300.0)
-    p.add_argument("--drift", type=_to_float, default=0.0)
-    p.add_argument("--rate", type=_to_float, default=0.1,
+    p.add_argument("--nx", type=_INTEGER, default=20)
+    p.add_argument("--ny", type=_INTEGER, default=20)
+    p.add_argument("--spacing", type=_NUMBER, default=0.5)
+    p.add_argument("--months", type=_INTEGERS, default="6")
+    p.add_argument("--years", type=_INTEGERS, default="2000")
+    p.add_argument("--block-km", type=_NUMBER, default=300.0)
+    p.add_argument("--drift", type=_NUMBER, default=0.0)
+    p.add_argument("--rate", type=_NUMBER, default=0.1,
                    help="missingness rate for both variables")
-    p.add_argument("--overlap", type=_to_float, default=0.4)
-    p.add_argument("--water-frac", type=_to_float, default=0.0)
-    p.add_argument("--small-area-frac", type=_to_float, default=0.0)
+    p.add_argument("--overlap", type=_NUMBER, default=0.4)
+    p.add_argument("--water-frac", type=_NUMBER, default=0.0)
+    p.add_argument("--small-area-frac", type=_NUMBER, default=0.0)
 
     p = _add_command(sub, "explore", cmd_explore, "dependence diagnostics per region",
                      ["config", "seed"])
     p.add_argument("--data", metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--levels", type=_numbers, default="0.9,0.95,0.99")
-    p.add_argument("--boot", type=_integer, default=1000)
+    p.add_argument("--levels", type=_NUMBERS, default="0.9,0.95,0.99")
+    p.add_argument("--boot", type=_INTEGER, default=1000)
 
     p = _add_command(sub, "tune", cmd_tune, "cross-validate k1 and k2",
                      ["config", "variant", "ky", "weights"])

@@ -34,8 +34,14 @@ over depends only on its own sample, never on the batch: a stacked fit
 equals the lone fit bit for bit. `fit_zinb` is `fit_zinbs` on one
 sample, so cross-validation scores exactly what prediction emits.
 
+Rows are stacked too. `count_rows` builds the CDF rows of a batch of
+count models: the ZINB fits' from `_zinb_rows`, which groups them by
+the support point their sums stop at (the grid's largest, or a tail cap
+past 256) and evaluates one 2-D pmf per group, cumulated along each row
+alone; the empirical fallbacks' from their sample's counts at or below
+each threshold. `zinb_cdf` and `CountModel.cdf` are these on one model.
 A CDF row is a cumulative sum of exponentials, so it never decreases or
-goes negative; `zinb_cdf` holds the one rounding cap at 1, checked.
+goes negative; `_zinb_rows` holds the one rounding cap at 1, checked.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ NEWTON_TOL = 1e-10    # stop once the Newton decrement is below this * |loglik|
 # The stacked search pads each sample's support length up to a multiple
 # of ZINB_PAD (see the module docstring), and fits at most ZINB_BLOCK
 # support entries (samples x padded length) at once, so that a block's
-# temporaries stay near 0.5 MB each.
+# temporaries stay near 0.5 MB each; the row kernel takes models in
+# blocks of as many entries (models x the grid's largest support point).
 ZINB_PAD = 16
 ZINB_BLOCK = 65536
 
@@ -85,15 +92,32 @@ def _log_ratio_terms(k, mu: float, r: float):
     return np.where(y > -0.5, np.log1p(y), np.log((r + k) / (r + mu)))
 
 
-def _nb_log_pmf(j, mu: float, r: float):
-    """log of the negative binomial pmf g(j) at integer j >= 0."""
-    j = np.asarray(j, dtype=float)
-    top = int(j.max()) if j.size else 0
-    terms = _log_ratio_terms(np.arange(top, dtype=float), mu, r)
-    # partial[j] = log Gamma(j+r) - log Gamma(r) - j log(r+mu)
-    partial = np.concatenate(([0.0], np.cumsum(terms)))
-    return (partial[j.astype(np.intp)] - gammaln(j + 1.0)
-            - r * np.log1p(mu / r) + j * np.log(mu))
+def _log_pmf_rows(pi, mu, r, width: int) -> np.ndarray:
+    """Log pmf at 0, 1, ..., width - 1 of each model, one row per entry
+    of pi, mu and r.
+
+    log g(j) is the cumulative sum of log((r+k)/(r+mu)) over k < j, each
+    row summed alone, minus log j! and r log(1 + mu/r), plus j log mu.
+    """
+    k = np.arange(width, dtype=float)
+    mu, r = mu[:, None], r[:, None]
+    partial = np.zeros((mu.shape[0], width))
+    np.cumsum(_log_ratio_terms(k[:-1], mu, r), axis=1, out=partial[:, 1:])
+    log_g = partial - gammaln(k + 1.0) - r * np.log1p(mu / r) + k * np.log(mu)
+    with np.errstate(divide="ignore"):
+        log_pi, log_1mpi = np.log(pi), np.log1p(-pi)
+    log_pmf = log_1mpi[:, None] + log_g
+    log_pmf[:, 0] = np.logaddexp(log_pi, log_pmf[:, 0])
+    return log_pmf
+
+
+def _pmf_rows(pi, mu, r, width: int) -> np.ndarray:
+    return np.exp(_log_pmf_rows(pi, mu, r, width))
+
+
+def _columns(params) -> tuple:
+    """(pi, mu, r) of a sequence of ZinbParams, each an array."""
+    return tuple(np.array([(p.pi, p.mu, p.r) for p in params], dtype=float).reshape(-1, 3).T)
 
 
 def zinb_log_pmf(params: ZinbParams, j):
@@ -101,59 +125,97 @@ def zinb_log_pmf(params: ZinbParams, j):
     j = np.asarray(j)
     if np.any(j < 0) or np.any(j != np.floor(j)):
         raise DataError("support points must be nonnegative integers")
-    log_g = _nb_log_pmf(j, params.mu, params.r)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-        log_1mpi = np.log1p(-params.pi)
-    return np.where(j == 0, np.logaddexp(log_pi, log_1mpi + log_g), log_1mpi + log_g)
+    width = int(j.max()) + 1 if j.size else 1
+    return _log_pmf_rows(*_columns([params]), width)[0, j.astype(np.intp)]
 
 
 def zinb_pmf(params: ZinbParams, j):
     return np.exp(zinb_log_pmf(params, j))
 
 
-def zinb_cdf(params: ZinbParams, u):
-    """CDF at real thresholds u: sum of the pmf over j <= floor(u).
+def _row_caps(pi, mu, r, kmax: int) -> np.ndarray:
+    """The last support point each model's row sums to, on a grid that
+    reaches kmax: kmax itself up to 256. Past 256, the first j0 of 256,
+    512, ... (at most kmax) where a geometric bound on the remaining
+    tail mass drops below 1e-13, so very large thresholds cost nothing
+    extra."""
+    caps = np.full(pi.size, kmax)
+    todo = np.arange(pi.size if kmax > 256 else 0)
+    q = mu / (r + mu)
+    j0 = 256
+    while todo.size:
+        # past the cap, pmf(j+1)/pmf(j) = q*(j+r)/(j+1) <= bound < 1 for j large
+        bound = q[todo] * np.maximum(1.0, (j0 + r[todo]) / (j0 + 1.0))
+        # tail beyond j0 <= pmf(j0) * bound / (1 - bound)
+        tail = np.full(todo.size, np.inf)
+        shrinks = bound < 1.0
+        m, b = todo[shrinks], bound[shrinks]
+        tail[shrinks] = _pmf_rows(pi[m], mu[m], r[m], j0 + 1)[:, j0] * b / (1.0 - b)
+        stop = tail < 1e-13
+        caps[todo[stop]] = j0
+        if j0 >= kmax:
+            break
+        todo = todo[~stop]
+        j0 = min(2 * j0, kmax)
+    return caps
 
-    Vectorized over u. Negative thresholds give 0. The summation stops
-    once a geometric bound on the remaining tail mass drops below 1e-13,
-    so very large u cost nothing extra. A sum of cap + 1 terms can pass 1
-    by (cap + 1) ulps of rounding, which is capped; more raises DataError.
+
+def _zinb_rows(pi, mu, r, u) -> np.ndarray:
+    """CDF rows of ZINB models at the real thresholds u (1-D), one row
+    per entry of pi, mu and r: the sum of the pmf over j <= floor(u),
+    and 0 at a negative threshold.
+
+    Models are taken in blocks of at most ZINB_BLOCK support entries
+    (models x the grid's largest support point), and within a block
+    by `_row_caps` cap: one 2-D pmf per cap, cumulated along each row
+    alone. A sum of cap + 1 terms can pass 1 by (cap + 1) ulps of
+    rounding, which is capped; more raises DataError naming the model.
     """
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
     if np.any(np.isnan(u)):
         raise DataError("thresholds must not be NaN")
     valid = u >= 0
-    out = np.zeros(u.shape)
+    cols = np.flatnonzero(valid)
     kmax = int(u[valid].max(initial=0.0))
+    out = np.zeros((pi.size, u.size))
+    per_block = max(1, ZINB_BLOCK // (kmax + 1))
+    for first in range(0, pi.size, per_block):
+        block = np.arange(first, min(first + per_block, pi.size))
+        caps = _row_caps(pi[block], mu[block], r[block], kmax)
+        for cap in np.unique(caps).tolist():
+            rows = block[caps == cap]
+            cum = np.cumsum(_pmf_rows(pi[rows], mu[rows], r[rows], cap + 1), axis=1)
+            over = np.flatnonzero(cum[:, -1] - 1.0 > (cap + 1) * np.finfo(float).eps)
+            if over.size:
+                i = rows[over[0]]
+                params = ZinbParams(pi=float(pi[i]), mu=float(mu[i]), r=float(r[i]))
+                raise DataError(f"pmf of {params} sums to {float(cum[over[0], -1])!r}, "
+                                "above 1 by more than rounding")
+            np.minimum(cum, 1.0, out=cum)
+            out[rows[:, None], cols] = cum[:, np.minimum(u[valid], cap).astype(np.intp)]
+    return out
 
-    q = params.mu / (params.r + params.mu)
-    # past the cap, pmf(j+1)/pmf(j) = q*(j+r)/(j+1) <= bound < 1 for j large
-    cap = kmax
-    if kmax > 256:
-        j0 = 256
-        while True:
-            bound = q * max(1.0, (j0 + params.r) / (j0 + 1.0))
-            if bound < 1.0:
-                # tail beyond j0 <= pmf(j0) * bound / (1 - bound)
-                tail = zinb_pmf(params, j0) * bound / (1.0 - bound)
-                if tail < 1e-13:
-                    cap = min(kmax, j0)
-                    break
-            if j0 >= kmax:
-                cap = kmax
-                break
-            j0 = min(2 * j0, kmax)
 
-    cum = np.cumsum(zinb_pmf(params, np.arange(cap + 1)))
-    if cum[-1] - 1.0 > (cap + 1) * np.finfo(float).eps:
-        raise DataError(f"pmf of {params} sums to {cum[-1]!r}, above 1 "
-                        "by more than rounding")
-    np.minimum(cum, 1.0, out=cum)
-    out[valid] = cum[np.minimum(u[valid], cap).astype(np.intp)]
-    return float(out[0]) if scalar else out
+def zinb_cdf(params: ZinbParams, u):
+    """CDF at real thresholds u (scalar or array), 0 below 0: the rows
+    of this one model."""
+    return CountModel(kind="zinb", sample_size=0, params=params).cdf(u)
+
+
+def count_rows(models, thresholds) -> np.ndarray:
+    """CDF rows of count models at the thresholds, one row per model:
+    every ZINB fit's from one `_zinb_rows` call, and every empirical
+    fallback's from its sample's count of values at or below each
+    threshold."""
+    u = np.asarray(thresholds, dtype=float).reshape(-1)
+    rows = np.empty((len(models), u.size))
+    zinb = np.array([m.kind == "zinb" for m in models], dtype=bool)
+    if zinb.any():
+        rows[zinb] = _zinb_rows(*_columns([m.params for m in models if m.kind == "zinb"]), u)
+    samples = [m.sample for m in models if m.kind != "zinb"]
+    if samples:
+        below = np.array([np.searchsorted(s, u, side="right") for s in samples])
+        rows[~zinb] = below / np.array([[s.size] for s in samples])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -173,11 +235,11 @@ class CountModel:
     fallback_reason: str | None = None
 
     def cdf(self, u):
-        if self.kind == "zinb":
-            return zinb_cdf(self.params, u)
+        """CDF at thresholds u (scalar or array): `count_rows` of this
+        model alone."""
         u = np.asarray(u, dtype=float)
-        out = np.searchsorted(self.sample, u, side="right") / self.sample.size
-        return float(out) if out.ndim == 0 else out
+        row = count_rows([self], u)[0]
+        return float(row[0]) if u.ndim == 0 else row.reshape(u.shape)
 
 
 def _zinb_neg_loglik(theta, values, counts):
@@ -190,7 +252,9 @@ def _zinb_neg_loglik(theta, values, counts):
         return np.inf
     log_pi = log_expit(pi_logit)
     log_1mpi = log_expit(-pi_logit)
-    log_g = _nb_log_pmf(values, mu, r)
+    # the pmf rows at pi = 0 are the negative binomial's own
+    log_g = _log_pmf_rows(np.zeros(1), np.array([mu]), np.array([r]),
+                          int(values[-1]) + 1)[0, values.astype(np.intp)]
     log_pmf = log_1mpi + log_g
     if values[0] == 0:
         log_pmf[0] = np.logaddexp(log_pi, log_1mpi + log_g[0])

@@ -8,8 +8,9 @@ The missing indices of each variable are split into consecutive
 chunks, and one worker pool runs the chunks of both variables. A chunk
 builds its indices' samples with one stacked `fitting_samples` query;
 its count models come from one stacked `fit_zinbs` call, and its
-burnt-area models from one `fit_mixture` call per index, and its rows
-from one `cdf_rows` call, as in cross-validation. Burnt-area rows are
+burnt-area models from one `fit_mixture` call per index. One
+`cdf_rows` call then builds all of the chunk's rows with the family's
+stacked row kernel, as in cross-validation. Burnt-area rows are
 modelled in proportion space and emitted against the absolute
 threshold grid; the rescaling by cell capacity stays internal. Samples,
 fits and rows of a stacked call equal lone calls bit for bit, so a row
@@ -83,7 +84,7 @@ def _predict_block(payload, ds: Dataset | None = None):
     """(rows, diagnostics) of one chunk, in index order, on ds or, in a
     pool worker, on the worker's Dataset. Count models are fitted by one
     `fit_zinbs` call, burnt-area models one index at a time, and the
-    rows, one array, by one `cdf_rows` call."""
+    rows, one array, are built by one `cdf_rows` call on all of them."""
     indices, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
     samples, sources = zip(*fitting_samples(ds, indices, variable, spec))
@@ -94,7 +95,7 @@ def _predict_block(payload, ds: Dataset | None = None):
         grid, models = ds.cnt_thresholds, fit_zinbs(samples)
     else:
         grid, models = ds.ba_thresholds, [fit_mixture(s, k2) for s in samples]
-    rows = cdf_rows([[model] for model in models], grid, ds.capacity[indices])[0]
+    rows = cdf_rows(models, grid, ds.capacity[indices])[0]
     return rows, [Diagnostic(index=i, variable=variable, source=source,
                              sample_size=int(sample.size), model=model.kind,
                              fallback=model.fallback_reason or "", forced="")

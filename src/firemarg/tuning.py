@@ -7,10 +7,11 @@ scored by fitting the marginal model to the surrogate's sample from
 `neighborhoods.fitting_samples` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. Prediction uses the same ladder, the same
-fit path and the same row builder: a stacked `counts.fit_zinbs` fit
+fit path and the same row kernels: a stacked `counts.fit_zinbs` fit
 equals the lone fit, `burnt_area.fit_mixture` is `fit_mixtures` called
-with one level, and `burnt_area.cdf_rows` builds both their rows. So CV
-scores exactly the model that prediction emits, bit for bit. An empty
+with one sample at one level, and `burnt_area.cdf_rows` builds both
+their rows, each row as it would be alone. So CV scores exactly the
+model that prediction emits, bit for bit. An empty
 neighborhood widens along that ladder, so each candidate is scored on
 the full plan. The candidate combination with the smallest total score
 wins; ties go to the smaller parameters.
@@ -20,11 +21,13 @@ stacked `fitting_samples` query builds every distinct surrogate's
 sample once, and each is fitted. For counts, one `fit_zinbs` call fits
 every surrogate of the radius in one stacked Newton search. For burnt
 area, one `fit_mixtures` call fits every surrogate at every candidate
-tail level, with all their GPD tails in one stacked search. One
-`cdf_rows` call builds the rows of every (level, surrogate); the levels
-whose fit falls back to the empirical CDF share one row. One vectorised
-`score_rows` call then scores them all, and each level's total is
-summed over the plan's pairs in order.
+tail level into one columnar `MixtureFits`, its GPD tails in stacked
+blocks. One `cdf_rows` call builds the rows of every (level,
+surrogate) with its family's stacked kernel: the ZINB rows as 2-D pmf
+sums, the mixture rows from each sample's counts of values at or below
+the scaled thresholds. One vectorised `score_rows` call then scores
+them all, and each level's total is summed over the plan's pairs in
+order.
 """
 
 from __future__ import annotations
@@ -111,28 +114,23 @@ def cv_score(ds: Dataset, spec: NeighborhoodSpec, plan: CvPlan,
     One `fitting_samples` query builds every distinct surrogate's
     sample. Counts are fitted by one `fit_zinbs` call, burnt area by one
     `fit_mixtures` call at every level, and one `cdf_rows` call builds
-    every row; the empirical fallbacks share one row (the empirical CDF
-    does not depend on k2). One `score_rows` call scores every (level,
+    every row. One `score_rows` call scores every (level,
     surrogate). Duplicate surrogates are scored once per occurrence, and
     each total is np.sum over the plan's pairs in order. A pair is
     skipped only when the surrogate is the lone observation in its
     month pool, which no radius can change.
     """
-    if plan.variable == "cnt":
-        levels = (None,)
-    elif k2 is None:
+    if plan.variable == "ba" and k2 is None:
         raise DataError("burnt-area CV needs a k2 level")
-    else:
-        levels = tuple(np.atleast_1d(k2).tolist())
     surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
     samples = dict(zip(surrogates, (sample for sample, _ in fitting_samples(
         ds, surrogates, plan.variable, spec))))
     live = [s for s, sample in samples.items() if sample.size]
     if plan.variable == "cnt":
-        fits = [[model] for model in fit_zinbs([samples[s] for s in live])]
+        fits = fit_zinbs([samples[s] for s in live])
     else:
-        fits = fit_mixtures([samples[s] for s in live], levels)
-    rows = cdf_rows(fits, config.thresholds, ds.capacity[live], len(levels))
+        fits = fit_mixtures([samples[s] for s in live], np.atleast_1d(k2))
+    rows = cdf_rows(fits, config.thresholds, ds.capacity[live])
     column = ds.cnt if plan.variable == "cnt" else ds.ba
     scores = score_rows(rows, column[live], config)
     column_of = {surrogate: j for j, surrogate in enumerate(live)}

@@ -231,9 +231,9 @@ def test_profile_fit_is_no_worse_than_nelder_mead():
     assert edges > 0
 
 
-def test_stacked_fits_equal_lone_fits(monkeypatch):
+def test_stacked_fits_equal_lone_fits():
     # sizes shared by several sets, edge fits, too few values and
-    # all-equal values, in blocks small enough to split the groups
+    # all-equal values; the sets of one size are one stacked block
     rng = np.random.default_rng(55)
     corpus = list(_exceedance_corpus())
     for m in (10, 11, 40, 40, 40, 97):
@@ -243,24 +243,35 @@ def test_stacked_fits_equal_lone_fits(monkeypatch):
                    (np.full(m, u + 0.1), u)]
     corpus += [(np.linspace(1.0, 2.0, 9), 0.0), (np.linspace(0.5, 0.9, 3), 0.2)]
     rng.shuffle(corpus)
-    monkeypatch.setattr(burnt_area, "GPD_BLOCK", 200)
-    stacked = fit_gpds(corpus)
+    by_size: dict = {}
+    for values, u in corpus:
+        by_size.setdefault(values.size, []).append((values, u))
 
     outcomes = Counter()
-    for (values, u), fit in zip(corpus, stacked):
+    for sets in by_size.values():
+        alone = []
+        for values, u in sets:
+            try:
+                alone.append(fit_gpd(values, u))
+            except GpdFitError as exc:
+                alone.append(str(exc))
         try:
-            alone = fit_gpd(values, u)
+            sigma, xi = fit_gpds(np.array([v for v, _ in sets]), [u for _, u in sets])
         except GpdFitError as exc:
-            assert isinstance(fit, GpdFitError) and str(fit) == str(exc)
-            outcomes[str(exc).split(":")[0].split(" at ")[0]] += 1
+            # a block of too few exceedances fails as each of its sets does
+            assert alone == [str(exc)] * len(sets) and str(exc).startswith("need")
+            outcomes["need"] += len(sets)
             continue
-        assert isinstance(fit, GpdParams)
-        assert (fit.sigma, fit.xi, fit.threshold) == (alone.sigma, alone.xi, alone.threshold)
-        outcomes["edge" if fit.xi == XI_LO else "interior"] += 1
+        for (_, u), fit, sigma_k, xi_k in zip(sets, alone, sigma.tolist(), xi.tolist()):
+            if isinstance(fit, str):
+                assert fit.startswith("degenerate sample")
+                assert math.isnan(sigma_k) and math.isnan(xi_k)
+                outcomes["degenerate sample"] += 1
+            else:
+                assert (fit.sigma, fit.xi, fit.threshold) == (sigma_k, xi_k, u)
+                outcomes["edge" if fit.xi == XI_LO else "interior"] += 1
     assert set(outcomes) == {"edge", "interior", "need", "degenerate sample"}
-    # some size group spans more than one block
-    sizes = Counter(values.size for values, _ in corpus)
-    assert any(m * n > burnt_area.GPD_BLOCK for m, n in sizes.items())
+    assert any(len(sets) > 3 for sets in by_size.values())
 
 
 def test_edge_fits_give_valid_mixture_rows():
@@ -313,8 +324,9 @@ def test_rows_are_valid_without_repair():
 
 
 def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
-    # a ZINB fit, an empirical count fallback, a GPD mixture, an
-    # empirical burnt-area fallback and a mixture pinned at capacity
+    # a batch of count models, a ZINB fit and an empirical fallback, and
+    # one of burnt-area models: a GPD mixture, an empirical fallback and
+    # a mixture pinned at capacity
     rng = np.random.default_rng(41)
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
     zinb = fit_zinb(rng.negative_binomial(2, 0.3, 200).astype(float))
@@ -323,23 +335,72 @@ def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
     assert [m.kind for m in (zinb, counted, tail, flat)] == \
         ["zinb", "empirical", "mixture", "empirical"]
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
-    fits = [[zinb], [counted], [tail], [flat], [tail]]
-    capacities = [500.0, 500.0, 2000.0, 2000.0, 150.0]
-    batch = cdf_rows(fits, thresholds, capacities)
-    assert batch.shape == (1, len(fits), thresholds.size)
-    for j, (models, capacity) in enumerate(zip(fits, capacities)):
-        assert np.array_equal(batch[:, j], cdf_rows([models], thresholds, [capacity])[:, 0])
-    assert np.all(batch[0, 4, thresholds >= 150.0] == 1.0)
-    assert batch[0, 2, 4] < 1.0
+    for fits, capacities in (([zinb, counted], [500.0, 500.0]),
+                             ([tail, flat, tail], [2000.0, 2000.0, 150.0])):
+        batch = cdf_rows(fits, thresholds, capacities)
+        assert batch.shape == (1, len(fits), thresholds.size)
+        for j, (model, capacity) in enumerate(zip(fits, capacities)):
+            assert np.array_equal(batch[:, j], cdf_rows([model], thresholds, [capacity])[:, 0])
+    assert np.all(batch[0, 2, thresholds >= 150.0] == 1.0)
+    assert batch[0, 0, 4] < 1.0
 
     # every level of each sample, and an empty batch keeps its levels
     levels = (0.1, 0.5, 0.9)
     fits = fit_mixtures([sample, sample[::2]], levels)
-    batch = cdf_rows(fits, thresholds, [2000.0, 150.0], len(levels))
-    for j, (models, capacity) in enumerate(zip(fits, [2000.0, 150.0])):
+    batch = cdf_rows(fits, thresholds, [2000.0, 150.0])
+    for j, (one, capacity) in enumerate(zip([sample, sample[::2]], [2000.0, 150.0])):
         assert np.array_equal(batch[:, j],
-                              cdf_rows([models], thresholds, [capacity], len(levels))[:, 0])
-    assert cdf_rows([], thresholds, [], len(levels)).shape == (len(levels), 0, thresholds.size)
+                              cdf_rows(fit_mixtures([one], levels), thresholds, [capacity])[:, 0])
+    assert cdf_rows(fit_mixtures([], levels), thresholds, []).shape == \
+        (len(levels), 0, thresholds.size)
+
+
+def test_stacked_mixture_rows_equal_lone_rows(monkeypatch):
+    # samples from 1 to 3,000 values, with and without zeros, a constant
+    # tail (degenerate) and all zeros, at levels that give every outcome;
+    # blocks small enough that GPD sizes and row passes span several
+    rng = np.random.default_rng(808)
+    samples = [np.array([0.3]), np.zeros(12), np.r_[np.zeros(5), np.full(30, 0.2)],
+               np.r_[np.zeros(3), np.full(20, 0.001), np.full(12, 0.4)]]
+    for n in (9, 40, 160, 700, 3000):
+        values = np.minimum(rng.lognormal(-4.0, 1.5, n), 1.0)
+        values[rng.random(n) < rng.uniform(0.0, 0.6)] = 0.0
+        samples.append(values)
+    # equal sizes without ties share their exceedance counts
+    samples += [rng.uniform(0.0, 1.0, 400) for _ in range(6)]
+    levels = (0.05, 0.3, 0.5, 0.62, 0.8, 0.95)
+    monkeypatch.setattr(burnt_area, "GPD_BLOCK", 300)
+    monkeypatch.setattr(burnt_area, "ROW_BLOCK", 100)
+    fits = fit_mixtures(samples, levels)
+    lone = [[fit_mixture(sample, k2) for k2 in levels] for sample in samples]
+    reasons = Counter(m.fallback_reason or m.kind for models in lone for m in models)
+    assert set(reasons) == {"mixture", "zero mass at or above the k2 level",
+                            "too few exceedances", "degenerate sample: all exceedances equal"}
+
+    # thresholds at 0, at every u (capacity 1 keeps them exact) and
+    # past capacity, where rows are pinned
+    u = np.unique([m.u for models in lone for m in models])
+    thresholds = np.unique(np.r_[0.0, u, np.nextafter(u, 2.0), np.linspace(0.0, 3.0, 25)])
+    capacities = np.r_[1.0, rng.uniform(0.5, 3.0, len(samples) - 1)]
+    batch = cdf_rows(fits, thresholds, capacities)
+    assert batch.shape == (len(levels), len(samples), thresholds.size)
+    for j, (models, capacity) in enumerate(zip(lone, capacities)):
+        for level, m in enumerate(models):
+            gpd = m.gpd or GpdParams(1.0, 0.0)
+            assert (fits.code[j, level] == 0) == (m.kind == "mixture")
+            assert (fits.u[j, level], fits.lam[j, level]) == (m.u, m.lam)
+            if m.kind == "mixture":
+                assert (fits.sigma[j, level], fits.xi[j, level]) == (gpd.sigma, gpd.xi)
+            row = cdf_rows([m], thresholds, [capacity])[0, 0]
+            assert np.array_equal(batch[level, j], row)
+            assert np.array_equal(row[thresholds < capacity], m.cdf(thresholds[thresholds < capacity] / capacity))
+            assert np.all(row[thresholds >= capacity] == 1.0)
+    assert reasons["mixture"] * thresholds.size > burnt_area.ROW_BLOCK
+    tails = Counter(int(np.sum(sample > m.u)) for sample, models in zip(samples, lone)
+                    for m in models if m.kind == "mixture")
+    assert any(count > burnt_area.GPD_BLOCK // m for m, count in tails.items())
+    assert cdf_rows(fit_mixtures([], levels), thresholds, []).shape == \
+        (len(levels), 0, thresholds.size)
 
 
 def test_threshold_order_statistic():

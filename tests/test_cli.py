@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -319,3 +320,30 @@ def test_digit_group_underscores_rejected_in_weights_file(tmp_path, capsys):
     weights.write_text("1\n1_0\n")
     assert main(["config", "--weights", str(weights)]) == 2
     assert f"{weights}:2: cannot parse weight '1_0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", "\n  \n\n"])
+def test_empty_weights_file_is_named(tmp_path, capsys, content):
+    weights = tmp_path / "w.txt"
+    weights.write_text(content)
+    assert main(["config", "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: weights file {weights} holds no weights\n"
+
+
+@pytest.mark.parametrize("argv, flag, token", [
+    (["predict", "--k1", "1_0"], "--k1", "1_0"),
+    (["predict", "--workers", "two"], "--workers", "two"),
+    (["synth", "--out", "d", "--months", "6 1_0"], "--months", "6 1_0"),
+    (["synth", "--out", "d", "--spacing", "0,5"], "--spacing", "0,5"),
+    (["explore", "--levels", "0.9 x"], "--levels", "0.9 x"),
+    (["explore", "--boot", "1e3"], "--boot", "1e3"),
+])
+def test_flag_errors_name_the_flag_and_token_only(argv, flag, token, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert f"argument {flag}: invalid " in line and line.endswith(repr(token))
+    # no private function name such as _to_float or _integers
+    assert not re.search(r"(^|\W)_\w", line.split(": error: ", 1)[1])

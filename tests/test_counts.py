@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammaln, logit
@@ -33,7 +33,9 @@ from firemarg.counts import (
     _moment_starts,
     _newton_fits,
     _ProfileLiks,
+    _row_caps,
     _zinb_neg_loglik,
+    count_rows,
     fit_zinb,
     fit_zinbs,
     sample_zinb,
@@ -140,13 +142,13 @@ def test_cdf_monotone_vectorized(params):
 
 
 def test_mass_check_caps_rounding_and_raises_beyond_it(params, monkeypatch):
-    pmf = counts_module.zinb_pmf
+    pmf_rows = counts_module._pmf_rows
     # u = 1000 sums cap + 1 = 257 terms, whose rounding bound is 257 eps
-    monkeypatch.setattr(counts_module, "zinb_pmf",
-                        lambda p, j: pmf(p, j) * (1.0 + 2 * np.finfo(float).eps))
+    monkeypatch.setattr(counts_module, "_pmf_rows",
+                        lambda *model: pmf_rows(*model) * (1.0 + 2 * np.finfo(float).eps))
     assert zinb_cdf(params, 1000.0) == 1.0
-    monkeypatch.setattr(counts_module, "zinb_pmf",
-                        lambda p, j: pmf(p, j) * (1.0 + 1e-12))
+    monkeypatch.setattr(counts_module, "_pmf_rows",
+                        lambda *model: pmf_rows(*model) * (1.0 + 1e-12))
     with pytest.raises(DataError, match="by more than rounding"):
         zinb_cdf(params, 1000.0)
 
@@ -305,7 +307,12 @@ def _reference_newton(lik: ReferenceLik, theta):
     """Damped, projected Newton ascent over (log mu, log r <= log R_MAX).
 
     Returns (theta, loglik, converged). Each step is capped at MAX_STEP
-    per coordinate and backtracked until the likelihood rises.
+    per coordinate and backtracked until the likelihood rises. The last
+    step, once the Newton decrement is below its tolerance, is taken
+    unless it lowers the likelihood by more than that tolerance: there
+    the likelihood is flat to its rounding, and asking it to rise can
+    stop the search one step short of the optimum (by 1.4e-6 in pi on
+    the pinned example of `test_fit_matches_the_reference_newton`).
     """
     theta = np.array([theta[0], min(theta[1], LOG_R_MAX)])
     ll, grad, hess = lik(*theta)
@@ -313,14 +320,17 @@ def _reference_newton(lik: ReferenceLik, theta):
         fix_r = theta[1] >= LOG_R_MAX and grad[1] > 0
         step = _reference_ascent_step(grad, hess, fix_r)
         decrement = float(grad @ step)
-        # near the optimum take the full step if it helps, then stop
-        done = decrement <= NEWTON_TOL * max(1.0, abs(ll))
+        # near the optimum take the full step unless it loses, then stop
+        tol = NEWTON_TOL * max(1.0, abs(ll))
+        done = decrement <= tol
         step *= min(1.0, MAX_STEP / max(np.abs(step).max(), MAX_STEP))
         alpha = 1.0
         for _ in range(1 if done else 40):
             cand = theta + alpha * step
             cand[1] = min(cand[1], LOG_R_MAX)
             ll_c, grad_c, hess_c = lik(*cand)
+            if done and ll_c >= ll - tol:
+                break
             if ll_c > ll + 1e-4 * max(float(grad @ (cand - theta)), 0.0):
                 break
             alpha *= 0.5
@@ -386,6 +396,8 @@ def assert_matches_reference(sample):
        st.floats(min_value=0.05, max_value=60.0),
        st.floats(min_value=0.05, max_value=50.0),
        st.integers(min_value=5, max_value=500))
+# the reference's final step rises by less than its likelihood's rounding
+@example(seed=101, pi=0.0, mu=38.75, r=0.05, n=101)
 def test_fit_matches_the_reference_newton(seed, pi, mu, r, n):
     rng = np.random.default_rng(seed)
     assert_matches_reference(sample_zinb(ZinbParams(pi, mu, r), n, rng))
@@ -478,6 +490,52 @@ def test_search_that_cannot_rise_stops_unconverged():
     assert converged.tolist() == [True, False, True]
     assert a.tolist() == [1.0, 0.0, 1.0] and b.tolist() == [1.0, 0.0, 1.0]
     assert ll.tolist() == [0.0, -1.0, 0.0]
+
+
+def _row_models():
+    """ZINB fits, fixed heavy-tailed models and empirical fallbacks."""
+    rng = np.random.default_rng(314)
+    models = [fit_zinb(s) for s in list(_zinb_draws())[:12]]
+    models += [fit_zinb(np.array([0.0, 2.0, 5.0])), fit_zinb(np.zeros(30))]
+    for pi, mu, r in ((0.1, 3.0, 2.0), (0.0, 150.0, 0.3), (0.4, 40.0, 0.8),
+                      (0.2, 600.0, 5.0), (0.9, 1e3, 0.05), (0.0, 7.25, 1e6)):
+        models.append(CountModel(kind="zinb", sample_size=0, params=ZinbParams(pi, mu, r)))
+    rng.shuffle(models)
+    return models
+
+
+def test_stacked_count_rows_equal_lone_rows(monkeypatch):
+    # negative thresholds, fractional ones, and a grid past 256 whose
+    # models stop their sums at different caps, in blocks of few models
+    models = _row_models()
+    grid = np.r_[-3.0, -0.5, 0.0, 0.5, np.arange(1.0, 40.0), 99.5, 256.0, 300.0,
+                 1000.0, 4096.5, 1e5]
+    zinb = [m for m in models if m.kind == "zinb"]
+    caps = _row_caps(*counts_module._columns([m.params for m in zinb]), int(grid.max()))
+    assert len(set(caps.tolist())) > 2
+    monkeypatch.setattr(counts_module, "ZINB_BLOCK", 4 * int(grid.max()))
+    batch = count_rows(models, grid)
+    assert batch.shape == (len(models), grid.size)
+    assert np.all(batch[:, grid < 0] == 0.0)
+    for m, row in zip(models, batch):
+        assert np.array_equal(row, count_rows([m], grid)[0])
+        assert np.array_equal(row, m.cdf(grid))
+        if m.kind == "zinb":
+            assert np.array_equal(row, zinb_cdf(m.params, grid))
+    assert count_rows([], grid).shape == (0, grid.size)
+
+
+def test_mass_check_names_the_model_inside_a_batch(monkeypatch):
+    pmf_rows = counts_module._pmf_rows
+
+    def inflated(pi, mu, r, width):
+        # only the model with mu = 7.25 sums past 1 by more than rounding
+        return pmf_rows(pi, mu, r, width) * np.where(mu == 7.25, 1.0 + 1e-12, 1.0)[:, None]
+
+    monkeypatch.setattr(counts_module, "_pmf_rows", inflated)
+    with pytest.raises(DataError, match=r"pmf of ZinbParams\(pi=0\.0, mu=7\.25, r=1000000\.0\) "
+                                        r"sums to .*by more than rounding"):
+        count_rows(_row_models(), default_cnt_thresholds())
 
 
 def test_stacked_fits_check_every_sample():
