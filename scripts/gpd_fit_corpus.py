@@ -5,14 +5,15 @@ This builds the benchmark's `tune-grid` scene for one seed, runs
 `pipeline.tune_parameters` on it as `firemarg run` does with k1/k2
 unset, and records every distinct exceedance set that cross-validation
 hands to the stacked search `burnt_area.fit_gpds`, a row of one of its
-blocks, with the fit it got there. It prints how many of those stacked fits differ from
-`burnt_area.fit_gpd` on the set alone (there should be none). It then
-fits each set with `fit_gpd` and with the Nelder-Mead reference kept in
-tests/test_burnt_area.py, and prints the time per fit of each (and of
-the stacked search), the range of the log-likelihood gap (new minus
-reference), the sets below the reference by more than 1e-6, and how
-many new fits are edge fits (xi = -1, the uniform law), with how many
-of those the reference only approached.
+blocks, with the fit it got there. It prints how many blocks `fit_gpds`
+was handed and the median number of sets in a block, and how many of
+the stacked fits differ from `burnt_area.fit_gpd` on the set alone
+(there should be none). It then fits each set with `fit_gpd` and with
+the Nelder-Mead reference kept in tests/test_burnt_area.py, and prints
+the time per fit of each (and of the stacked search), the range of the
+log-likelihood gap (new minus reference), the sets below the reference
+by more than 1e-6, and how many new fits are edge fits (xi = -1, the
+uniform law), with how many of those the reference only approached.
 
     PYTHONPATH=src python scripts/gpd_fit_corpus.py --seed 301
 """
@@ -40,20 +41,22 @@ GATE = 1e-6
 
 def record_corpus(seed: int) -> tuple:
     """Distinct (values, threshold, stacked fit) triples fit_gpds
-    receives while tuning, and the seconds fit_gpds took per set it
-    was handed (repeats included)."""
+    receives while tuning, the seconds fit_gpds took per set it was
+    handed (repeats included), and the number of sets in each block it
+    was handed."""
     workload = WORKLOADS["tune-grid"]
     ds, _ = generate(workload.scene, seed)
     config = RunConfig(**workload.run)
     corpus: dict = {}
-    spent = [0.0, 0]
+    spent, blocks = 0.0, []
     original = burnt_area.fit_gpds
 
     def recording(block, thresholds):
+        nonlocal spent
         t0 = time.perf_counter()
         sigma, xi = original(block, thresholds)
-        spent[0] += time.perf_counter() - t0
-        spent[1] += len(block)
+        spent += time.perf_counter() - t0
+        blocks.append(len(block))
         for values, threshold, fit in zip(block, np.asarray(thresholds).tolist(),
                                           zip(sigma.tolist(), xi.tolist())):
             corpus.setdefault((values.tobytes(), threshold),
@@ -65,7 +68,7 @@ def record_corpus(seed: int) -> tuple:
         tune_parameters(ds, config)
     finally:
         burnt_area.fit_gpds = original
-    return list(corpus.values()), spent[0] / max(spent[1], 1)
+    return list(corpus.values()), spent / max(sum(blocks), 1), blocks
 
 
 def timed(fit, corpus):
@@ -91,7 +94,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=301)
     args = ap.parse_args(argv)
 
-    recorded, stacked_s = record_corpus(args.seed)
+    recorded, stacked_s, blocks = record_corpus(args.seed)
     if not recorded:
         raise SystemExit(f"seed {args.seed}: cross-validation fitted no GPD tail")
     corpus = [(values, threshold) for values, threshold, _ in recorded]
@@ -105,6 +108,8 @@ def main(argv=None):
     sizes = [v.size for v, _ in corpus]
     print(f"seed {args.seed}: {len(corpus)} distinct exceedance sets, "
           f"n {min(sizes)}-{max(sizes)}")
+    print(f"fit_gpds blocks: {len(blocks)}, median sets per block "
+          f"{np.median(blocks):g}")
     print(f"stacked fits that differ from the set fitted alone: {differ}")
     print(f"time per fit: profile {1e3 * new_s:.3f} ms alone, "
           f"{1e3 * stacked_s:.3f} ms stacked, Nelder-Mead {1e3 * ref_s:.3f} ms")

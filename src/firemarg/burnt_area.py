@@ -25,7 +25,8 @@ values in a contiguous layout, so they pair their terms as a lone fit
 does and a stacked fit equals the lone fit bit for bit. The
 single-model entry points are these called with one item: `fit_gpd` is
 `fit_gpds` on one set, and `fit_mixture` is `fit_mixtures` on one
-sample at one level, viewed as a `BaMixture`.
+sample at one level, viewed as a `BaMixture`. `sample_range` views a
+run of a batch's samples as a batch of its own.
 
 `cdf_rows` builds the rows of a batch of fitted models with one
 stacked kernel per family: `counts.count_rows` for count models, and
@@ -136,8 +137,8 @@ def gpd_cdf(params: GpdParams, x):
 def _profile_nll(s, r, top):
     """Negative log-likelihood per excess, profiled over the shape, at
     the points s (K, G) of the search for each row of r (K, m), the
-    excesses of K sets scaled to r = x / x_max (top marks those equal
-    to x_max).
+    excesses of K sets scaled to r = x / x_max (top holds the (set,
+    excess) indices of those equal to x_max, as np.nonzero gives them).
 
     With theta = xi / sigma and s = log1p(theta * x_max), the shape that
     maximises the likelihood for fixed theta is the mean of
@@ -155,7 +156,7 @@ def _profile_nll(s, r, top):
     np.log1p(log_terms, out=log_terms)
     # as theta nears the support edge -1/x_max, 1 + expm1(s) loses the
     # excesses at x_max to rounding; their log term is exactly s
-    np.copyto(log_terms, s[:, :, None], where=top[:, None, :])
+    log_terms[top[0], :, top[1]] = s[top[0]]
     xi = log_terms.sum(axis=2) / r.shape[1]
     xi_c = np.clip(xi, XI_LO, XI_HI)
     sigma = xi_c / tau
@@ -186,7 +187,7 @@ def _profile_search(r):
     """
     k = r.shape[0]
     rows = np.arange(k)
-    top = r == 1.0
+    top = np.nonzero(r == 1.0)
     s_tops = [math.log1p(XI_HI / v) for v in r.min(axis=1).tolist()]
     last = np.array([_GRID_HEAD.size + _grid_tail(t).size - 1 for t in s_tops])
     grid = np.concatenate([_GRID_HEAD, _grid_tail(max(s_tops))])
@@ -288,6 +289,14 @@ def _side_by_side(parts) -> MixtureFits:
     of their samples in order."""
     return MixtureFits(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(MixtureFits)))
+
+
+def sample_range(fits: MixtureFits, start: int, stop: int) -> MixtureFits:
+    """The fits of samples start to stop - 1 of fits, at every level, as
+    one batch of views."""
+    parts = {f.name: getattr(fits, f.name)[start:stop] for f in fields(MixtureFits)}
+    parts["values"] = fits.values[fits.n[:start].sum():fits.n[:stop].sum()]
+    return MixtureFits(**parts)
 
 
 @dataclass(frozen=True)

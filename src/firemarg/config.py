@@ -133,15 +133,20 @@ def _parse(annotation: str, raw: str):
     return _TYPE_PARSERS[base](raw)
 
 
+def short_number(value: float) -> str:
+    """value as `:g` text where that reads back exactly, else as the
+    shortest text that does."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _format_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        # `:g` text where it reads back exactly, else the shortest that does
-        return " ".join(f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
-                        for v in value)
+        return " ".join(short_number(v) for v in value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .burnt_area import cdf_rows, fit_mixture
-from .config import RunConfig, config_hash
+from .config import RunConfig, config_hash, short_number
 from .counts import fit_zinbs
 from .data import Dataset, PredictionTable, _to_float, ingest
 from .errors import DataError, FiremargError
@@ -323,9 +323,10 @@ def write_tuning_csv(result: TuningResult, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["variable", "radius_km", "quantile", "score"])
         for radius, score in result.cnt_scores:
-            writer.writerow(["cnt", f"{radius:g}", "", f"{score:.17g}"])
+            writer.writerow(["cnt", short_number(radius), "", f"{score:.17g}"])
         for radius, q, score in result.bap_scores:
-            writer.writerow(["ba", f"{radius:g}", f"{q:g}", f"{score:.17g}"])
+            writer.writerow(["ba", short_number(radius), short_number(q),
+                             f"{score:.17g}"])
 
 
 def write_truth_csv(indices_cnt, cnt_values: dict, indices_ba, ba_values: dict,

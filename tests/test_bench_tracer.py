@@ -59,7 +59,7 @@ def test_traced_run_counts_every_fit(tmp_path):
     assert [d.index for d in cnt] == ds.cnt_missing.tolist()
     assert {d.model for d in cnt} <= {"zinb", "empirical"}
     assert layers["burnt_area.fit_mixture_calls"] >= ds.ba_missing.size
-    assert layers["tuning.cv_score_calls"] == 4
+    assert layers["tuning.cv_score_calls"] == 2
 
 
 @pytest.mark.xfail(strict=True, reason="count fits run through fit_zinbs, which "

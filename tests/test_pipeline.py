@@ -20,9 +20,11 @@ from firemarg.pipeline import (
     score_tables,
     write_prediction_csv,
     write_truth_csv,
+    write_tuning_csv,
 )
 from firemarg.scoring import ScoreConfig, pooled_ecdf_row, score_one
 from firemarg.synth import SyntheticSpec, generate
+from firemarg.tuning import TuningResult
 
 from conftest import make_grid_columns
 
@@ -394,6 +396,22 @@ def test_run_all_tunes_when_unset(tmp_path, run_inputs):
     assert os.path.exists(os.path.join(out, "tuning.csv"))
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["selected"]["k1_cnt"] == artifacts.config.k1_cnt
+
+
+def test_tuning_csv_names_each_candidate_exactly(tmp_path):
+    # 10 significant digits: `:g` alone would write 100.123 and 0.123457
+    radius, q = 100.1234567, 0.1234567891
+    result = TuningResult(cnt_radius=radius, bap_radius=50.0, bap_quantile=q,
+                          cnt_scores=((radius, 1.5), (50.0, 2.0)),
+                          bap_scores=((radius, q, 3.0), (50.0, 0.25, 4.0)))
+    path = str(tmp_path / "tuning.csv")
+    write_tuning_csv(result, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[1:3] for r in rows] == [["100.1234567", ""], ["50", ""],
+                                      ["100.1234567", "0.1234567891"], ["50", "0.25"]]
+    assert [(float(r[1]), float(r[3])) for r in rows[:2]] == list(result.cnt_scores)
+    assert [tuple(map(float, r[1:])) for r in rows[2:]] == list(result.bap_scores)
 
 
 def test_tuned_run_is_byte_identical_across_worker_counts(tmp_path, run_inputs):

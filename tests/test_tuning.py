@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from firemarg import tuning
-from firemarg.burnt_area import cdf_rows, fit_mixture
+from firemarg.burnt_area import FEW_EXCEEDANCES, MIXTURE, ZERO_MASS, cdf_rows, fit_mixture
 from firemarg.counts import ZINB_PAD, fit_zinb
 from firemarg.data import build_dataset
 from firemarg.errors import DataError
@@ -114,7 +114,8 @@ def test_cv_score_matches_reference_loop():
     plan = build_cv_plan(ds, "cnt")
     cfg = ScoreConfig(ds.cnt_thresholds)
 
-    for radius in (120.0, 200.0):
+    radii, totals = (120.0, 200.0), []
+    for radius in radii:
         expected, widths = [], set()
         for _, s in plan.pairs:
             members = build_neighborhood(ds, s, NeighborhoodSpec(radius_km=radius)).members
@@ -124,9 +125,10 @@ def test_cv_score_matches_reference_loop():
             widths.add(-(-int(vals.max()) // ZINB_PAD))
             model = fit_zinb(vals)
             expected.append(score_one(model.cdf(ds.cnt_thresholds), ds.cnt[s], cfg))
-        spec = NeighborhoodSpec(radius_km=radius)
-        assert cv_score(ds, spec, plan, cfg)[0] == float(np.sum(expected))
+        totals.append((float(np.sum(expected)),))
         assert len(widths) >= 3
+    specs = [NeighborhoodSpec(radius_km=radius) for radius in radii]
+    assert cv_score(ds, specs, plan, cfg) == totals
 
 
 def test_empty_neighborhood_widens_to_slice_pool():
@@ -135,7 +137,7 @@ def test_empty_neighborhood_widens_to_slice_pool():
     ds = _ds(nx=4, ny=4, seed=9, cnt_missing_frac=0.1)
     plan = build_cv_plan(ds, "cnt")
     cfg = ScoreConfig(ds.cnt_thresholds)
-    tiny, = cv_score(ds, NeighborhoodSpec(radius_km=5.0), plan, cfg)
+    [(tiny,)] = cv_score(ds, [NeighborhoodSpec(radius_km=5.0)], plan, cfg)
     assert tiny > 0.0
 
     expected = []
@@ -151,8 +153,8 @@ def test_duplicate_surrogates_score_per_occurrence():
     s = int(build_cv_plan(ds, "cnt").pairs[0][1])
     cfg = ScoreConfig(ds.cnt_thresholds)
     spec = NeighborhoodSpec(radius_km=120.0)
-    one, = cv_score(ds, spec, CvPlan("cnt", ((0, s),)), cfg)
-    two, = cv_score(ds, spec, CvPlan("cnt", ((0, s), (1, s))), cfg)
+    [(one,)] = cv_score(ds, [spec], CvPlan("cnt", ((0, s),)), cfg)
+    [(two,)] = cv_score(ds, [spec], CvPlan("cnt", ((0, s), (1, s))), cfg)
     assert two == pytest.approx(2.0 * one)
     assert one > 0.0
 
@@ -213,27 +215,77 @@ def test_bap_scores_equal_a_per_pair_reference_loop():
     assert result.bap_scores == tuple(expected)
 
 
-def test_select_parameters_scores_each_radius_in_one_call(monkeypatch):
+def test_select_parameters_scores_each_variable_in_one_call(monkeypatch):
     ds = _ds(nx=5, ny=5, seed=29, cnt_missing_frac=0.25, ba_missing_frac=0.25)
-    radii = (100.0, 150.0, 200.0)
-    calls = Counter()
+    radii = (200.0, 100.0, 150.0)
+    calls = []
     score_fn = tuning.cv_score
 
-    def counted(ds, spec, plan, *args, **kwargs):
-        calls[plan.variable] += 1
-        return score_fn(ds, spec, plan, *args, **kwargs)
+    def counted(ds, specs, plan, *args, **kwargs):
+        calls.append((plan.variable, [spec.radius_km for spec in specs]))
+        return score_fn(ds, specs, plan, *args, **kwargs)
 
     monkeypatch.setattr(tuning, "cv_score", counted)
     result = select_parameters(ds, TuningGrid(radii=radii),
                                TuningGrid(radii=radii, quantiles=(0.3, 0.5, 0.7)))
-    assert calls == {"cnt": len(radii), "ba": len(radii)}
+    assert calls == [("cnt", list(radii)), ("ba", list(radii))]
     assert len(result.bap_scores) == 3 * len(radii)
+
+
+@pytest.mark.parametrize("variable", ["cnt", "ba"])
+def test_passes_score_as_one_pass_and_as_each_radius_alone(monkeypatch, variable):
+    # every 5 km sample widens to its slice, and the levels hit the
+    # zero-mass, too-few and mixture outcomes of fit_mixtures
+    ds = _ds(nx=8, ny=8, seed=37, cnt_missing_frac=0.2, ba_missing_frac=0.2)
+    plan = build_cv_plan(ds, variable)
+    cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
+    specs = [NeighborhoodSpec(radius_km=r) for r in (60.0, 150.0, 5.0, 300.0)]
+    k2 = (0.1, 0.5, 0.9)
+    surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
+    sources = {source for _, source in fitting_samples(ds, surrogates, variable, specs[2])}
+    assert sources == {"slice"}
+
+    events, codes = [], set()
+    query_fn, pass_fn, mixture_fn = (tuning.fitting_samples, tuning._score_pass,
+                                     tuning.fit_mixtures)
+
+    def query(ds, centers, variable, spec):
+        events.append(spec.radius_km)
+        return query_fn(ds, centers, variable, spec)
+
+    def scored(ds, radii, *args):
+        events.append(f"pass of {len(radii)}")
+        return pass_fn(ds, radii, *args)
+
+    def fitted(samples, levels):
+        fits = mixture_fn(samples, levels)
+        codes.update(fits.code.ravel().tolist())
+        return fits
+
+    monkeypatch.setattr(tuning, "fitting_samples", query)
+    monkeypatch.setattr(tuning, "_score_pass", scored)
+    monkeypatch.setattr(tuning, "fit_mixtures", fitted)
+    one_pass = cv_score(ds, specs, plan, cfg, k2=k2)
+    assert events == [60.0, 150.0, 5.0, 300.0, "pass of 4"]
+    # 300 values: the first two radii fill a pass, and each later one,
+    # past it alone, is a pass by itself, fitted before the next query
+    monkeypatch.setattr(tuning, "PASS_VALUES", 300)
+    events.clear()
+    several = cv_score(ds, specs, plan, cfg, k2=k2)
+    assert events == [60.0, 150.0, 5.0, "pass of 2", "pass of 1",
+                      300.0, "pass of 1"]
+    alone = [cv_score(ds, [spec], plan, cfg, k2=k2)[0] for spec in specs]
+    assert several == one_pass == alone
+    assert len(one_pass) == len(specs)
+    assert all(len(totals) == (1 if variable == "cnt" else len(k2)) for totals in one_pass)
+    if variable == "ba":
+        assert codes == {MIXTURE, ZERO_MASS, FEW_EXCEEDANCES}
 
 
 def test_burnt_area_cv_needs_a_level():
     ds = _ds(nx=4, ny=4, seed=9, ba_missing_frac=0.2)
     with pytest.raises(DataError):
-        cv_score(ds, NeighborhoodSpec(), build_cv_plan(ds, "ba"),
+        cv_score(ds, [NeighborhoodSpec()], build_cv_plan(ds, "ba"),
                  ScoreConfig(ds.ba_thresholds))
 
 
@@ -243,17 +295,17 @@ def test_identical_members_give_identical_scores():
     ds = _ds(nx=4, ny=4, seed=17, cnt_missing_frac=0.2)
     cfg = ScoreConfig(ds.cnt_thresholds)
     plan = build_cv_plan(ds, "cnt")
-    a, = cv_score(ds, NeighborhoodSpec(radius_km=300.0), plan, cfg)
-    b, = cv_score(ds, NeighborhoodSpec(radius_km=301.0), plan, cfg)
+    [(a,)] = cv_score(ds, [NeighborhoodSpec(radius_km=300.0)], plan, cfg)
+    [(b,)] = cv_score(ds, [NeighborhoodSpec(radius_km=301.0)], plan, cfg)
     assert a == b
 
 
 def test_empty_plan_scores_zero(grid_ds):
     cfg = ScoreConfig(grid_ds.cnt_thresholds)
-    assert cv_score(grid_ds, NeighborhoodSpec(), CvPlan("cnt", ()), cfg)[0] == 0.0
+    assert cv_score(grid_ds, [NeighborhoodSpec()], CvPlan("cnt", ()), cfg) == [(0.0,)]
     ba_cfg = ScoreConfig(grid_ds.ba_thresholds)
-    assert cv_score(grid_ds, NeighborhoodSpec(), CvPlan("ba", ()), ba_cfg,
-                    k2=(0.3, 0.5)) == (0.0, 0.0)
+    assert cv_score(grid_ds, [NeighborhoodSpec()], CvPlan("ba", ()), ba_cfg,
+                    k2=(0.3, 0.5)) == [(0.0, 0.0)]
 
 
 def test_grid_validation():
