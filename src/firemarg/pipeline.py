@@ -171,17 +171,14 @@ def benchmark_tables(ds: Dataset) -> PredictResult:
         missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
         column = ds.cnt if variable == "cnt" else ds.ba
         grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
-        pool_rows = {}
+        months = ds.month[missing]
         rows = np.zeros((missing.size, grid.size))
-        for pos, i in enumerate(missing):
-            m = int(ds.month[i])
-            if m not in pool_rows:
-                sample = column[ds.rows(m)]
-                sample = sample[~np.isnan(sample)]
-                if sample.size == 0:
-                    raise DataError(f"no observed {variable} values for month {m}")
-                pool_rows[m] = pooled_ecdf_row(sample, grid)
-            rows[pos] = pool_rows[m]
+        for m in dict.fromkeys(months.tolist()):
+            sample = column[ds.rows(m)]
+            sample = sample[~np.isnan(sample)]
+            if sample.size == 0:
+                raise DataError(f"no observed {variable} values for month {m}")
+            rows[months == m] = pooled_ecdf_row(sample, grid)
         tables[variable] = PredictionTable(variable, missing.copy(), grid, rows)
     return PredictResult(cnt=tables["cnt"], ba=tables["ba"], diagnostics=())
 

@@ -17,22 +17,21 @@ the full plan. The candidate combination with the smallest total score
 wins; ties go to the smaller parameters.
 
 Each variable is evaluated in one `cv_score` call over its whole
-radius grid. One stacked `fitting_samples` query per radius builds
-every distinct surrogate's sample once. Consecutive radii are grouped
-into passes of at most PASS_VALUES sample values, and each pass is
-fitted together; a radius is never split, so one larger than that is a
-pass alone. For counts, one `fit_zinbs`
-call fits every surrogate of every radius in the pass in one stacked
-Newton search. For burnt area, one `fit_mixtures` call fits them all at
-every candidate tail level into one columnar `MixtureFits`, its GPD
-tails in stacked blocks. Since a stacked fit equals the lone fit, a
-radius's fits do not depend on its pass. Each radius then takes its
-slice of the fits, and one `cdf_rows` call builds the rows of every
-(level, surrogate) with its family's stacked kernel: the ZINB rows as
-2-D pmf sums, the mixture rows from each sample's counts of values at
-or below the scaled thresholds. One vectorised `score_rows` call then
-scores them all, and each level's total is summed over the plan's pairs
-in order.
+radius grid. Its distinct surrogates are split, in plan order, into
+chunks of CV_CHUNK; the split depends on the surrogate count alone. A
+chunk makes one stacked `fitting_samples` query per radius and fits the
+samples of every radius in one call: `fit_zinbs` for counts, one
+stacked Newton search, and `fit_mixtures` at every candidate tail level
+for burnt area, one columnar `MixtureFits` with its GPD tails in
+stacked blocks. Each radius then takes its slice of the fits, one
+`cdf_rows` call builds the rows of every (level, surrogate) with its
+family's stacked kernel, and one vectorised `score_rows` call scores
+them. A chunk keeps only its (radius, level, surrogate) score block.
+The blocks are joined in surrogate order, and each level's total is
+np.sum over the plan's pairs in order. Stacked fits, rows and scores
+equal lone ones bit for bit, so the totals do not depend on the chunk
+size. Besides the score blocks, one chunk's samples, fits and rows
+bound the memory CV holds.
 """
 
 from __future__ import annotations
@@ -58,13 +57,13 @@ from .scoring import score_one  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# Most sample values one cross-validation pass fits together. The
-# `tune-grid` benchmark scene's default grid has about 85k values per
-# variable over its 15 radii, so it is one pass and the fit kernels run
-# on full blocks. An EVA-2021-sized scene has 0.34 M or more per radius
-# (1.1 M counts and 1.3 M proportions at 150 km), so each of its radii
-# is a pass alone and holds no more at once than a radius scored alone.
-PASS_VALUES = 2 ** 18
+# Most distinct surrogates one cross-validation chunk fits and scores
+# together. The `tune-grid` benchmark scene has at most 112 per
+# variable, so it is one chunk and the fit kernels run on full blocks.
+# An EVA-2021-sized scene has 66,352 burnt-area surrogates, 17 chunks:
+# each holds about a sixteenth of every radius's samples and builds one
+# radius's rows at a time, 17 MB at 19 levels and 28 thresholds.
+CV_CHUNK = 4096
 
 DEFAULT_RADII = tuple(float(r) for r in range(50, 401, 25))
 DEFAULT_QUANTILES = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -125,77 +124,62 @@ def cv_score(ds: Dataset, specs, plan: CvPlan, config: ScoreConfig,
     for the count model (plan variable "cnt", k2 unused), and for the
     burnt-area model one per level of k2, a level or a sequence.
 
-    One `fitting_samples` query per spec builds every distinct
-    surrogate's sample. The specs' radii are grouped into passes in
-    order (`_passes`), and each pass is fitted and scored together
-    (`_score_pass`). Duplicate surrogates are scored once per
-    occurrence, and each total is np.sum over the plan's pairs in order.
-    A pair is skipped only when the surrogate is the lone observation in
-    its month pool, which no radius can change.
+    The distinct surrogates are scored in chunks of CV_CHUNK
+    (`_score_chunk`), and their score blocks are joined in surrogate
+    order. Duplicate surrogates are scored once per occurrence, and each
+    total is np.sum over the plan's pairs in order. A pair is left out
+    only when its surrogate's sample is empty, which happens when the
+    surrogate is the lone observation in its month pool, whatever the
+    radius.
     """
     if plan.variable == "ba" and k2 is None:
         raise DataError("burnt-area CV needs a k2 level")
+    levels = 1 if plan.variable == "cnt" else np.atleast_1d(k2).size
     surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
+    scores = np.full((len(specs), levels, len(surrogates)), np.nan)
+    for first in range(0, len(surrogates), CV_CHUNK):
+        _score_chunk(ds, surrogates[first:first + CV_CHUNK], specs, plan.variable,
+                     config, k2, scores[:, :, first:first + CV_CHUNK])
+    column_of = {surrogate: j for j, surrogate in enumerate(surrogates)}
+    pairs = [column_of[s] for _, s in plan.pairs]
     totals = []
-    for radii in _passes(ds, surrogates, plan.variable, specs):
-        totals += _score_pass(ds, radii, plan, config, k2)
-        # the next radius's query then runs without this pass's samples
-        del radii
+    for spec_scores in scores:
+        kept = spec_scores[:, pairs]
+        kept = kept[:, ~np.isnan(kept).any(axis=0)]
+        totals.append(tuple(float(np.sum(level_scores)) for level_scores in kept))
     return totals
 
 
-def _passes(ds: Dataset, surrogates: list, variable: str, specs):
-    """The radii of specs in passes, in order: each radius is a list of
-    (surrogate, sample) for the surrogates with a nonempty sample, and a
-    pass is a list of radii. A pass takes radii until the next one would
-    push its sample values past PASS_VALUES. A radius is never split:
-    one past PASS_VALUES alone goes as soon as it is built, so no other
-    radius's samples are held with it."""
-    radii, size = [], 0
-    for spec in specs:
-        radii.append([(s, sample) for s, (sample, _) in zip(
-            surrogates, fitting_samples(ds, surrogates, variable, spec)) if sample.size])
-        values = sum(sample.size for _, sample in radii[-1])
-        if len(radii) > 1 and size + values > PASS_VALUES:
-            yield radii[:-1]
-            radii, size = radii[-1:], 0
-        size += values
-        if size > PASS_VALUES:
-            yield radii
-            radii, size = [], 0
-    if radii:
-        yield radii
+def _score_chunk(ds: Dataset, chunk: list, specs, variable: str,
+                 config: ScoreConfig, k2, out: np.ndarray) -> None:
+    """Score a chunk of surrogates into out, of shape (spec, level,
+    surrogate), leaving it as it is where a surrogate's sample is empty
+    (`cv_score`).
 
-
-def _score_pass(ds: Dataset, radii: list, plan: CvPlan, config: ScoreConfig,
-                k2) -> list:
-    """The totals of each radius of a pass (`cv_score`).
-
-    Every sample of the pass is fitted in one call: `fit_zinbs` for
-    counts, `fit_mixtures` at every level for burnt area. Each radius
-    then takes its slice of the fits, and one `cdf_rows` call and one
-    `score_rows` call build and score its rows, so no more than one
-    radius's rows exist at a time.
+    Every nonempty sample of every spec is fitted in one call:
+    `fit_zinbs` for counts, `fit_mixtures` at every level for burnt
+    area. Each spec then takes its slice of the fits, and one `cdf_rows`
+    call and one `score_rows` call build and score its rows.
     """
-    samples = [sample for radius in radii for _, sample in radius]
-    if plan.variable == "cnt":
+    live, samples = [], []
+    for spec in specs:
+        spec_samples = [sample for sample, _ in fitting_samples(ds, chunk, variable, spec)]
+        live.append([j for j, sample in enumerate(spec_samples) if sample.size])
+        samples += [spec_samples[j] for j in live[-1]]
+    if variable == "cnt":
         fits = fit_zinbs(samples)
     else:
         fits = fit_mixtures(samples, np.atleast_1d(k2))
-    column = ds.cnt if plan.variable == "cnt" else ds.ba
-    totals, first = [], 0
-    for radius in radii:
-        live = [s for s, _ in radius]
-        last = first + len(live)
-        part = fits[first:last] if plan.variable == "cnt" else sample_range(fits, first, last)
-        scores = score_rows(cdf_rows(part, config.thresholds, ds.capacity[live]),
-                            column[live], config)
-        column_of = {surrogate: j for j, surrogate in enumerate(live)}
-        pairs = [column_of[s] for _, s in plan.pairs if s in column_of]
-        totals.append(tuple(float(np.sum(level_scores))
-                            for level_scores in scores[:, pairs]))
+    column = ds.cnt if variable == "cnt" else ds.ba
+    chunk = np.asarray(chunk, dtype=np.int64)
+    first = 0
+    for spec_out, cols in zip(out, live):
+        last = first + len(cols)
+        part = fits[first:last] if variable == "cnt" else sample_range(fits, first, last)
+        ids = chunk[cols]
+        spec_out[:, cols] = score_rows(cdf_rows(part, config.thresholds, ds.capacity[ids]),
+                                       column[ids], config)
         first = last
-    return totals
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,14 @@ def test_benchmark_rows_are_month_pools():
         assert np.array_equal(res.ba.row_for(i), expected)
 
 
+def test_benchmark_error_names_the_first_month_without_observations():
+    # ids run month 7 before month 6, and neither month has a count
+    cols = make_grid_columns(nx=3, ny=3, months=(7, 6), seed=12)
+    cols["cnt"][:] = np.nan
+    with pytest.raises(DataError, match="no observed cnt values for month 7$"):
+        benchmark_tables(build_dataset(**cols))
+
+
 def test_score_tables_arithmetic_and_skips():
     thresholds = np.array([0.0, 1.0, 2.0])
     rows = np.array([[0.2, 0.5, 0.9], [0.1, 0.4, 0.8]])

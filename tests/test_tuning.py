@@ -233,53 +233,102 @@ def test_select_parameters_scores_each_variable_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize("variable", ["cnt", "ba"])
-def test_passes_score_as_one_pass_and_as_each_radius_alone(monkeypatch, variable):
+def test_chunks_score_as_one_chunk_and_as_each_radius_alone(monkeypatch, variable):
     # every 5 km sample widens to its slice, and the levels hit the
     # zero-mass, too-few and mixture outcomes of fit_mixtures
     ds = _ds(nx=8, ny=8, seed=37, cnt_missing_frac=0.2, ba_missing_frac=0.2)
     plan = build_cv_plan(ds, variable)
     cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
-    specs = [NeighborhoodSpec(radius_km=r) for r in (60.0, 150.0, 5.0, 300.0)]
+    radii = (60.0, 150.0, 5.0, 300.0)
+    specs = [NeighborhoodSpec(radius_km=r) for r in radii]
     k2 = (0.1, 0.5, 0.9)
     surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
+    assert len(surrogates) > 6
     sources = {source for _, source in fitting_samples(ds, surrogates, variable, specs[2])}
     assert sources == {"slice"}
+    alone = [cv_score(ds, [spec], plan, cfg, k2=k2)[0] for spec in specs]
+    assert len(alone) == len(specs)
+    assert all(len(totals) == (1 if variable == "cnt" else len(k2)) for totals in alone)
 
     events, codes = [], set()
-    query_fn, pass_fn, mixture_fn = (tuning.fitting_samples, tuning._score_pass,
+    query_fn, zinb_fn, mixture_fn = (tuning.fitting_samples, tuning.fit_zinbs,
                                      tuning.fit_mixtures)
 
     def query(ds, centers, variable, spec):
-        events.append(spec.radius_km)
+        events.append((spec.radius_km, list(centers)))
         return query_fn(ds, centers, variable, spec)
 
-    def scored(ds, radii, *args):
-        events.append(f"pass of {len(radii)}")
-        return pass_fn(ds, radii, *args)
+    def zinbs(samples):
+        events.append("fit")
+        return zinb_fn(samples)
 
-    def fitted(samples, levels):
+    def mixtures(samples, levels):
+        events.append("fit")
         fits = mixture_fn(samples, levels)
         codes.update(fits.code.ravel().tolist())
         return fits
 
     monkeypatch.setattr(tuning, "fitting_samples", query)
-    monkeypatch.setattr(tuning, "_score_pass", scored)
-    monkeypatch.setattr(tuning, "fit_mixtures", fitted)
-    one_pass = cv_score(ds, specs, plan, cfg, k2=k2)
-    assert events == [60.0, 150.0, 5.0, 300.0, "pass of 4"]
-    # 300 values: the first two radii fill a pass, and each later one,
-    # past it alone, is a pass by itself, fitted before the next query
-    monkeypatch.setattr(tuning, "PASS_VALUES", 300)
-    events.clear()
-    several = cv_score(ds, specs, plan, cfg, k2=k2)
-    assert events == [60.0, 150.0, 5.0, "pass of 2", "pass of 1",
-                      300.0, "pass of 1"]
-    alone = [cv_score(ds, [spec], plan, cfg, k2=k2)[0] for spec in specs]
-    assert several == one_pass == alone
-    assert len(one_pass) == len(specs)
-    assert all(len(totals) == (1 if variable == "cnt" else len(k2)) for totals in one_pass)
+    monkeypatch.setattr(tuning, "fit_zinbs", zinbs)
+    monkeypatch.setattr(tuning, "fit_mixtures", mixtures)
+    for chunk in (1, 3, len(surrogates), len(surrogates) + 5):
+        monkeypatch.setattr(tuning, "CV_CHUNK", chunk)
+        events.clear()
+        assert cv_score(ds, specs, plan, cfg, k2=k2) == alone
+        # chunk by chunk: one query per spec over the chunk's (at most
+        # CV_CHUNK) surrogates, then one fit of all their samples
+        expected = []
+        for first in range(0, len(surrogates), chunk):
+            centers = surrogates[first:first + chunk]
+            expected += [(r, centers) for r in radii] + ["fit"]
+        assert events == expected
     if variable == "ba":
         assert codes == {MIXTURE, ZERO_MASS, FEW_EXCEEDANCES}
+
+
+@pytest.mark.parametrize("variable", ["cnt", "ba"])
+def test_surrogate_with_an_empty_sample_is_left_out(monkeypatch, variable):
+    # month 7 has one observed row: every month-7 pair has it as the
+    # surrogate, and its sample (the rest of month 7) is empty; its ids
+    # come first, so it leads the surrogates and its gap shifts the rest
+    cols = make_grid_columns(nx=5, ny=5, months=(7, 6), seed=43,
+                             cnt_missing_frac=0.2, ba_missing_frac=0.2)
+    july = np.flatnonzero(cols["month"] == 7)
+    lone = int(july[0])
+    for name, value in (("cnt", 3.0), ("ba", 40.0)):
+        cols[name][july] = np.nan
+        cols[name][lone] = value
+    ds = build_dataset(**cols)
+    plan = build_cv_plan(ds, variable)
+    assert sum(s == lone for _, s in plan.pairs) == july.size - 1
+    cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
+    column = ds.cnt if variable == "cnt" else ds.ba
+    radii, k2 = (80.0, 250.0), (0.3, 0.7)
+
+    expected, left_out = [], set()
+    for radius in radii:
+        spec = NeighborhoodSpec(radius_km=radius)
+        scores = []
+        for _, s in plan.pairs:
+            sample = fitting_samples(ds, [s], variable, spec)[0][0]
+            if not sample.size:
+                left_out.add(s)
+                continue
+            if variable == "cnt":
+                rows = [fit_zinb(sample).cdf(ds.cnt_thresholds)]
+            else:
+                rows = [cdf_rows([fit_mixture(sample, q)], ds.ba_thresholds,
+                                 [float(ds.capacity[s])])[0, 0] for q in k2]
+            scores.append([score_one(row, float(column[s]), cfg) for row in rows])
+        expected.append(tuple(float(np.sum(level)) for level in np.array(scores).T))
+    assert left_out == {lone}
+    assert plan.pairs[0][1] == lone
+
+    specs = [NeighborhoodSpec(radius_km=r) for r in radii]
+    surrogates = {s for _, s in plan.pairs}
+    for chunk in (1, 3, len(surrogates)):
+        monkeypatch.setattr(tuning, "CV_CHUNK", chunk)
+        assert cv_score(ds, specs, plan, cfg, k2=k2) == expected
 
 
 def test_burnt_area_cv_needs_a_level():
