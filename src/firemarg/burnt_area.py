@@ -28,15 +28,16 @@ single-model entry points are these called with one item: `fit_gpd` is
 sample at one level, viewed as a `BaMixture`. `sample_range` views a
 run of a batch's samples as a batch of its own.
 
-`cdf_rows` builds the rows of a batch of fitted models with one
-stacked kernel per family: `counts.count_rows` for count models, and
-`_mixture_cdf` for burnt area, which takes every sample's counts of
-values at or below each scaled threshold and each u, then builds the
+`cdf_rows` builds the rows of one batch of fits with one stacked
+kernel per family: `counts.count_rows` for a list of count models, and
+`_mixture_cdf` for a `MixtureFits`, which takes every sample's counts
+of values at or below each scaled threshold and each u, then builds the
 rows of all mixture (sample, level) pairs elementwise. Every operation
 on a row is elementwise or runs along that row alone, so a row does not
-depend on its batch: prediction and cross-validation share one fit
-path and one row builder, and `BaMixture.cdf` is the kernel on a batch
-of one.
+depend on its batch. Prediction and cross-validation both reach these
+kernels through `tuning._fitted_rows`, one `fit_mixtures` batch and
+one `cdf_rows` call at a time; `BaMixture.cdf` is the row kernel on a
+batch of one.
 
 Rows lie in [0, 1] and never decrease with no clip or repair: H_u(u) is
 exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
@@ -284,13 +285,6 @@ class MixtureFits:
     code: np.ndarray
 
 
-def _side_by_side(parts) -> MixtureFits:
-    """The fits of parts, all at the same number of levels, as one batch
-    of their samples in order."""
-    return MixtureFits(*(np.concatenate([getattr(p, f.name) for p in parts])
-                         for f in fields(MixtureFits)))
-
-
 def sample_range(fits: MixtureFits, start: int, stop: int) -> MixtureFits:
     """The fits of samples start to stop - 1 of fits, at every level, as
     one batch of views."""
@@ -449,9 +443,8 @@ def fit_mixture(sample, k2: float) -> BaMixture:
 def cdf_rows(fits, thresholds, capacities) -> np.ndarray:
     """CDF rows on an absolute threshold grid, of shape (levels, centers,
     thresholds), one center per fitted sample: fits is a list of count
-    models (one level), a list of `BaMixture`s (one level) or a
-    `MixtureFits` (its levels), and capacities holds one cell capacity
-    per center.
+    models (one level) or a `MixtureFits` (its levels), and capacities
+    holds one cell capacity per center.
 
     A count model's CDF already is its row (`counts.count_rows`). A
     burnt-area mixture lives on the proportion scale: the grid is
@@ -464,9 +457,7 @@ def cdf_rows(fits, thresholds, capacities) -> np.ndarray:
     bit for bit.
     """
     if not isinstance(fits, MixtureFits):
-        if not fits or not isinstance(fits[0], BaMixture):
-            return count_rows(fits, thresholds)[None]
-        fits = _side_by_side([model.fits for model in fits])
+        return count_rows(fits, thresholds)[None]
     capacities = np.asarray(capacities, dtype=float).reshape(-1, 1)
     scaled, forced = rescaled_thresholds(thresholds, capacities)
     rows = _mixture_cdf(fits, scaled)

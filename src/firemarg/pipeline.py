@@ -6,16 +6,16 @@ what the `ingest`, `explore`, `tune` and `predict` commands call.
 
 The missing indices of each variable are split into consecutive
 chunks, and one worker pool runs the chunks of both variables. A chunk
-builds its indices' samples with one stacked `fitting_samples` query;
-its count models come from one stacked `fit_zinbs` call, and its
-burnt-area models from one `fit_mixture` call per index. One
-`cdf_rows` call then builds all of the chunk's rows with the family's
-stacked row kernel, as in cross-validation. Burnt-area rows are
-modelled in proportion space and emitted against the absolute
-threshold grid; the rescaling by cell capacity stays internal. Samples,
-fits and rows of a stacked call equal lone calls bit for bit, so a row
-does not depend on its chunk, and the worker pool cannot change any
-value: each variable's chunks are joined back in index order.
+runs cross-validation's kernel, `tuning._fitted_rows`, at its one spec
+and level: one stacked `fitting_samples` query, one `fit_zinbs` or
+`fit_mixtures` call on all of the chunk's samples, and one `cdf_rows`
+call that builds all of its rows. Each index's `Diagnostic` is read off
+its fit. Burnt-area rows are modelled in proportion space and emitted
+against the absolute threshold grid; the rescaling by cell capacity
+stays internal. Samples, fits and rows of a stacked call equal lone
+calls bit for bit, so a row does not depend on its chunk, and the
+worker pool cannot change any value: each variable's chunks are joined
+back in index order.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .burnt_area import cdf_rows, fit_mixture
+from .burnt_area import FALLBACKS, MIXTURE
 from .config import RunConfig, config_hash, short_number
-from .counts import fit_zinbs
 from .data import Dataset, PredictionTable, _to_float, ingest
 from .errors import DataError, FiremargError
-from .neighborhoods import NeighborhoodSpec, fitting_samples
+from .neighborhoods import NeighborhoodSpec
 from .rules import (
     DEFAULT_WATER_CUT,
     anomalous_rows,
@@ -49,9 +48,10 @@ from .rules import (
     saturation_flags,
 )
 from .scoring import ROW_TOL, ScoreConfig, pooled_ecdf_row, score_rows
-from .tuning import TuningGrid, TuningResult, select_parameters
+from .tuning import TuningGrid, TuningResult, _fitted_rows, select_parameters
 
 # bench/tracer.py wraps these names in this module; nothing here calls them
+from .burnt_area import fit_mixture  # noqa: F401
 from .counts import fit_zinb  # noqa: F401
 from .neighborhoods import build_neighborhood  # noqa: F401
 from .scoring import score_one  # noqa: F401
@@ -82,24 +82,24 @@ def _init_worker(ds: Dataset) -> None:
 
 def _predict_block(payload, ds: Dataset | None = None):
     """(rows, diagnostics) of one chunk, in index order, on ds or, in a
-    pool worker, on the worker's Dataset. Count models are fitted by one
-    `fit_zinbs` call, burnt-area models one index at a time, and the
-    rows, one array, are built by one `cdf_rows` call on all of them."""
+    pool worker, on the worker's Dataset: `tuning._fitted_rows` at the
+    one spec and level, with each `Diagnostic` read off its fit."""
     indices, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
-    samples, sources = zip(*fitting_samples(ds, indices, variable, spec))
-    for i, sample in zip(indices.tolist(), samples):
-        if not sample.size:
-            raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
+    grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
+    [(live, rows, sources, fits)] = _fitted_rows(ds, indices, variable, [spec], (k2,), grid)
+    empty = np.setdiff1d(np.arange(indices.size), live)
+    if empty.size:
+        i = indices[empty[0]]
+        raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
     if variable == "cnt":
-        grid, models = ds.cnt_thresholds, fit_zinbs(samples)
+        models = [(m.kind, m.fallback_reason, m.sample_size) for m in fits]
     else:
-        grid, models = ds.ba_thresholds, [fit_mixture(s, k2) for s in samples]
-    rows = cdf_rows(models, grid, ds.capacity[indices])[0]
-    return rows, [Diagnostic(index=i, variable=variable, source=source,
-                             sample_size=int(sample.size), model=model.kind,
-                             fallback=model.fallback_reason or "", forced="")
-                  for i, sample, source, model in zip(indices.tolist(), samples, sources, models)]
+        models = [("mixture" if code == MIXTURE else "empirical", FALLBACKS[code], n)
+                  for code, n in zip(fits.code[:, 0].tolist(), fits.n.tolist())]
+    return rows[0], [Diagnostic(index=i, variable=variable, source=source, sample_size=n,
+                                model=kind, fallback=reason or "", forced="")
+                     for i, source, (kind, reason, n) in zip(indices.tolist(), sources, models)]
 
 
 def _predict_rows(ds: Dataset, jobs, workers: int) -> list:

@@ -6,32 +6,31 @@ observation in the same (month, year) slice. Candidate parameters are
 scored by fitting the marginal model to the surrogate's sample from
 `neighborhoods.fitting_samples` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
-surrogate's observed value. Prediction uses the same ladder, the same
-fit path and the same row kernels: a stacked `counts.fit_zinbs` fit
-equals the lone fit, `burnt_area.fit_mixture` is `fit_mixtures` called
-with one sample at one level, and `burnt_area.cdf_rows` builds both
-their rows, each row as it would be alone. So CV scores exactly the
-model that prediction emits, bit for bit. An empty
-neighborhood widens along that ladder, so each candidate is scored on
-the full plan. The candidate combination with the smallest total score
-wins; ties go to the smaller parameters.
+surrogate's observed value. An empty neighborhood widens along the
+sample ladder, so each candidate is scored on the full plan. The
+candidate combination with the smallest total score wins; ties go to
+the smaller parameters.
+
+One kernel, `_fitted_rows`, fits and builds rows for cross-validation
+and for prediction (`pipeline`) alike. On a batch of centers it makes
+one stacked `fitting_samples` query per spec and fits every nonempty
+sample of every spec in one call: `fit_zinbs` for counts, one stacked
+Newton search, or `fit_mixtures` at every level for burnt area, one
+columnar `MixtureFits` with its GPD tails in stacked blocks. Each spec
+then takes its slice of the fits, and one `cdf_rows` call builds its
+rows of every (level, center). Stacked fits and rows equal lone ones
+bit for bit, so CV scores exactly the model that prediction emits.
 
 Each variable is evaluated in one `cv_score` call over its whole
 radius grid. Its distinct surrogates are split, in plan order, into
 chunks of CV_CHUNK; the split depends on the surrogate count alone. A
-chunk makes one stacked `fitting_samples` query per radius and fits the
-samples of every radius in one call: `fit_zinbs` for counts, one
-stacked Newton search, and `fit_mixtures` at every candidate tail level
-for burnt area, one columnar `MixtureFits` with its GPD tails in
-stacked blocks. Each radius then takes its slice of the fits, one
-`cdf_rows` call builds the rows of every (level, surrogate) with its
-family's stacked kernel, and one vectorised `score_rows` call scores
-them. A chunk keeps only its (radius, level, surrogate) score block.
-The blocks are joined in surrogate order, and each level's total is
-np.sum over the plan's pairs in order. Stacked fits, rows and scores
-equal lone ones bit for bit, so the totals do not depend on the chunk
-size. Besides the score blocks, one chunk's samples, fits and rows
-bound the memory CV holds.
+chunk runs the kernel on every radius at every candidate tail level,
+and one `score_rows` call scores each radius's rows into the chunk's
+(radius, level, surrogate) score block. The blocks are joined in
+surrogate order, and each level's total is np.sum over the plan's
+pairs in order, so the totals do not depend on the chunk size.
+Besides the score blocks, one chunk's samples and fits and one
+radius's rows bound the memory CV holds.
 """
 
 from __future__ import annotations
@@ -154,31 +153,31 @@ def _score_chunk(ds: Dataset, chunk: list, specs, variable: str,
                  config: ScoreConfig, k2, out: np.ndarray) -> None:
     """Score a chunk of surrogates into out, of shape (spec, level,
     surrogate), leaving it as it is where a surrogate's sample is empty
-    (`cv_score`).
-
-    Every nonempty sample of every spec is fitted in one call:
-    `fit_zinbs` for counts, `fit_mixtures` at every level for burnt
-    area. Each spec then takes its slice of the fits, and one `cdf_rows`
-    call and one `score_rows` call build and score its rows.
-    """
-    live, samples = [], []
-    for spec in specs:
-        spec_samples = [sample for sample, _ in fitting_samples(ds, chunk, variable, spec)]
-        live.append([j for j, sample in enumerate(spec_samples) if sample.size])
-        samples += [spec_samples[j] for j in live[-1]]
-    if variable == "cnt":
-        fits = fit_zinbs(samples)
-    else:
-        fits = fit_mixtures(samples, np.atleast_1d(k2))
+    (`cv_score`): one `score_rows` call per spec on its `_fitted_rows`."""
     column = ds.cnt if variable == "cnt" else ds.ba
     chunk = np.asarray(chunk, dtype=np.int64)
+    for spec_out, (cols, rows, _, _) in zip(
+            out, _fitted_rows(ds, chunk, variable, specs, k2, config.thresholds)):
+        spec_out[:, cols] = score_rows(rows, column[chunk[cols]], config)
+
+
+def _fitted_rows(ds: Dataset, centers, variable: str, specs, levels, thresholds):
+    """(live, rows, sources, fits) of each spec of specs, in order: the
+    positions in centers whose sample is nonempty, their rows (level,
+    live center, threshold) at levels (burnt area; a count model has one
+    level) on the grid thresholds, the ladder rung of each live sample,
+    and the spec's slice of the fits. Specs are yielded one at a time, so a caller need hold
+    only one spec's rows (module docstring)."""
+    queries = [fitting_samples(ds, centers, variable, spec) for spec in specs]
+    live = [[j for j, (sample, _) in enumerate(query) if sample.size] for query in queries]
+    samples = [query[j][0] for query, cols in zip(queries, live) for j in cols]
+    fits = fit_zinbs(samples) if variable == "cnt" else fit_mixtures(samples, levels)
+    capacity = ds.capacity[np.asarray(centers, dtype=np.int64)]
     first = 0
-    for spec_out, cols in zip(out, live):
+    for query, cols in zip(queries, live):
         last = first + len(cols)
         part = fits[first:last] if variable == "cnt" else sample_range(fits, first, last)
-        ids = chunk[cols]
-        spec_out[:, cols] = score_rows(cdf_rows(part, config.thresholds, ds.capacity[ids]),
-                                       column[ids], config)
+        yield cols, cdf_rows(part, thresholds, capacity[cols]), [query[j][1] for j in cols], part
         first = last
 
 

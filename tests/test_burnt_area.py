@@ -331,16 +331,19 @@ def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
     zinb = fit_zinb(rng.negative_binomial(2, 0.3, 200).astype(float))
     counted = fit_zinb(np.array([0.0, 1.0, 3.0]))
-    tail, flat = fit_mixture(sample, 0.5), fit_mixture(sample, 0.1)
+    # the first 60 values are two thirds zeros: zero mass at the level
+    tail, flat = fit_mixture(sample, 0.5), fit_mixture(sample[:60], 0.5)
     assert [m.kind for m in (zinb, counted, tail, flat)] == \
         ["zinb", "empirical", "mixture", "empirical"]
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
-    for fits, capacities in (([zinb, counted], [500.0, 500.0]),
-                             ([tail, flat, tail], [2000.0, 2000.0, 150.0])):
+    mixed = fit_mixtures([sample, sample[:60], sample], (0.5,))
+    for fits, lone, capacities in (
+            ([zinb, counted], [[zinb], [counted]], [500.0, 500.0]),
+            (mixed, [m.fits for m in (tail, flat, tail)], [2000.0, 2000.0, 150.0])):
         batch = cdf_rows(fits, thresholds, capacities)
-        assert batch.shape == (1, len(fits), thresholds.size)
-        for j, (model, capacity) in enumerate(zip(fits, capacities)):
-            assert np.array_equal(batch[:, j], cdf_rows([model], thresholds, [capacity])[:, 0])
+        assert batch.shape == (1, len(lone), thresholds.size)
+        for j, (one, capacity) in enumerate(zip(lone, capacities)):
+            assert np.array_equal(batch[:, j], cdf_rows(one, thresholds, [capacity])[:, 0])
     assert np.all(batch[0, 2, thresholds >= 150.0] == 1.0)
     assert batch[0, 0, 4] < 1.0
 
@@ -391,7 +394,7 @@ def test_stacked_mixture_rows_equal_lone_rows(monkeypatch):
             assert (fits.u[j, level], fits.lam[j, level]) == (m.u, m.lam)
             if m.kind == "mixture":
                 assert (fits.sigma[j, level], fits.xi[j, level]) == (gpd.sigma, gpd.xi)
-            row = cdf_rows([m], thresholds, [capacity])[0, 0]
+            row = cdf_rows(m.fits, thresholds, [capacity])[0, 0]
             assert np.array_equal(batch[level, j], row)
             assert np.array_equal(row[thresholds < capacity], m.cdf(thresholds[thresholds < capacity] / capacity))
             assert np.all(row[thresholds >= capacity] == 1.0)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from firemarg import pipeline
+from firemarg.burnt_area import FALLBACKS, fit_mixture
 from firemarg.config import RunConfig
 from firemarg.counts import ZinbParams
 from firemarg.data import PredictionTable, build_dataset, write_csv
 from firemarg.errors import DataError, FiremargError
-from firemarg.neighborhoods import NeighborhoodSpec
+from firemarg.neighborhoods import NeighborhoodSpec, fitting_samples
 from firemarg.pipeline import (
     benchmark_tables,
     predict_tables,
@@ -67,6 +68,41 @@ def test_chunk_rows_equal_single_index_chunks(masked_ds, variable, kinds):
     assert np.array_equal(rows, np.concatenate([r for r, _ in alone]))
     assert diags == [d for _, block in alone for d in block]
     assert {d.model for d in diags} == kinds
+
+
+def test_burnt_area_diagnostics_equal_lone_fits():
+    # at 300 km the levels give zero mass, a GPD tail and too few
+    # exceedances; proportions of only 0.25 and 0.5 give a constant tail
+    cols = make_grid_columns(nx=8, ny=8, seed=37, ba_missing_frac=0.2)
+    drawn = build_dataset(**cols)
+    prop = np.where(np.random.default_rng(5).random(drawn.n) < 0.5, 0.25, 0.5)
+    cols["ba"] = np.where(np.isnan(cols["ba"]), np.nan, prop * drawn.capacity)
+    spec = NeighborhoodSpec(radius_km=300.0)
+    reasons = set()
+    for ds, levels in ((drawn, (0.1, 0.5, 0.9)), (build_dataset(**cols), (0.3,))):
+        indices = ds.ba_missing
+        samples = [sample for sample, _ in fitting_samples(ds, indices, "ba", spec)]
+        for k2 in levels:
+            _, diags = pipeline._predict_block((indices, "ba", spec, k2), ds)
+            lone = [fit_mixture(sample, k2) for sample in samples]
+            assert [(d.index, d.model, d.fallback, d.sample_size) for d in diags] == \
+                [(int(i), m.kind, m.fallback_reason or "", m.sample_size)
+                 for i, m in zip(indices, lone)]
+            reasons.update(m.fallback_reason for m in lone)
+    assert reasons == set(FALLBACKS)
+
+
+@pytest.mark.parametrize("variable", ["cnt", "ba"])
+def test_prediction_error_names_the_month_of_the_first_empty_sample(variable):
+    # ids run month 7 before month 6, and month 6 has no observed value
+    cols = make_grid_columns(nx=3, ny=3, months=(7, 6), seed=12,
+                             cnt_missing_frac=0.3, ba_missing_frac=0.3)
+    cols[variable][cols["month"] == 6] = np.nan
+    ds = build_dataset(**cols)
+    missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
+    assert ds.month[missing[0]] == 7
+    with pytest.raises(DataError, match=f"no observed {variable} values for month 6$"):
+        pipeline._predict_block((missing, variable, NeighborhoodSpec(), 0.5), ds)
 
 
 def test_both_variables_share_one_worker_pool(masked_ds, monkeypatch, tmp_path):

@@ -207,7 +207,7 @@ def test_bap_scores_equal_a_per_pair_reference_loop():
             for _, s in plan.pairs:
                 model = fit_mixture(fitting_samples(ds, [s], "ba", spec)[0][0], q)
                 outcomes[model.fallback_reason or model.kind] += 1
-                row = cdf_rows([model], ds.ba_thresholds, [float(ds.capacity[s])])[0, 0]
+                row = cdf_rows(model.fits, ds.ba_thresholds, [float(ds.capacity[s])])[0, 0]
                 scores.append(score_one(row, float(ds.ba[s]), cfg))
             expected.append((radius, q, float(np.sum(scores))))
     assert set(outcomes) == {"zero mass at or above the k2 level",
@@ -317,7 +317,7 @@ def test_surrogate_with_an_empty_sample_is_left_out(monkeypatch, variable):
             if variable == "cnt":
                 rows = [fit_zinb(sample).cdf(ds.cnt_thresholds)]
             else:
-                rows = [cdf_rows([fit_mixture(sample, q)], ds.ba_thresholds,
+                rows = [cdf_rows(fit_mixture(sample, q).fits, ds.ba_thresholds,
                                  [float(ds.capacity[s])])[0, 0] for q in k2]
             scores.append([score_one(row, float(column[s]), cfg) for row in rows])
         expected.append(tuple(float(np.sum(level)) for level in np.array(scores).T))
@@ -408,7 +408,7 @@ def test_ba_cdf_row_saturates_at_capacity():
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
     model = fit_mixture(sample, 0.5)
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
-    row = cdf_rows([model], thresholds, [150.0])[0, 0]
+    row = cdf_rows(model.fits, thresholds, [150.0])[0, 0]
     assert row[0] == pytest.approx(0.2)          # zero mass
     assert np.all(row[thresholds >= 150.0] == 1.0)
     assert row[3] < 1.0
