@@ -14,6 +14,7 @@ the time per fit of each (and of the stacked search), the range of the
 log-likelihood gap (new minus reference), the sets below the reference
 by more than 1e-6, and how many new fits are edge fits (xi = -1, the
 uniform law), with how many of those the reference only approached.
+It exits with status 1 when a stacked fit differs from the lone one.
 
     PYTHONPATH=src python scripts/gpd_fit_corpus.py --seed 301
 """
@@ -122,7 +123,8 @@ def main(argv=None):
     crept = sum(1 for b in edges if b is not None and b.xi < burnt_area.XI_LO + 1e-3)
     print(f"edge fits (xi = {burnt_area.XI_LO:g}): {len(edges)}, of which "
           f"Nelder-Mead crept to xi < {burnt_area.XI_LO + 1e-3:g} on {crept}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

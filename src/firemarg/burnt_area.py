@@ -25,11 +25,11 @@ values in a contiguous layout, so they pair their terms as a lone fit
 does and a stacked fit equals the lone fit bit for bit. The
 single-model entry points are these called with one item: `fit_gpd` is
 `fit_gpds` on one set, and `fit_mixture` is `fit_mixtures` on one
-sample at one level, viewed as a `BaMixture`. `sample_range` views a
-run of a batch's samples as a batch of its own.
+sample at one level, viewed as a `BaMixture`. `counts.sample_range`
+views a run of a batch's samples as a batch of its own.
 
 `cdf_rows` builds the rows of one batch of fits with one stacked
-kernel per family: `counts.count_rows` for a list of count models, and
+kernel per family: `counts.count_rows` for a `counts.CountFits`, and
 `_mixture_cdf` for a `MixtureFits`, which takes every sample's counts
 of values at or below each scaled threshold and each u, then builds the
 rows of all mixture (sample, level) pairs elementwise. Every operation
@@ -46,11 +46,12 @@ exactly 0, so at u the tail starts at exactly 1 - lam, above the bulk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .counts import count_rows
+from .counts import CountFits, at_or_below, count_rows
 from .errors import DataError, GpdFitError
 from .geo import rescaled_thresholds
 
@@ -275,6 +276,10 @@ class MixtureFits:
     xi (NaN off the mixtures) and the fallback code.
     """
 
+    # the model of code 0 and the reason of each code, as in CountFits
+    model: ClassVar[str] = "mixture"
+    fallbacks: ClassVar[tuple] = FALLBACKS
+
     values: np.ndarray
     n: np.ndarray
     n_zero: np.ndarray
@@ -283,14 +288,6 @@ class MixtureFits:
     sigma: np.ndarray
     xi: np.ndarray
     code: np.ndarray
-
-
-def sample_range(fits: MixtureFits, start: int, stop: int) -> MixtureFits:
-    """The fits of samples start to stop - 1 of fits, at every level, as
-    one batch of views."""
-    parts = {f.name: getattr(fits, f.name)[start:stop] for f in fields(MixtureFits)}
-    parts["values"] = fits.values[fits.n[:start].sum():fits.n[:stop].sum()]
-    return MixtureFits(**parts)
 
 
 @dataclass(frozen=True)
@@ -329,10 +326,7 @@ def _mixture_cdf(fits: MixtureFits, x) -> np.ndarray:
         raise DataError("burnt-area proportions are nonnegative")
     n_s, n_l = fits.u.shape
     n_t = x.shape[1]
-    samples = np.split(fits.values, np.cumsum(fits.n)[:-1])
-    below = np.array([np.searchsorted(sample, q, side="right") for sample, q in
-                      zip(samples, np.concatenate([x, fits.u], axis=1))])
-    below = below.reshape(n_s, n_t + n_l)
+    below = at_or_below(fits.values, fits.n, np.concatenate([x, fits.u], axis=1))
     rows = np.empty((n_l, n_s, n_t))
     rows[:] = below[:, :n_t] / fits.n[:, None]
     level, sample = np.nonzero(fits.code.T == MIXTURE)
@@ -396,8 +390,7 @@ def fit_mixtures(samples, levels) -> MixtureFits:
     u = values[head[:, None] + _order_statistic(n[:, None], k2) - 1]
     # the counts at or below 0 and at or below each u
     queries = np.concatenate([np.zeros((n.size, 1)), u], axis=1)
-    below = np.array([np.searchsorted(sample, q, side="right")
-                      for sample, q in zip(srt, queries)]).reshape(queries.shape)
+    below = at_or_below(values, n, queries)
     first = below[:, 1:]
     m = n[:, None] - first
     # u == 0 exactly when the zero count reaches the k2 order statistic
@@ -442,11 +435,11 @@ def fit_mixture(sample, k2: float) -> BaMixture:
 
 def cdf_rows(fits, thresholds, capacities) -> np.ndarray:
     """CDF rows on an absolute threshold grid, of shape (levels, centers,
-    thresholds), one center per fitted sample: fits is a list of count
-    models (one level) or a `MixtureFits` (its levels), and capacities
-    holds one cell capacity per center.
+    thresholds), one center per fitted sample: fits is a
+    `counts.CountFits` (one level) or a `MixtureFits` (its levels), and
+    capacities holds one cell capacity per center.
 
-    A count model's CDF already is its row (`counts.count_rows`). A
+    A count fit's CDF already is its row (`counts.count_rows`). A
     burnt-area mixture lives on the proportion scale: the grid is
     divided by the cell capacity, and thresholds at or above capacity
     are certainties, pinned to 1 regardless of the fitted tail. This is
@@ -456,7 +449,7 @@ def cdf_rows(fits, thresholds, capacities) -> np.ndarray:
     one stacked kernel, and each row equals that center's row alone,
     bit for bit.
     """
-    if not isinstance(fits, MixtureFits):
+    if isinstance(fits, CountFits):
         return count_rows(fits, thresholds)[None]
     capacities = np.asarray(capacities, dtype=float).reshape(-1, 1)
     scaled, forced = rescaled_thresholds(thresholds, capacities)

@@ -21,9 +21,10 @@ derivatives maximizes it. r is capped at R_MAX, the Poisson limit,
 where underdispersed samples end up. Small or degenerate samples fall
 back to the empirical CDF.
 
-Fits are stacked. `fit_zinbs` runs the search for many samples at once
-on 2-D arrays, one row per sample, and a sample leaves the search when
-it converges or stops. Each likelihood evaluation needs three sums over
+Fits are stacked and columnar. `fit_zinbs` fits many samples in one
+search on 2-D arrays, one row per sample, and returns one `CountFits`,
+laid out as `burnt_area.MixtureFits` is; a sample leaves the search
+when it converges or stops. Each likelihood evaluation needs three sums over
 the support, each a row sum of n_gt (the number of observations above
 k) times a term in k; everything else is elementwise arithmetic on one
 value per row, and the 2 x 2 Newton step is solved in closed form
@@ -32,22 +33,24 @@ grouped by their support length rounded up to a multiple of ZINB_PAD,
 and n_gt is zero-padded to that length, so the length a row's sums run
 over depends only on its own sample, never on the batch: a stacked fit
 equals the lone fit bit for bit. `fit_zinb` is `fit_zinbs` on one
-sample, so cross-validation scores exactly what prediction emits.
+sample, viewed as a `CountModel`, so cross-validation scores exactly
+what prediction emits. `sample_range` slices either family's record.
 
-Rows are stacked too. `count_rows` builds the CDF rows of a batch of
-count models: the ZINB fits' from `_zinb_rows`, which groups them by
-the support point their sums stop at (the grid's largest, or a tail cap
-past 256) and evaluates one 2-D pmf per group, cumulated along each row
-alone; the empirical fallbacks' from their sample's counts at or below
-each threshold. `zinb_cdf` and `CountModel.cdf` are these on one model.
-A CDF row is a cumulative sum of exponentials, so it never decreases or
+Rows are stacked too. `count_rows` builds the CDF rows of a `CountFits`:
+the ZINB fits' from `_zinb_rows`, which groups them by the support
+point their sums stop at (the grid's largest, or a tail cap past 256)
+and evaluates one 2-D pmf per group, cumulated along each row alone;
+the empirical fallbacks' from their sorted sample's counts at or below
+each threshold (`at_or_below`). `zinb_cdf` and `CountModel.cdf` are
+these on one model. A CDF row is a cumulative sum of exponentials, so it never decreases or
 goes negative; `_zinb_rows` holds the one rounding cap at 1, checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gammaln, log_expit
@@ -86,6 +89,50 @@ class ZinbParams:
             raise DataError(f"r must be finite positive, got {self.r}")
 
 
+# CountFits.code of each sample: ZINB, or the empirical fallback whose
+# reason FALLBACKS holds at that index
+ZINB, TOO_FEW, ALL_ZERO, NOT_CONVERGED = range(4)
+FALLBACKS = (None, "too few values", "all zero", "optimizer did not converge")
+
+
+@dataclass(frozen=True)
+class CountFits:
+    """The fits of S samples, column by column, as in `MixtureFits`: the
+    samples end to end in values, as fitted, with n per sample, and per
+    sample, as (S, 1) arrays of one level, the ZINB's pi, mu, r and
+    log-likelihood (NaN off the ZINB fits) and the fallback code."""
+
+    # the model of code 0 and the reason of each code, as in MixtureFits
+    model: ClassVar[str] = "zinb"
+    fallbacks: ClassVar[tuple] = FALLBACKS
+
+    values: np.ndarray
+    n: np.ndarray
+    pi: np.ndarray
+    mu: np.ndarray
+    r: np.ndarray
+    loglik: np.ndarray
+    code: np.ndarray
+
+
+def sample_range(fits, start: int, stop: int):
+    """The fits of samples start to stop - 1 of a `CountFits` or a
+    `burnt_area.MixtureFits`, at every level, as one batch of views."""
+    parts = {f.name: getattr(fits, f.name)[start:stop] for f in fields(fits)}
+    parts["values"] = fits.values[fits.n[:start].sum():fits.n[:stop].sum()]
+    return type(fits)(**parts)
+
+
+def at_or_below(values, n, queries) -> np.ndarray:
+    """Each sample's count of values at or below each of its queries, as
+    an (S, Q) array: values holds S sorted samples end to end, sample s
+    has n[s] of them, and row s of queries (S, Q) holds its queries."""
+    ends = np.cumsum(n).tolist()
+    return np.array([np.searchsorted(values[end - size:end], q, side="right")
+                     for end, size, q in zip(ends, n.tolist(), queries)],
+                    dtype=np.intp).reshape(queries.shape)
+
+
 def _log_ratio_terms(k, mu: float, r: float):
     """log((r+k)/(r+mu)) for k = 0, 1, ..., without cancellation at large r."""
     y = (k - mu) / (r + mu)
@@ -115,18 +162,14 @@ def _pmf_rows(pi, mu, r, width: int) -> np.ndarray:
     return np.exp(_log_pmf_rows(pi, mu, r, width))
 
 
-def _columns(params) -> tuple:
-    """(pi, mu, r) of a sequence of ZinbParams, each an array."""
-    return tuple(np.array([(p.pi, p.mu, p.r) for p in params], dtype=float).reshape(-1, 3).T)
-
-
 def zinb_log_pmf(params: ZinbParams, j):
     """Log pmf at integer support points j (scalar or array)."""
     j = np.asarray(j)
     if np.any(j < 0) or np.any(j != np.floor(j)):
         raise DataError("support points must be nonnegative integers")
     width = int(j.max()) + 1 if j.size else 1
-    return _log_pmf_rows(*_columns([params]), width)[0, j.astype(np.intp)]
+    one = [np.array([v]) for v in (params.pi, params.mu, params.r)]
+    return _log_pmf_rows(*one, width)[0, j.astype(np.intp)]
 
 
 def zinb_pmf(params: ZinbParams, j):
@@ -196,49 +239,50 @@ def _zinb_rows(pi, mu, r, u) -> np.ndarray:
 
 
 def zinb_cdf(params: ZinbParams, u):
-    """CDF at real thresholds u (scalar or array), 0 below 0: the rows
+    """CDF at real thresholds u (scalar or array), 0 below 0: the row
     of this one model."""
-    return CountModel(kind="zinb", sample_size=0, params=params).cdf(u)
+    u = np.asarray(u, dtype=float)
+    row = _zinb_rows(*(np.array([v]) for v in (params.pi, params.mu, params.r)), u.reshape(-1))
+    return float(row[0, 0]) if u.ndim == 0 else row[0].reshape(u.shape)
 
 
-def count_rows(models, thresholds) -> np.ndarray:
-    """CDF rows of count models at the thresholds, one row per model:
+def count_rows(fits: CountFits, thresholds) -> np.ndarray:
+    """CDF rows of count fits at the thresholds, one row per sample:
     every ZINB fit's from one `_zinb_rows` call, and every empirical
-    fallback's from its sample's count of values at or below each
-    threshold."""
+    fallback's from its sorted sample's count of values at or below
+    each threshold."""
     u = np.asarray(thresholds, dtype=float).reshape(-1)
-    rows = np.empty((len(models), u.size))
-    zinb = np.array([m.kind == "zinb" for m in models], dtype=bool)
+    rows = np.empty((fits.n.size, u.size))
+    zinb = fits.code[:, 0] == ZINB
     if zinb.any():
-        rows[zinb] = _zinb_rows(*_columns([m.params for m in models if m.kind == "zinb"]), u)
-    samples = [m.sample for m in models if m.kind != "zinb"]
-    if samples:
-        below = np.array([np.searchsorted(s, u, side="right") for s in samples])
-        rows[~zinb] = below / np.array([[s.size] for s in samples])
+        rows[zinb] = _zinb_rows(fits.pi[zinb, 0], fits.mu[zinb, 0], fits.r[zinb, 0], u)
+    if not zinb.all():
+        n = fits.n[~zinb]
+        heads = (np.cumsum(fits.n) - fits.n)[~zinb]
+        values = np.concatenate([np.sort(fits.values[h:h + k])
+                                 for h, k in zip(heads.tolist(), n.tolist())])
+        rows[~zinb] = at_or_below(values, n, np.broadcast_to(u, (n.size, u.size))) / n[:, None]
     return rows
 
 
 @dataclass(frozen=True)
 class CountModel:
-    """Fitted predictive distribution for counts.
-
-    kind is "zinb" or "empirical"; empirical keeps the sorted sample and
-    serves the step CDF. fallback_reason says why the parametric fit was
-    skipped or rejected.
-    """
+    """One sample's fit, the ZINB (kind "zinb") or its empirical
+    fallback (kind "empirical", with the reason), read off fits, the
+    batch of one it was fitted as."""
 
     kind: str
     sample_size: int
-    params: ZinbParams | None = None
-    sample: np.ndarray | None = None
-    loglik: float | None = None
-    fallback_reason: str | None = None
+    params: ZinbParams | None
+    loglik: float              # NaN off the ZINB
+    fallback_reason: str | None
+    fits: CountFits = field(repr=False)
 
     def cdf(self, u):
         """CDF at thresholds u (scalar or array): `count_rows` of this
-        model alone."""
+        fit alone."""
         u = np.asarray(u, dtype=float)
-        row = count_rows([self], u)[0]
+        row = count_rows(self.fits, u)[0]
         return float(row[0]) if u.ndim == 0 else row.reshape(u.shape)
 
 
@@ -472,56 +516,39 @@ def _newton_fits(lik: _ProfileLiks, a, b):
     return out[0], out[1], out[2], converged
 
 
-def fit_zinbs(samples) -> list:
-    """`fit_zinb` of every sample, in one stacked search: per sample, its
-    CountModel.
+def fit_zinbs(samples) -> CountFits:
+    """`fit_zinb` of every sample, in one stacked search, as one
+    CountFits.
 
     Samples are searched together by padded support length, in blocks
     of at most ZINB_BLOCK support entries; see the module docstring for
     why each fit equals fit_zinb on that sample alone, bit for bit.
     """
     samples = [np.asarray(s, dtype=float).reshape(-1) for s in samples]
-    if any(s.size == 0 for s in samples):
+    n = np.array([s.size for s in samples], dtype=np.int64)
+    if np.any(n == 0):
         raise DataError("sample must be nonempty")
-    out = [None] * len(samples)
-    if not samples:
-        return out
-    flat = np.concatenate(samples)
-    if np.any(flat < 0) or np.any(flat != np.floor(flat)):
+    values = np.concatenate(samples) if samples else np.empty(0)
+    if np.any(values < 0) or np.any(values != np.floor(values)):
         raise DataError("counts must be nonnegative integers")
-
-    def empirical(i, reason):
-        return CountModel(kind="empirical", sample_size=samples[i].size,
-                          sample=np.sort(samples[i]), fallback_reason=reason)
-
-    tops = np.maximum.reduceat(flat, np.cumsum([0] + [s.size for s in samples[:-1]]))
-    by_width: dict = {}
-    for i, (sample, top) in enumerate(zip(samples, tops.tolist())):
-        if sample.size < MIN_FIT:
-            out[i] = empirical(i, "too few values")
-        elif top == 0:
-            out[i] = empirical(i, "all zero")
-        else:
-            width = -(-int(top) // ZINB_PAD) * ZINB_PAD
-            by_width.setdefault(width, []).append(i)
-    for width, group in by_width.items():
+    tops = np.maximum.reduceat(values, np.cumsum(n) - n) if n.size else values
+    code = np.where(n < MIN_FIT, TOO_FEW, np.where(tops == 0, ALL_ZERO, ZINB))
+    widths = -(-tops.astype(np.int64) // ZINB_PAD) * ZINB_PAD
+    pi, mu, r, loglik = np.full((4, n.size, 1), np.nan)
+    for width in np.unique(widths[code == ZINB]).tolist():
+        group = np.flatnonzero((widths == width) & (code == ZINB))
         per_block = max(1, ZINB_BLOCK // width)
-        for first in range(0, len(group), per_block):
-            block = group[first:first + per_block]
-            hist = _histograms([samples[i] for i in block], width)
+        for block in (group[i:i + per_block] for i in range(0, group.size, per_block)):
+            hist = _histograms([samples[i] for i in block.tolist()], width)
             lik = _ProfileLiks(hist)
             a, b, ll, converged = _newton_fits(lik, *_moment_starts(hist))
-            pi = lik.pi_hat(a, b)
-            for i, ok, pi_i, a_i, b_i, ll_i in zip(
-                    block, converged.tolist(), pi.tolist(), a.tolist(),
-                    b.tolist(), ll.tolist()):
-                if ok:
-                    params = ZinbParams(pi=pi_i, mu=math.exp(a_i), r=math.exp(b_i))
-                    out[i] = CountModel(kind="zinb", sample_size=samples[i].size,
-                                        params=params, loglik=ll_i)
-                else:
-                    out[i] = empirical(i, "optimizer did not converge")
-    return out
+            code[block[~converged]] = NOT_CONVERGED
+            ok = block[converged]
+            pi[ok, 0], loglik[ok, 0] = lik.pi_hat(a, b)[converged], ll[converged]
+            # math.exp, not np.exp: the two can differ in the last bit
+            mu[ok, 0] = [math.exp(v) for v in a[converged].tolist()]
+            r[ok, 0] = [math.exp(v) for v in b[converged].tolist()]
+    return CountFits(values=values, n=n, pi=pi, mu=mu, r=r, loglik=loglik, code=code[:, None])
 
 
 def fit_zinb(sample) -> CountModel:
@@ -534,9 +561,16 @@ def fit_zinb(sample) -> CountModel:
     than MIN_FIT values or is all zeros, and with "optimizer did not
     converge" in one case only: the search stops, after MAX_NEWTON steps
     or at a step it cannot improve on, while the Newton decrement is
-    still above its tolerance. This is `fit_zinbs` on one sample.
+    still above its tolerance. This is `fit_zinbs` on one sample, viewed
+    as a `CountModel`.
     """
-    return fit_zinbs([sample])[0]
+    fits = fit_zinbs([sample])
+    code = int(fits.code[0, 0])
+    params = (ZinbParams(*(float(v[0, 0]) for v in (fits.pi, fits.mu, fits.r)))
+              if code == ZINB else None)
+    return CountModel(kind="zinb" if code == ZINB else "empirical", sample_size=int(fits.n[0]),
+                      params=params, loglik=float(fits.loglik[0, 0]),
+                      fallback_reason=FALLBACKS[code], fits=fits)
 
 
 def sample_zinb(params: ZinbParams, n: int, rng) -> np.ndarray:

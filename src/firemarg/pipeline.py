@@ -9,10 +9,12 @@ chunks, and one worker pool runs the chunks of both variables. A chunk
 runs cross-validation's kernel, `tuning._fitted_rows`, at its one spec
 and level: one stacked `fitting_samples` query, one `fit_zinbs` or
 `fit_mixtures` call on all of the chunk's samples, and one `cdf_rows`
-call that builds all of its rows. Each index's `Diagnostic` is read off
-its fit. Burnt-area rows are modelled in proportion space and emitted
-against the absolute threshold grid; the rescaling by cell capacity
-stays internal. Samples, fits and rows of a stacked call equal lone
+call that builds all of its rows. Each index's `Diagnostic` is built
+once, from the chunk's fit record, which names its model and fallback
+reasons for either family, and the index's rule label, worked out
+before the pool starts. Burnt-area rows are modelled in proportion
+space and emitted against the absolute threshold grid; the rescaling
+by cell capacity stays internal. Samples, fits and rows of a stacked call equal lone
 calls bit for bit, so a row does not depend on its chunk, and the
 worker pool cannot change any value: each variable's chunks are joined
 back in index order.
@@ -31,7 +33,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .burnt_area import FALLBACKS, MIXTURE
 from .config import RunConfig, config_hash, short_number
 from .data import Dataset, PredictionTable, _to_float, ingest
 from .errors import DataError, FiremargError
@@ -83,8 +84,9 @@ def _init_worker(ds: Dataset) -> None:
 def _predict_block(payload, ds: Dataset | None = None):
     """(rows, diagnostics) of one chunk, in index order, on ds or, in a
     pool worker, on the worker's Dataset: `tuning._fitted_rows` at the
-    one spec and level, with each `Diagnostic` read off its fit."""
-    indices, variable, spec, k2 = payload
+    one spec and level, with each `Diagnostic` read off its fit and its
+    rule label in forced."""
+    indices, forced, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
     grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
     [(live, rows, sources, fits)] = _fitted_rows(ds, indices, variable, [spec], (k2,), grid)
@@ -92,27 +94,28 @@ def _predict_block(payload, ds: Dataset | None = None):
     if empty.size:
         i = indices[empty[0]]
         raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
-    if variable == "cnt":
-        models = [(m.kind, m.fallback_reason, m.sample_size) for m in fits]
-    else:
-        models = [("mixture" if code == MIXTURE else "empirical", FALLBACKS[code], n)
-                  for code, n in zip(fits.code[:, 0].tolist(), fits.n.tolist())]
+    reasons = [fits.fallbacks[code] for code in fits.code[:, 0].tolist()]
     return rows[0], [Diagnostic(index=i, variable=variable, source=source, sample_size=n,
-                                model=kind, fallback=reason or "", forced="")
-                     for i, source, (kind, reason, n) in zip(indices.tolist(), sources, models)]
+                                model="empirical" if reason else fits.model,
+                                fallback=reason or "", forced=label)
+                     for i, source, n, reason, label in zip(
+                         indices.tolist(), sources, fits.n.tolist(), reasons, forced)]
 
 
 def _predict_rows(ds: Dataset, jobs, workers: int) -> list:
-    """(rows, diagnostics) of each (variable, spec, k2) job, in order.
-    Each variable's missing indices are split into `workers * 4`
-    consecutive chunks, and every chunk of every job runs on one worker
-    pool; the results are joined back by job in index order."""
+    """(rows, diagnostics) of each (variable, spec, k2, forced) job, in
+    order, forced holding the rule label of each missing index. Each
+    variable's missing indices are split into `workers * 4` consecutive
+    chunks, and every chunk of every job runs on one worker pool; the
+    results are joined back by job in index order."""
     payloads, chunks = [], []
-    for variable, spec, k2 in jobs:
+    for variable, spec, k2, forced in jobs:
         missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
         parts = (np.array_split(missing, min(workers * 4, missing.size))
                  if missing.size else [])
-        payloads += [(c, variable, spec, k2) for c in parts]
+        ends = np.cumsum([c.size for c in parts]).tolist()
+        payloads += [(c, forced[end - c.size:end], variable, spec, k2)
+                     for c, end in zip(parts, ends)]
         chunks.append(len(parts))
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -121,7 +124,7 @@ def _predict_rows(ds: Dataset, jobs, workers: int) -> list:
     else:
         blocks = [_predict_block(p, ds) for p in payloads]
     out = []
-    for (variable, _, _), n in zip(jobs, chunks):
+    for (variable, *_), n in zip(jobs, chunks):
         # chunks are consecutive and map keeps their order: index order;
         # the empty block shapes a variable with no missing index
         grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
@@ -143,25 +146,20 @@ def predict_tables(ds: Dataset, cnt_spec: NeighborhoodSpec,
                    pair_rule: bool = True, water_rule: bool = True,
                    water_cut: float = DEFAULT_WATER_CUT,
                    workers: int = 1) -> PredictResult:
-    """Model-based CDF rows for every missing index, rules applied last."""
-    (cnt_rows, cnt_diags), (ba_rows, ba_diags) = _predict_rows(
-        ds, (("cnt", cnt_spec, None), ("ba", bap_spec, k2)), workers)
-    cnt_table = PredictionTable("cnt", ds.cnt_missing.copy(),
-                                ds.cnt_thresholds, cnt_rows)
-    ba_table = PredictionTable("ba", ds.ba_missing.copy(),
-                               ds.ba_thresholds, ba_rows)
-
+    """Model-based CDF rows for every missing index, rules applied last;
+    their labels are worked out first, for each `Diagnostic`."""
     resolved = resolve_forced(
         ds, pair=deduce_from_pair(ds) if pair_rule else None,
         water=deduce_from_water(ds, water_cut=water_cut) if water_rule else None)
-    cnt_table = apply_overrides(cnt_table, resolved)
-    ba_table = apply_overrides(ba_table, resolved)
-
-    labels = (forced_labels(resolved["cnt"])
-              + forced_labels(resolved["ba"], saturation_flags(ds).any(axis=1)))
-    diags = tuple(replace(d, forced=label)
-                  for d, label in zip(cnt_diags + ba_diags, labels))
-    return PredictResult(cnt=cnt_table, ba=ba_table, diagnostics=diags)
+    (cnt_rows, cnt_diags), (ba_rows, ba_diags) = _predict_rows(
+        ds, (("cnt", cnt_spec, None, forced_labels(resolved["cnt"])),
+             ("ba", bap_spec, k2,
+              forced_labels(resolved["ba"], saturation_flags(ds).any(axis=1)))), workers)
+    cnt_table = apply_overrides(PredictionTable("cnt", ds.cnt_missing.copy(),
+                                                ds.cnt_thresholds, cnt_rows), resolved)
+    ba_table = apply_overrides(PredictionTable("ba", ds.ba_missing.copy(),
+                                               ds.ba_thresholds, ba_rows), resolved)
+    return PredictResult(cnt=cnt_table, ba=ba_table, diagnostics=tuple(cnt_diags + ba_diags))
 
 
 def benchmark_tables(ds: Dataset) -> PredictResult:

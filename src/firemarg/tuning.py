@@ -14,12 +14,12 @@ the smaller parameters.
 One kernel, `_fitted_rows`, fits and builds rows for cross-validation
 and for prediction (`pipeline`) alike. On a batch of centers it makes
 one stacked `fitting_samples` query per spec and fits every nonempty
-sample of every spec in one call: `fit_zinbs` for counts, one stacked
-Newton search, or `fit_mixtures` at every level for burnt area, one
-columnar `MixtureFits` with its GPD tails in stacked blocks. Each spec
-then takes its slice of the fits, and one `cdf_rows` call builds its
-rows of every (level, center). Stacked fits and rows equal lone ones
-bit for bit, so CV scores exactly the model that prediction emits.
+sample of every spec in one call, `fit_zinbs` for counts or
+`fit_mixtures` at every level for burnt area, one columnar record
+either way. Each spec takes its slice with `sample_range`, and one
+`cdf_rows` call builds its rows of every (level, center). Stacked fits
+and rows equal lone ones bit for bit, so CV scores exactly the model
+that prediction emits.
 
 Each variable is evaluated in one `cv_score` call over its whole
 radius grid. Its distinct surrogates are split, in plan order, into
@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .burnt_area import cdf_rows, fit_mixtures, sample_range
-from .counts import fit_zinbs
+from .burnt_area import cdf_rows, fit_mixtures
+from .counts import fit_zinbs, sample_range
 from .data import Dataset
 from .errors import DataError
 from .geo import haversine_km
@@ -166,8 +166,8 @@ def _fitted_rows(ds: Dataset, centers, variable: str, specs, levels, thresholds)
     positions in centers whose sample is nonempty, their rows (level,
     live center, threshold) at levels (burnt area; a count model has one
     level) on the grid thresholds, the ladder rung of each live sample,
-    and the spec's slice of the fits. Specs are yielded one at a time, so a caller need hold
-    only one spec's rows (module docstring)."""
+    and the spec's slice of the fits. Specs are yielded one at a time,
+    so a caller need hold only one spec's rows (module docstring)."""
     queries = [fitting_samples(ds, centers, variable, spec) for spec in specs]
     live = [[j for j, (sample, _) in enumerate(query) if sample.size] for query in queries]
     samples = [query[j][0] for query, cols in zip(queries, live) for j in cols]
@@ -176,7 +176,7 @@ def _fitted_rows(ds: Dataset, centers, variable: str, specs, levels, thresholds)
     first = 0
     for query, cols in zip(queries, live):
         last = first + len(cols)
-        part = fits[first:last] if variable == "cnt" else sample_range(fits, first, last)
+        part = sample_range(fits, first, last)
         yield cols, cdf_rows(part, thresholds, capacity[cols]), [query[j][1] for j in cols], part
         first = last
 

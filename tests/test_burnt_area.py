@@ -31,7 +31,7 @@ from firemarg.burnt_area import (
     sample_gpd,
     threshold_order_statistic,
 )
-from firemarg.counts import fit_zinb
+from firemarg.counts import fit_zinb, fit_zinbs
 from firemarg.data import default_ba_thresholds
 from firemarg.errors import DataError, GpdFitError
 
@@ -329,8 +329,8 @@ def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
     # a mixture pinned at capacity
     rng = np.random.default_rng(41)
     sample = np.r_[np.zeros(40), rng.beta(1.2, 3.0, 160)]
-    zinb = fit_zinb(rng.negative_binomial(2, 0.3, 200).astype(float))
-    counted = fit_zinb(np.array([0.0, 1.0, 3.0]))
+    draws = rng.negative_binomial(2, 0.3, 200).astype(float)
+    zinb, counted = fit_zinb(draws), fit_zinb(np.array([0.0, 1.0, 3.0]))
     # the first 60 values are two thirds zeros: zero mass at the level
     tail, flat = fit_mixture(sample, 0.5), fit_mixture(sample[:60], 0.5)
     assert [m.kind for m in (zinb, counted, tail, flat)] == \
@@ -338,7 +338,7 @@ def test_cdf_rows_of_a_mixed_batch_equal_each_center_alone():
     thresholds = np.array([0.0, 1.0, 5.0, 20.0, 150.0, 200.0, 1000.0])
     mixed = fit_mixtures([sample, sample[:60], sample], (0.5,))
     for fits, lone, capacities in (
-            ([zinb, counted], [[zinb], [counted]], [500.0, 500.0]),
+            (fit_zinbs([draws, [0.0, 1.0, 3.0]]), [zinb.fits, counted.fits], [500.0, 500.0]),
             (mixed, [m.fits for m in (tail, flat, tail)], [2000.0, 2000.0, 150.0])):
         batch = cdf_rows(fits, thresholds, capacities)
         assert batch.shape == (1, len(lone), thresholds.size)

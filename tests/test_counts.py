@@ -10,6 +10,8 @@ stacked search of `fit_zinbs`.
 """
 
 from collections import Counter
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,13 +21,17 @@ from scipy import stats
 from scipy.special import gammaln, logit
 
 from firemarg import counts as counts_module
+from firemarg.burnt_area import fit_mixtures
 from firemarg.counts import (
+    FALLBACKS,
     MAX_NEWTON,
     MAX_STEP,
     MIN_FIT,
     NEWTON_TOL,
     R_MAX,
+    ZINB,
     ZINB_PAD,
+    CountFits,
     CountModel,
     ZinbParams,
     _histograms,
@@ -38,6 +44,7 @@ from firemarg.counts import (
     count_rows,
     fit_zinb,
     fit_zinbs,
+    sample_range,
     sample_zinb,
     zinb_cdf,
     zinb_log_pmf,
@@ -344,14 +351,22 @@ def _reference_newton(lik: ReferenceLik, theta):
 
 
 
-def reference_fit_zinb(sample) -> CountModel:
+class ReferenceFit(NamedTuple):
+    """What `fit_zinb`'s CountModel reports, less its batch of one."""
+    kind: str
+    sample_size: int
+    params: ZinbParams | None = None
+    loglik: float | None = None
+    fallback_reason: str | None = None
+
+
+def reference_fit_zinb(sample) -> ReferenceFit:
     """`fit_zinb` on the reference likelihood and Newton search."""
     sorted_sample = np.sort(np.asarray(sample, dtype=float))
     n = sorted_sample.size
 
     def empirical(reason):
-        return CountModel(kind="empirical", sample_size=n,
-                          sample=sorted_sample, fallback_reason=reason)
+        return ReferenceFit(kind="empirical", sample_size=n, fallback_reason=reason)
 
     if n < MIN_FIT:
         return empirical("too few values")
@@ -364,7 +379,7 @@ def reference_fit_zinb(sample) -> CountModel:
         return empirical("optimizer did not converge")
     params = ZinbParams(pi=lik.pi_hat(*theta), mu=float(np.exp(theta[0])),
                         r=float(np.exp(theta[1])))
-    return CountModel(kind="zinb", sample_size=n, params=params, loglik=ll)
+    return ReferenceFit(kind="zinb", sample_size=n, params=params, loglik=ll)
 
 
 def assert_matches_reference(sample):
@@ -410,14 +425,15 @@ def test_fit_matches_the_reference_newton_on_the_corpora():
         assert_matches_reference(s)
 
 
-def _bits(model):
-    """Everything a fitted CountModel holds, for exact comparison."""
-    if model.kind == "zinb":
-        p = model.params
-        values = np.array([p.pi, p.mu, p.r, model.loglik])
-    else:
-        values = model.sample
-    return model.kind, model.fallback_reason, model.sample_size, values.tobytes()
+def _bits(fits):
+    """Every field of a batch of fits, for exact comparison."""
+    return tuple((getattr(fits, f.name).dtype, getattr(fits, f.name).tobytes())
+                 for f in fields(fits))
+
+
+def _each(fits):
+    """Each sample's fits, as a batch of one."""
+    return [sample_range(fits, i, i + 1) for i in range(fits.n.size)]
 
 
 def _stacking_batch():
@@ -443,13 +459,13 @@ def test_stacked_fits_equal_lone_fits():
     batch = _stacking_batch()
     widths = Counter(-(-int(s.max()) // ZINB_PAD) for s in batch if s.size >= MIN_FIT)
     assert widths[1] > 1 and widths[2] > 1 and widths[7] == 1
-    lone = [_bits(fit_zinb(s)) for s in batch]
+    lone = [_bits(fit_zinb(s).fits) for s in batch]
     fits = fit_zinbs(batch)
-    assert [_bits(m) for m in fits] == lone
-    assert [_bits(m) for m in fit_zinbs(batch[::-1])] == lone[::-1]
-    assert [_bits(m) for m in fit_zinbs(batch[-1:])] == lone[-1:]
-    assert {m.fallback_reason for m in fits} == {None, "too few values", "all zero"}
-    assert any(m.kind == "zinb" and m.params.r >= R_MAX * (1.0 - 1e-12) for m in fits)
+    assert [_bits(m) for m in _each(fits)] == lone
+    assert [_bits(m) for m in _each(fit_zinbs(batch[::-1]))] == lone[::-1]
+    assert [_bits(m) for m in _each(fit_zinbs(batch[-1:]))] == lone[-1:]
+    assert {FALLBACKS[c] for c in fits.code[:, 0].tolist()} == {None, "too few values", "all zero"}
+    assert np.any((fits.code[:, 0] == ZINB) & (fits.r[:, 0] >= R_MAX * (1.0 - 1e-12)))
 
 
 def test_stacked_fits_equal_lone_fits_that_stop_early(monkeypatch):
@@ -457,9 +473,32 @@ def test_stacked_fits_equal_lone_fits_that_stop_early(monkeypatch):
     monkeypatch.setattr(counts_module, "MAX_NEWTON", 5)
     batch = _stacking_batch()
     fits = fit_zinbs(batch)
-    assert [_bits(m) for m in fits] == [_bits(fit_zinb(s)) for s in batch]
-    reasons = Counter(m.fallback_reason for m in fits)
+    assert [_bits(m) for m in _each(fits)] == [_bits(fit_zinb(s).fits) for s in batch]
+    reasons = Counter(FALLBACKS[c] for c in fits.code[:, 0].tolist())
     assert reasons[None] and reasons["optimizer did not converge"]
+
+
+def _ba_batch():
+    """Burnt-area samples whose fits at levels 0.3 and 0.8 reach a GPD
+    tail, zero mass and too few exceedances."""
+    rng = np.random.default_rng(17)
+    batch = [np.r_[np.zeros(n // 3), rng.beta(1.2, 3.0, n - n // 3)] for n in (12, 60, 200)]
+    return batch + [rng.uniform(0.0, 1.0, n) for n in (30, 400, 90)]
+
+
+@pytest.mark.parametrize("fit, batch", [
+    (fit_zinbs, _stacking_batch()),
+    (lambda samples: fit_mixtures(samples, (0.3, 0.8)), _ba_batch())], ids=["cnt", "ba"])
+def test_sample_range_equals_the_fit_of_its_samples_alone(fit, batch):
+    fits = fit(batch)
+    assert len(set(fits.code.ravel().tolist())) >= 3
+    last = len(batch)
+    for start, stop in ((2, 2), (0, 1), (last - 1, last), (1, last - 2)):
+        part, alone = sample_range(fits, start, stop), fit(batch[start:stop])
+        assert type(part) is type(alone)
+        for f in fields(alone):
+            a, b = getattr(part, f.name), getattr(alone, f.name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), f.name
 
 
 class _QuadraticLik:
@@ -492,6 +531,20 @@ def test_search_that_cannot_rise_stops_unconverged():
     assert ll.tolist() == [0.0, -1.0, 0.0]
 
 
+def _zinb_record(pi, mu, r) -> CountFits:
+    """A batch of one ZINB model with these parameters and no sample."""
+    one = np.ones((1, 1))
+    return CountFits(values=np.empty(0), n=np.zeros(1, dtype=np.int64), pi=pi * one,
+                     mu=mu * one, r=r * one, loglik=np.nan * one,
+                     code=np.full((1, 1), ZINB))
+
+
+def _joined(parts) -> CountFits:
+    """One batch of the fits of parts, in order."""
+    return CountFits(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                        for f in fields(CountFits)})
+
+
 def _row_models():
     """ZINB fits, fixed heavy-tailed models and empirical fallbacks."""
     rng = np.random.default_rng(314)
@@ -499,7 +552,9 @@ def _row_models():
     models += [fit_zinb(np.array([0.0, 2.0, 5.0])), fit_zinb(np.zeros(30))]
     for pi, mu, r in ((0.1, 3.0, 2.0), (0.0, 150.0, 0.3), (0.4, 40.0, 0.8),
                       (0.2, 600.0, 5.0), (0.9, 1e3, 0.05), (0.0, 7.25, 1e6)):
-        models.append(CountModel(kind="zinb", sample_size=0, params=ZinbParams(pi, mu, r)))
+        models.append(CountModel(kind="zinb", sample_size=0, params=ZinbParams(pi, mu, r),
+                                 loglik=np.nan, fallback_reason=None,
+                                 fits=_zinb_record(pi, mu, r)))
     rng.shuffle(models)
     return models
 
@@ -510,19 +565,20 @@ def test_stacked_count_rows_equal_lone_rows(monkeypatch):
     models = _row_models()
     grid = np.r_[-3.0, -0.5, 0.0, 0.5, np.arange(1.0, 40.0), 99.5, 256.0, 300.0,
                  1000.0, 4096.5, 1e5]
-    zinb = [m for m in models if m.kind == "zinb"]
-    caps = _row_caps(*counts_module._columns([m.params for m in zinb]), int(grid.max()))
+    fits = _joined([m.fits for m in models])
+    zinb = fits.code[:, 0] == ZINB
+    caps = _row_caps(fits.pi[zinb, 0], fits.mu[zinb, 0], fits.r[zinb, 0], int(grid.max()))
     assert len(set(caps.tolist())) > 2
     monkeypatch.setattr(counts_module, "ZINB_BLOCK", 4 * int(grid.max()))
-    batch = count_rows(models, grid)
+    batch = count_rows(fits, grid)
     assert batch.shape == (len(models), grid.size)
     assert np.all(batch[:, grid < 0] == 0.0)
     for m, row in zip(models, batch):
-        assert np.array_equal(row, count_rows([m], grid)[0])
+        assert np.array_equal(row, count_rows(m.fits, grid)[0])
         assert np.array_equal(row, m.cdf(grid))
         if m.kind == "zinb":
             assert np.array_equal(row, zinb_cdf(m.params, grid))
-    assert count_rows([], grid).shape == (0, grid.size)
+    assert count_rows(fit_zinbs([]), grid).shape == (0, grid.size)
 
 
 def test_mass_check_names_the_model_inside_a_batch(monkeypatch):
@@ -535,11 +591,12 @@ def test_mass_check_names_the_model_inside_a_batch(monkeypatch):
     monkeypatch.setattr(counts_module, "_pmf_rows", inflated)
     with pytest.raises(DataError, match=r"pmf of ZinbParams\(pi=0\.0, mu=7\.25, r=1000000\.0\) "
                                         r"sums to .*by more than rounding"):
-        count_rows(_row_models(), default_cnt_thresholds())
+        count_rows(_joined([m.fits for m in _row_models()]), default_cnt_thresholds())
 
 
 def test_stacked_fits_check_every_sample():
-    assert fit_zinbs([]) == []
+    empty = fit_zinbs([])
+    assert (empty.values.size, empty.n.size, empty.code.shape) == (0, 0, (0, 1))
     for bad in ([np.arange(20.0), np.array([])],
                 [np.arange(20.0), np.array([1.5, 2.0])],
                 [np.array([-1, 2]), np.arange(20.0)]):
@@ -562,8 +619,8 @@ class TestFit:
         assert m.cdf(1.0) == pytest.approx(3 / 5)
 
     def test_empirical_cdf_is_step(self):
-        m = CountModel(kind="empirical", sample_size=4,
-                       sample=np.array([0.0, 1.0, 1.0, 3.0]))
+        m = fit_zinb(np.array([3.0, 1.0, 0.0, 1.0]))
+        assert m.fallback_reason == "too few values"
         assert m.cdf(0.99) == pytest.approx(0.25)
         assert m.cdf(1.0) == pytest.approx(0.75)
         assert m.cdf(-0.5) == 0.0

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from firemarg import pipeline
+from firemarg import counts, pipeline
 from firemarg.burnt_area import FALLBACKS, fit_mixture
 from firemarg.config import RunConfig
-from firemarg.counts import ZinbParams
+from firemarg.counts import ZinbParams, fit_zinb
 from firemarg.data import PredictionTable, build_dataset, write_csv
 from firemarg.errors import DataError, FiremargError
 from firemarg.neighborhoods import NeighborhoodSpec, fitting_samples
@@ -60,13 +60,16 @@ def test_tables_cover_missing_indices_once(masked_ds):
                                              ("ba", {"mixture", "empirical"})])
 def test_chunk_rows_equal_single_index_chunks(masked_ds, variable, kinds):
     indices = masked_ds.cnt_missing if variable == "cnt" else masked_ds.ba_missing
-    payload = (indices, variable, NeighborhoodSpec(radius_km=300.0), 0.7)
+    forced = [str(i) for i in indices.tolist()]
+    payload = (indices, forced, variable, NeighborhoodSpec(radius_km=300.0), 0.7)
     rows, diags = pipeline._predict_block(payload, masked_ds)
-    alone = [pipeline._predict_block((indices[p:p + 1],) + payload[1:], masked_ds)
+    alone = [pipeline._predict_block((indices[p:p + 1], forced[p:p + 1]) + payload[2:],
+                                     masked_ds)
              for p in range(indices.size)]
     assert rows.shape == (indices.size, 28)
     assert np.array_equal(rows, np.concatenate([r for r, _ in alone]))
     assert diags == [d for _, block in alone for d in block]
+    assert [d.forced for d in diags] == forced
     assert {d.model for d in diags} == kinds
 
 
@@ -83,13 +86,35 @@ def test_burnt_area_diagnostics_equal_lone_fits():
         indices = ds.ba_missing
         samples = [sample for sample, _ in fitting_samples(ds, indices, "ba", spec)]
         for k2 in levels:
-            _, diags = pipeline._predict_block((indices, "ba", spec, k2), ds)
+            _, diags = pipeline._predict_block((indices, [""] * indices.size, "ba", spec, k2),
+                                               ds)
             lone = [fit_mixture(sample, k2) for sample in samples]
             assert [(d.index, d.model, d.fallback, d.sample_size) for d in diags] == \
                 [(int(i), m.kind, m.fallback_reason or "", m.sample_size)
                  for i, m in zip(indices, lone)]
             reasons.update(m.fallback_reason for m in lone)
     assert reasons == set(FALLBACKS)
+
+
+def test_count_diagnostics_equal_lone_fits(monkeypatch):
+    # at 150 km a few samples hold fewer than MIN_FIT values and the
+    # zeroed western columns give all-zero samples; eight Newton steps
+    # leave most searches unconverged, and one at 300 km converges
+    cols = make_grid_columns(nx=8, ny=8, seed=37, cnt_missing_frac=0.2)
+    cols["cnt"][(cols["lon"] < -118.1) & ~np.isnan(cols["cnt"])] = 0.0
+    ds = build_dataset(**cols)
+    monkeypatch.setattr(counts, "MAX_NEWTON", 8)
+    indices, reasons = ds.cnt_missing, set()
+    for radius in (150.0, 300.0):
+        spec = NeighborhoodSpec(radius_km=radius)
+        _, diags = pipeline._predict_block((indices, [""] * indices.size, "cnt", spec, None),
+                                           ds)
+        lone = [fit_zinb(sample) for sample, _ in fitting_samples(ds, indices, "cnt", spec)]
+        assert [(d.index, d.model, d.fallback, d.sample_size) for d in diags] == \
+            [(int(i), m.kind, m.fallback_reason or "", m.sample_size)
+             for i, m in zip(indices, lone)]
+        reasons.update(m.fallback_reason for m in lone)
+    assert reasons == set(counts.FALLBACKS)
 
 
 @pytest.mark.parametrize("variable", ["cnt", "ba"])
@@ -102,7 +127,8 @@ def test_prediction_error_names_the_month_of_the_first_empty_sample(variable):
     missing = ds.cnt_missing if variable == "cnt" else ds.ba_missing
     assert ds.month[missing[0]] == 7
     with pytest.raises(DataError, match=f"no observed {variable} values for month 6$"):
-        pipeline._predict_block((missing, variable, NeighborhoodSpec(), 0.5), ds)
+        pipeline._predict_block((missing, [""] * missing.size, variable, NeighborhoodSpec(), 0.5),
+                                ds)
 
 
 def test_both_variables_share_one_worker_pool(masked_ds, monkeypatch, tmp_path):
