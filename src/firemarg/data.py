@@ -236,6 +236,7 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
 # Canonical column names: the data file's header must carry each of them.
 BASE_COLUMNS = ("lon", "lat", "month", "year", "area", "cnt", "ba", "altitude")
 MISSING_TOKENS = {"", "NA"}
+WRITE_BLOCK = 4096         # rows formatted per write by write_csv
 
 
 def _to_float(raw: str) -> float:
@@ -397,25 +398,28 @@ def ingest(path, **dataset_kwargs) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Export a Dataset in the canonical column layout (round-trippable)."""
+    """Export a Dataset in the canonical column layout (round-trippable).
+
+    The bytes are those of csv.writer given each value as f"{x:.17g}",
+    or "NA" for NaN. The header goes through csv.writer, since a climate
+    name may need quoting; no numeric field does, so each row is one
+    %-format of a line template ('%.17g' % x == f"{x:.17g}"), written a
+    block of rows at a time, with the "nan" it gives for NaN made "NA".
+    """
     lc_names = [f"lc{k}" for k in range(1, N_LAND_COVER + 1)]
     header = list(BASE_COLUMNS) + lc_names + list(dataset.climate_names)
-
-    def fmt(x):
-        return "NA" if isinstance(x, float) and math.isnan(x) else f"{x:.17g}"
-
+    line = "%.17g,%.17g,%d,%d" + ",%.17g" * (len(header) - 4) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [fmt(float(dataset.lon[i])), fmt(float(dataset.lat[i])),
-                   int(dataset.month[i]), int(dataset.year[i]),
-                   fmt(float(dataset.area_fraction[i])),
-                   fmt(float(dataset.cnt[i])), fmt(float(dataset.ba[i])),
-                   fmt(float(dataset.altitude[i]))]
-            row += [fmt(float(v)) for v in dataset.land_cover[i]]
-            row += [fmt(float(v)) for v in dataset.climate[i]]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for lo in range(0, dataset.n, WRITE_BLOCK):
+            s = slice(lo, lo + WRITE_BLOCK)
+            block = np.column_stack((
+                dataset.lon[s], dataset.lat[s], dataset.month[s],
+                dataset.year[s], dataset.area_fraction[s], dataset.cnt[s],
+                dataset.ba[s], dataset.altitude[s], dataset.land_cover[s],
+                dataset.climate[s]))
+            text = "".join([line % row for row in zip(*block.T.tolist())])
+            fh.write(text.replace("nan", "NA"))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ bootstrap intervals, and the regional quadrant split.
 All estimators work on rank-transformed margins F(x) = rank/(n+1), so
 they are invariant to strictly increasing marginal transforms and the
 log terms in chi-bar never see an exact 1.
+
+`scipy.stats` is imported on first use, inside `rank_transform` and
+`kendall_tau`, not when this module loads. Only `firemarg explore` calls
+into this module, but the package and the CLI import it, so a
+module-level import would put `scipy.stats`, and the `scipy.optimize`
+it imports, into the memory and start-up time of every `run`, `tune`
+and `predict` process and of every worker forked from one.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau, rankdata
 
 from .errors import DataError
 
@@ -29,12 +35,16 @@ def _paired(x, y):
 
 def rank_transform(v) -> np.ndarray:
     """Pseudo-uniform margins rank/(n+1), average ranks on ties."""
+    from scipy.stats import rankdata
+
     v = np.asarray(v, dtype=float)
     return rankdata(v) / (v.size + 1.0)
 
 
 def kendall_tau(x, y) -> float:
     """Kendall's tau-b (tie-corrected); count data are heavily tied."""
+    from scipy.stats import kendalltau, rankdata
+
     x, y = _paired(x, y)
     # identical (or mirrored) rank vectors mean every comparable pair is
     # concordant (discordant); report the exact extreme, not 1 - eps

@@ -215,14 +215,15 @@ def score_tables(cnt_table: PredictionTable, ba_table: PredictionTable,
 
 def write_prediction_csv(table: PredictionTable, path: str) -> None:
     """One (index, threshold, probability) line per cell of the table,
-    as csv.writer writes them (no field needs quoting), one joined
-    string per row."""
-    thresholds = [f"{u:.17g}" for u in table.thresholds.tolist()]
+    as csv.writer writes them (no field needs quoting). Each row is one
+    %-format of a template that holds the table's thresholds, with
+    '%.17g' % p == f"{p:.17g}"; the row's index then replaces the NUL
+    placeholder, a character no formatted number holds."""
+    line = "".join([f"\0,{u:.17g},%.17g\r\n" for u in table.thresholds.tolist()])
     with open(path, "w", newline="") as fh:
         fh.write("index,threshold,probability\r\n")
         for i, row in zip(table.indices.tolist(), table.rows.tolist()):
-            fh.write("".join([f"{i},{u},{p:.17g}\r\n"
-                              for u, p in zip(thresholds, row)]))
+            fh.write((line % tuple(row)).replace("\0", str(i)))
 
 
 def _csv_records(path: str, header: tuple, kind: str):

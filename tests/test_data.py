@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from firemarg import data
 from firemarg.data import (
     BASE_COLUMNS,
     N_LAND_COVER,
@@ -332,6 +333,54 @@ def test_ingest_matches_the_row_reader_on_synthetic_scenes(tmp_path, spec):
     new, ref = _ingest_both(path)
     assert_same_dataset(new, ref)
     assert_same_dataset(new, ds)
+
+
+def _reference_write_csv(dataset, path):
+    """The row-by-row csv.writer export that `write_csv` replaced."""
+    lc_names = [f"lc{k}" for k in range(1, N_LAND_COVER + 1)]
+    header = list(BASE_COLUMNS) + lc_names + list(dataset.climate_names)
+
+    def fmt(x):
+        return "NA" if isinstance(x, float) and math.isnan(x) else f"{x:.17g}"
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [fmt(float(dataset.lon[i])), fmt(float(dataset.lat[i])),
+                   int(dataset.month[i]), int(dataset.year[i]),
+                   fmt(float(dataset.area_fraction[i])),
+                   fmt(float(dataset.cnt[i])), fmt(float(dataset.ba[i])),
+                   fmt(float(dataset.altitude[i]))]
+            row += [fmt(float(v)) for v in dataset.land_cover[i]]
+            row += [fmt(float(v)) for v in dataset.climate[i]]
+            writer.writerow(row)
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
+    """NaN counts and burnt areas (and a NaN or infinite covariate, which
+    build_dataset lets through), -0.0, a subnormal, whole-number floats
+    and a climate name that needs quoting, over blocks of 3 rows with a
+    short last block."""
+    monkeypatch.setattr(data, "WRITE_BLOCK", 3)
+    cols = make_grid_columns(nx=4, ny=2, years=(2000, 2001),
+                             cnt_missing_frac=0.3, ba_missing_frac=0.3, seed=9)
+    cols["cnt"][[0, 5]] = np.nan
+    cols["ba"][[0, 6]] = np.nan
+    cols["lon"][1] = -0.0
+    cols["altitude"][:4] = [-0.0, 800.0, 2.0 ** -1074, 1e300]
+    cols["land_cover"][2, :3] = [2.0 ** -1074, 0.0, 1.0]
+    cols["climate"][3] = [np.nan, np.inf]
+    cols["climate"][4] = [14.0, -np.inf]
+    cols["climate_names"] = ("clim_temp", 'clim "wet, or not"')
+    ds = build_dataset(**cols)
+    assert ds.n == 16
+    path, ref = tmp_path / "scene.csv", tmp_path / "ref.csv"
+    write_csv(ds, path)
+    _reference_write_csv(ds, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    assert b'"clim ""wet, or not"""\r\n' in path.read_bytes()
+    assert path.read_bytes().count(b",NA") >= 4
 
 
 def _hand_file(tmp_path, header, rows, newline="\n"):

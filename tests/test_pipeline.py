@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,7 +307,7 @@ def test_prediction_csv_round_trip(tmp_path, masked_ds):
 
 
 def test_prediction_csv_bytes_match_csv_writer(tmp_path):
-    """The joined-line writer against the csv.writer loop it replaced."""
+    """The per-row template writer against the csv.writer loop it replaced."""
     tiny = 2.0 ** -1074                  # the smallest subnormal
     table = PredictionTable(
         variable="ba", indices=np.array([0, 7, 123456]),
@@ -452,6 +454,32 @@ def test_run_all_byte_identical(tmp_path, run_inputs):
     assert a == b
     assert set(a) == {"version", "config_hash", "seed", "workers", "selected",
                       "water_cut", "rows", "score"}
+
+
+def test_run_path_leaves_scipy_stats_unloaded(tmp_path, run_inputs):
+    """Only `firemarg explore` needs scipy.stats (and the scipy.optimize
+    it imports): a fresh interpreter that imports the package and the
+    CLI and makes a tuned, scored two-worker run_all loads neither."""
+    data_path, truth_path = run_inputs
+    config = dict(data_path=data_path, truth_path=truth_path,
+                  out_dir=str(tmp_path / "out"), radii=(100.0, 150.0),
+                  quantiles=(0.5,), workers=2)
+    script = (
+        "import json, sys\n"
+        "import firemarg, firemarg.cli\n"
+        "from firemarg.config import RunConfig\n"
+        "from firemarg.pipeline import run_all\n"
+        f"run_all(RunConfig(**{config!r}))\n"
+        "print(json.dumps([m for m in ('scipy.stats', 'scipy.optimize')"
+        " if m in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert os.path.exists(os.path.join(config["out_dir"], "scores.csv"))
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_run_all_tunes_when_unset(tmp_path, run_inputs):
