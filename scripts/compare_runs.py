@@ -8,22 +8,24 @@ SRC_A and SRC_B are the roots of two firemarg checkouts. --workload may
 be given more than once; every workload runs on every seed. --set
 KEY=VALUE, which may also be repeated, overrides the RunConfig field KEY
 in every run; VALUE is read as JSON where it parses (1, 150.0, null)
-and as a string otherwise (temporal, altitude). For each
-workload and seed the scene is built once with SRC_A's `bench/workloads.py`
-(and its `firemarg.synth`) and written as CSV files to a temporary
-directory. Each tree's `pipeline.run_all` is then called on those files
-in a fresh process, with the workload's run settings and the overrides.
-For every run it
-prints the wall time of the call, the peak resident set size of that
-process (`ru_maxrss` of RUSAGE_SELF: the interpreter and its imports
-count, the prediction pool's worker processes do not), and the sha256
-of predictions_cnt.csv, predictions_ba.csv, tuning.csv, scores.csv,
-diagnostics.csv and manifest.json ("absent" for a file the run did not
-write). For a CSV file whose digests differ it also prints, per column,
-the largest absolute difference between the two runs' values, row for
-row (or how many cells differ, for a column that is not numeric). It
-exits with status 1 when any digest differs between the trees, on any
-workload.
+and as a string otherwise (temporal, altitude). For each workload and
+seed, each tree builds the scene with its own `bench/workloads.py` (and
+its `firemarg.synth`) and writes it as data.csv and truth.csv to a
+temporary directory, as the benchmark does in each checkout; so a change
+to the synthetic scenes shows as a differing scene. Each tree's
+`pipeline.run_all` is then called on its own scene, copied to one path
+for both runs since the manifest's config hash covers it, in a fresh
+process, with the workload's run settings and the overrides. For every
+run it prints the wall time of the call, the peak resident set size of
+that process (`ru_maxrss` of RUSAGE_SELF: the interpreter and its
+imports count, the prediction pool's worker processes do not), and the
+sha256 of the two scene files and of predictions_cnt.csv,
+predictions_ba.csv, tuning.csv, scores.csv, diagnostics.csv and
+manifest.json ("absent" for a file the run did not write). For a CSV
+file whose digests differ it also prints, per column, the largest
+absolute difference between the two trees' values, row for row (or how
+many cells differ, for a column that is not numeric). It exits with
+status 1 when any digest differs between the trees, on any workload.
 """
 
 import argparse
@@ -31,10 +33,12 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
+SCENE_FILES = ("data.csv", "truth.csv")
 OUTPUTS = ("predictions_cnt.csv", "predictions_ba.csv", "tuning.csv",
            "scores.csv", "diagnostics.csv", "manifest.json")
 
@@ -71,10 +75,11 @@ def python(code: str, *args) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
-def digests(out_dir: str) -> dict:
+def digests(paths: dict) -> dict:
+    """The sha256 of each file of paths, a name -> path mapping, by
+    name; "absent" for a file that does not exist."""
     out = {}
-    for name in OUTPUTS:
-        path = os.path.join(out_dir, name)
+    for name, path in paths.items():
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 out[name] = hashlib.sha256(fh.read()).hexdigest()
@@ -115,27 +120,30 @@ def override(text: str) -> tuple:
 
 def compare_seed(trees: list, workload: str, seed: int, work: str,
                  overrides: dict) -> bool:
-    data = os.path.join(work, "data.csv")
-    truth = os.path.join(work, "truth.csv")
-    settings = json.loads(python(SCENE, trees[0], workload, seed, data, truth))
-    settings.update(overrides)
-    results = []
+    data, truth = (os.path.join(work, name) for name in SCENE_FILES)
+    paths, results = [], []
     for label, tree in zip("AB", trees):
         out_dir = os.path.join(work, label)
-        config = dict(settings, data_path=data, truth_path=truth, seed=seed,
+        files = {name: os.path.join(work, f"{label}-{name}") for name in SCENE_FILES}
+        config = json.loads(python(SCENE, tree, workload, seed, *files.values()))
+        # both runs read their scene from one path: the manifest's config
+        # hash covers the data path
+        shutil.copyfile(files["data.csv"], data)
+        shutil.copyfile(files["truth.csv"], truth)
+        config.update(overrides, data_path=data, truth_path=truth, seed=seed,
                       out_dir=out_dir)
         seconds, peak_kb = python(RUN, tree, json.dumps(config)).split()
-        results.append(digests(out_dir))
+        files.update((name, os.path.join(out_dir, name)) for name in OUTPUTS)
+        paths.append(files)
+        results.append(digests(files))
         print(f"{workload} seed {seed} {label}: run_all {float(seconds):.3f} s, "
               f"peak RSS {int(peak_kb) / 1024:.1f} MB")
-    same = results[0] == results[1]
-    for name in OUTPUTS:
+    for name in SCENE_FILES + OUTPUTS:
         a, b = results[0][name], results[1][name]
         print(f"  {name:20s} {a}" + ("" if a == b else f"  DIFFERS: B {b}"))
         if a != b and "absent" not in (a, b) and name.endswith(".csv"):
-            print("    " + column_gaps(os.path.join(work, "A", name),
-                                       os.path.join(work, "B", name)))
-    return same
+            print("    " + column_gaps(paths[0][name], paths[1][name]))
+    return results[0] == results[1]
 
 
 def main(argv=None) -> int:

@@ -169,7 +169,15 @@ def build_dataset(lon, lat, month, year, area_fraction, cnt, ba, land_cover,
     observed_ba = ~np.isnan(ba)
     if np.any(ba[observed_ba] < 0):
         raise DataError("burnt area must be nonnegative or missing")
-    if np.any((land_cover < 0) | (land_cover > 1)):
+    # write_csv would write NaN as NA, which ingest rejects; +-inf round-trips
+    lc_names = tuple(f"lc{k}" for k in range(1, N_LAND_COVER + 1))
+    for names, values in ((("altitude",), altitude[:, None]), (lc_names, land_cover),
+                          (climate_names, climate)):
+        nan = np.isnan(values)
+        if np.any(nan):
+            i, k = np.argwhere(nan)[0]
+            raise DataError(f"column {names[k]} may not be missing (NaN) at index {i}")
+    if not np.all((land_cover >= 0) & (land_cover <= 1)):
         raise DataError("land-cover fractions must lie in [0,1]")
 
     cnt_t = default_cnt_thresholds() if cnt_thresholds is None else np.asarray(cnt_thresholds, float)

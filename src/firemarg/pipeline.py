@@ -9,15 +9,17 @@ chunks, and one worker pool runs the chunks of both variables. A chunk
 runs cross-validation's kernel, `tuning._fitted_rows`, at its one spec
 and level: one stacked `fitting_samples` query, one `fit_zinbs` or
 `fit_mixtures` call on all of the chunk's samples, and one `cdf_rows`
-call that builds all of its rows. Each index's `Diagnostic` is built
+call that builds all of its rows; an index whose month has no
+observed value breaks the kernel's contract of a nonempty sample and
+raises DataError before any fit. Each index's `Diagnostic` is built
 once, from the chunk's fit record, which names its model and fallback
 reasons for either family, and the index's rule label, worked out
 before the pool starts. Burnt-area rows are modelled in proportion
 space and emitted against the absolute threshold grid; the rescaling
-by cell capacity stays internal. Samples, fits and rows of a stacked call equal lone
-calls bit for bit, so a row does not depend on its chunk, and the
-worker pool cannot change any value: each variable's chunks are joined
-back in index order.
+by cell capacity stays internal. Samples, fits and rows of a stacked
+call equal lone calls bit for bit, so a row does not depend on its
+chunk, and the worker pool cannot change any value: each variable's
+chunks are joined back in index order.
 """
 
 from __future__ import annotations
@@ -89,11 +91,7 @@ def _predict_block(payload, ds: Dataset | None = None):
     indices, forced, variable, spec, k2 = payload
     ds = _WORKER_DS if ds is None else ds
     grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
-    [(live, rows, sources, fits)] = _fitted_rows(ds, indices, variable, [spec], (k2,), grid)
-    empty = np.setdiff1d(np.arange(indices.size), live)
-    if empty.size:
-        i = indices[empty[0]]
-        raise DataError(f"no observed {variable} values for month {int(ds.month[i])}")
+    [(rows, sources, fits)] = _fitted_rows(ds, indices, variable, [spec], (k2,), grid)
     reasons = [fits.fallbacks[code] for code in fits.code[:, 0].tolist()]
     return rows[0], [Diagnostic(index=i, variable=variable, source=source, sample_size=n,
                                 model="empirical" if reason else fits.model,

@@ -1,18 +1,14 @@
 """Synthetic data with known ground truth for pipeline verification.
 
-The generator plants spatial parameter fields in one of three shapes.
+The generator plants spatial parameter fields in one of two shapes.
 The default tiles the domain with square blocks (side block_km), each
 block getting one of the configured regimes, alternating like a
 checkerboard so every block border is a contrast. regime_layout="bands"
 cycles the regimes along longitude in straight bands exactly block_km
 wide, which makes the cross-band marginal scale equal the band width.
-Setting field_scale_km switches to a smooth field: regime parameters
-are interpolated along a random sum of plane waves with half-wavelength
-field_scale_km, so marginals are nearly constant within that scale and
-drift beyond it. Either way,
-neighborhoods smaller than the planted scale share a marginal and
-larger ones mix regimes; that is what lets cross-validation recover a
-planted radius.
+Either way, neighborhoods smaller than the planted scale share a
+marginal and larger ones mix regimes; that is what lets
+cross-validation recover a planted radius.
 
 Counts drive burnt areas: a zero count forces a zero burnt area, and a
 positive count draws a positive burnt-area proportion from a clipped
@@ -51,7 +47,6 @@ class SyntheticSpec:
     months: tuple = (6,)
     years: tuple = (2000,)
     block_km: float = 300.0
-    field_scale_km: float = None   # smooth drift instead of blocks when set
     regime_layout: str = "checker"  # or "bands": lon-direction stripes
     mask_layout: str = "blobs"     # or "border_stripes": mask along band borders
     cnt_regimes: tuple = (ZinbParams(0.15, 1.0, 2.0), ZinbParams(0.55, 8.0, 0.8))
@@ -63,18 +58,14 @@ class SyntheticSpec:
     mask_blob_cells: float = 1.5   # blob radius in grid cells
     water_frac: float = 0.0
     small_area_frac: float = 0.0   # cells given a tiny area fraction
-    area_fraction_range: tuple = (0.7, 1.0)
-    cnt_thresholds: tuple = None   # defaults from build_dataset when None
-    ba_thresholds: tuple = None
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise DataError("grid must be at least 2x2")
         span_km = min(self.nx, self.ny) * self.spacing * KM_PER_DEG
-        scale = self.block_km if self.field_scale_km is None else self.field_scale_km
-        if scale <= 0.0 or scale >= span_km:
+        if self.block_km <= 0.0 or self.block_km >= span_km:
             raise DataError(
-                f"marginal scale {scale} km does not fit the "
+                f"marginal scale {self.block_km} km does not fit the "
                 f"{span_km:.0f} km domain; no regime contrast is possible")
         if len(self.cnt_regimes) != len(self.ba_regimes):
             raise DataError("count and burnt-area regimes must pair up")
@@ -87,8 +78,7 @@ class SyntheticSpec:
             raise DataError(f"unknown regime layout {self.regime_layout!r}")
         if self.mask_layout not in ("blobs", "border_stripes"):
             raise DataError(f"unknown mask layout {self.mask_layout!r}")
-        if self.mask_layout == "border_stripes" and (
-                self.regime_layout != "bands" or self.field_scale_km is not None):
+        if self.mask_layout == "border_stripes" and self.regime_layout != "bands":
             raise DataError("border-stripe masks need the bands regime layout")
 
 
@@ -106,7 +96,6 @@ class GroundTruth:
     cnt_full: np.ndarray        # values before masking
     ba_full: np.ndarray
     capacity: np.ndarray
-    marginal_block_km: float
     water_cells: np.ndarray = field(default=None)
 
     def true_cnt_cdf(self, i: int, thresholds) -> np.ndarray:
@@ -190,35 +179,20 @@ def generate(spec: SyntheticSpec, seed: int) -> tuple[Dataset, GroundTruth]:
     n_cells = cell_lon.size
     lat_mid = float(np.mean(cell_lat))
 
-    n_regimes = len(spec.cnt_regimes)
-    if spec.field_scale_km is None:
-        # checkerboard regime field over blocks of side block_km, or
-        # lon-direction bands exactly block_km wide
-        bx = np.floor((cell_lon - spec.lon0) * KM_PER_DEG
-                      * math.cos(math.radians(lat_mid)) / spec.block_km).astype(int)
-        by = np.floor((cell_lat - spec.lat0) * KM_PER_DEG / spec.block_km).astype(int)
-        cell_regime = (bx if spec.regime_layout == "bands"
-                       else bx + by) % n_regimes
-        cell_w = None
-    else:
-        # smooth weight in [0, 1]: three random plane waves, half-wavelength
-        # field_scale_km, so parameters barely move inside that distance
-        x_km = (cell_lon - spec.lon0) * KM_PER_DEG * math.cos(math.radians(lat_mid))
-        y_km = (cell_lat - spec.lat0) * KM_PER_DEG
-        wave = math.pi / spec.field_scale_km
-        theta = rng.uniform(0.0, 2.0 * math.pi, 3)
-        phase = rng.uniform(0.0, 2.0 * math.pi, 3)
-        raw = sum(np.cos(wave * (x_km * math.cos(t) + y_km * math.sin(t)) + p)
-                  for t, p in zip(theta, phase))
-        cell_w = 0.5 + raw / 6.0
-        cell_regime = np.rint(cell_w * (n_regimes - 1)).astype(int)
+    # checkerboard regime field over blocks of side block_km, or
+    # lon-direction bands exactly block_km wide
+    bx = np.floor((cell_lon - spec.lon0) * KM_PER_DEG
+                  * math.cos(math.radians(lat_mid)) / spec.block_km).astype(int)
+    by = np.floor((cell_lat - spec.lat0) * KM_PER_DEG / spec.block_km).astype(int)
+    cell_regime = (bx if spec.regime_layout == "bands"
+                   else bx + by) % len(spec.cnt_regimes)
 
     water_cells = np.zeros(n_cells, dtype=bool)
     if spec.water_frac > 0:
         k = int(round(spec.water_frac * n_cells))
         water_cells[rng.choice(n_cells, size=k, replace=False)] = True
 
-    area_fraction = rng.uniform(*spec.area_fraction_range, n_cells)
+    area_fraction = rng.uniform(0.7, 1.0, n_cells)
     if spec.small_area_frac > 0:
         k = int(round(spec.small_area_frac * n_cells))
         tiny = rng.choice(np.flatnonzero(~water_cells), size=k, replace=False)
@@ -242,19 +216,13 @@ def generate(spec: SyntheticSpec, seed: int) -> tuple[Dataset, GroundTruth]:
     capacity = np.tile(capacity_cell, len(blocks))
 
     def cell_param(values) -> np.ndarray:
-        table = np.asarray(values, dtype=float)
-        if cell_w is None:
-            return table[cell_regime]
-        pos = cell_w * (table.size - 1)
-        lo = np.clip(np.floor(pos).astype(int), 0, table.size - 2)
-        frac = pos - lo
-        return table[lo] * (1.0 - frac) + table[lo + 1] * frac
+        return np.tile(np.asarray(values, dtype=float)[cell_regime], len(blocks))
 
-    pi = np.tile(cell_param([z.pi for z in spec.cnt_regimes]), len(blocks))
-    mu = np.tile(cell_param([z.mu for z in spec.cnt_regimes]), len(blocks))
-    r_disp = np.tile(cell_param([z.r for z in spec.cnt_regimes]), len(blocks))
-    bap_mu = np.tile(cell_param([b[0] for b in spec.ba_regimes]), len(blocks))
-    bap_sd = np.tile(cell_param([b[1] for b in spec.ba_regimes]), len(blocks))
+    pi = cell_param([z.pi for z in spec.cnt_regimes])
+    mu = cell_param([z.mu for z in spec.cnt_regimes])
+    r_disp = cell_param([z.r for z in spec.cnt_regimes])
+    bap_mu = cell_param([b[0] for b in spec.ba_regimes])
+    bap_sd = cell_param([b[1] for b in spec.ba_regimes])
     if spec.year_drift != 0.0:
         shift = spec.year_drift * (year - spec.years[0])
         mu = mu * np.exp(shift)
@@ -317,16 +285,12 @@ def generate(spec: SyntheticSpec, seed: int) -> tuple[Dataset, GroundTruth]:
         altitude=altitude,
         lon_width=spec.spacing, lat_height=spec.spacing,
         year_range=(min(spec.years), max(spec.years)),
-        month_range=(min(spec.months), max(spec.months)),
-        cnt_thresholds=spec.cnt_thresholds, ba_thresholds=spec.ba_thresholds)
+        month_range=(min(spec.months), max(spec.months)))
 
     truth = GroundTruth(
         regime=regime, pi=pi, mu=mu, r=r_disp,
         bap_zero=bap_zero, bap_mu=bap_mu, bap_sd=bap_sd,
-        cnt_full=cnt, ba_full=ba, capacity=capacity,
-        marginal_block_km=(spec.block_km if spec.field_scale_km is None
-                           else spec.field_scale_km),
-        water_cells=water)
+        cnt_full=cnt, ba_full=ba, capacity=capacity, water_cells=water)
     return ds, truth
 
 

@@ -7,19 +7,21 @@ scored by fitting the marginal model to the surrogate's sample from
 `neighborhoods.fitting_samples` (which leaves the surrogate's own value
 out), evaluating its CDF row, and scoring that row against the
 surrogate's observed value. An empty neighborhood widens along the
-sample ladder, so each candidate is scored on the full plan. The
+sample ladder, so every candidate is scored on the same pairs. The
 candidate combination with the smallest total score wins; ties go to
 the smaller parameters.
 
 One kernel, `_fitted_rows`, fits and builds rows for cross-validation
 and for prediction (`pipeline`) alike. On a batch of centers it makes
-one stacked `fitting_samples` query per spec and fits every nonempty
-sample of every spec in one call, `fit_zinbs` for counts or
-`fit_mixtures` at every level for burnt area, one columnar record
-either way. Each spec takes its slice with `sample_range`, and one
-`cdf_rows` call builds its rows of every (level, center). Stacked fits
-and rows equal lone ones bit for bit, so CV scores exactly the model
-that prediction emits.
+one stacked `fitting_samples` query per spec and fits every sample of
+every spec in one call, `fit_zinbs` for counts or `fit_mixtures` at
+every level for burnt area, one columnar record either way. Each spec
+takes its slice with `sample_range`, and one `cdf_rows` call builds
+its rows of every (level, center). Stacked fits and rows equal lone
+ones bit for bit, so CV scores exactly the model that prediction
+emits. Every center it sees has a nonempty sample: `cv_score` leaves
+out each surrogate that is its month's only observed value, and the
+kernel raises DataError on a center whose month has none, before any fit.
 
 Each variable is evaluated in one `cv_score` call over its whole
 radius grid. Its distinct surrogates are split, in plan order, into
@@ -27,8 +29,8 @@ chunks of CV_CHUNK; the split depends on the surrogate count alone. A
 chunk runs the kernel on every radius at every candidate tail level,
 and one `score_rows` call scores each radius's rows into the chunk's
 (radius, level, surrogate) score block. The blocks are joined in
-surrogate order, and each level's total is np.sum over the plan's
-pairs in order, so the totals do not depend on the chunk size.
+surrogate order, and each level's total is np.sum over the kept pairs
+in plan order, so the totals do not depend on the chunk size.
 Besides the score blocks, one chunk's samples and fits and one
 radius's rows bound the memory CV holds.
 """
@@ -123,62 +125,60 @@ def cv_score(ds: Dataset, specs, plan: CvPlan, config: ScoreConfig,
     for the count model (plan variable "cnt", k2 unused), and for the
     burnt-area model one per level of k2, a level or a sequence.
 
-    The distinct surrogates are scored in chunks of CV_CHUNK
-    (`_score_chunk`), and their score blocks are joined in surrogate
-    order. Duplicate surrogates are scored once per occurrence, and each
-    total is np.sum over the plan's pairs in order. A pair is left out
-    only when its surrogate's sample is empty, which happens when the
-    surrogate is the lone observation in its month pool, whatever the
-    radius.
+    A surrogate that is the only observed value of its month, whose
+    sample is empty at every radius, is left out with its pairs before
+    any fit. The rest are scored in chunks of CV_CHUNK (`_score_chunk`),
+    joined in surrogate order. Duplicate surrogates are scored once per
+    occurrence, and each total is np.sum over the kept pairs in plan
+    order.
     """
     if plan.variable == "ba" and k2 is None:
         raise DataError("burnt-area CV needs a k2 level")
     levels = 1 if plan.variable == "cnt" else np.atleast_1d(k2).size
-    surrogates = list(dict.fromkeys(s for _, s in plan.pairs))
-    scores = np.full((len(specs), levels, len(surrogates)), np.nan)
+    in_month = np.bincount(ds.month[~np.isnan(ds.cnt if plan.variable == "cnt" else ds.ba)])
+    kept = [s for _, s in plan.pairs if in_month[ds.month[s]] > 1]
+    surrogates = list(dict.fromkeys(kept))
+    scores = np.empty((len(specs), levels, len(surrogates)))
     for first in range(0, len(surrogates), CV_CHUNK):
         _score_chunk(ds, surrogates[first:first + CV_CHUNK], specs, plan.variable,
                      config, k2, scores[:, :, first:first + CV_CHUNK])
     column_of = {surrogate: j for j, surrogate in enumerate(surrogates)}
-    pairs = [column_of[s] for _, s in plan.pairs]
-    totals = []
-    for spec_scores in scores:
-        kept = spec_scores[:, pairs]
-        kept = kept[:, ~np.isnan(kept).any(axis=0)]
-        totals.append(tuple(float(np.sum(level_scores)) for level_scores in kept))
-    return totals
+    pairs = [column_of[s] for s in kept]
+    return [tuple(float(np.sum(level_scores)) for level_scores in spec_scores[:, pairs])
+            for spec_scores in scores]
 
 
 def _score_chunk(ds: Dataset, chunk: list, specs, variable: str,
                  config: ScoreConfig, k2, out: np.ndarray) -> None:
-    """Score a chunk of surrogates into out, of shape (spec, level,
-    surrogate), leaving it as it is where a surrogate's sample is empty
-    (`cv_score`): one `score_rows` call per spec on its `_fitted_rows`."""
+    """Score a chunk of surrogates, each with a nonempty sample
+    (`cv_score`), into every column of out, of shape (spec, level,
+    surrogate): one `score_rows` call per spec on its `_fitted_rows`."""
     column = ds.cnt if variable == "cnt" else ds.ba
     chunk = np.asarray(chunk, dtype=np.int64)
-    for spec_out, (cols, rows, _, _) in zip(
+    for spec_out, (rows, _, _) in zip(
             out, _fitted_rows(ds, chunk, variable, specs, k2, config.thresholds)):
-        spec_out[:, cols] = score_rows(rows, column[chunk[cols]], config)
+        spec_out[...] = score_rows(rows, column[chunk], config)
 
 
 def _fitted_rows(ds: Dataset, centers, variable: str, specs, levels, thresholds):
-    """(live, rows, sources, fits) of each spec of specs, in order: the
-    positions in centers whose sample is nonempty, their rows (level,
-    live center, threshold) at levels (burnt area; a count model has one
-    level) on the grid thresholds, the ladder rung of each live sample,
-    and the spec's slice of the fits. Specs are yielded one at a time,
-    so a caller need hold only one spec's rows (module docstring)."""
+    """(rows, sources, fits) of each spec of specs, in order: the rows
+    (level, center, threshold) at levels (burnt area; a count model has
+    one level) on the grid thresholds, the ladder rung of each sample,
+    and the spec's slice of the fits. The first center with an empty
+    sample raises DataError, before any fit. Specs are yielded one at a
+    time, so a caller need hold only one spec's rows (module docstring)."""
+    centers = np.asarray(centers, dtype=np.int64)
     queries = [fitting_samples(ds, centers, variable, spec) for spec in specs]
-    live = [[j for j, (sample, _) in enumerate(query) if sample.size] for query in queries]
-    samples = [query[j][0] for query, cols in zip(queries, live) for j in cols]
+    empty = [c for query in queries
+             for c, (sample, _) in zip(centers.tolist(), query) if not sample.size]
+    if empty:
+        raise DataError(f"no observed {variable} values for month {int(ds.month[empty[0]])}")
+    samples = [sample for query in queries for sample, _ in query]
     fits = fit_zinbs(samples) if variable == "cnt" else fit_mixtures(samples, levels)
-    capacity = ds.capacity[np.asarray(centers, dtype=np.int64)]
-    first = 0
-    for query, cols in zip(queries, live):
-        last = first + len(cols)
-        part = sample_range(fits, first, last)
-        yield cols, cdf_rows(part, thresholds, capacity[cols]), [query[j][1] for j in cols], part
-        first = last
+    capacity = ds.capacity[centers]
+    for k, query in enumerate(queries):
+        part = sample_range(fits, k * centers.size, (k + 1) * centers.size)
+        yield cdf_rows(part, thresholds, capacity), [source for _, source in query], part
 
 
 @dataclass(frozen=True)

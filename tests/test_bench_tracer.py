@@ -62,6 +62,12 @@ def test_traced_run_counts_every_fit(tmp_path):
     assert [d.index for d in ba] == ds.ba_missing.tolist()
     assert {d.model for d in ba} <= {"mixture", "empirical"}
     assert layers["tuning.cv_score_calls"] == 2
+    # each of these wraps a function that the run really calls
+    for name in ("data.ingest_s", "geo.haversine_calls",
+                 "tuning.select_parameters_s", "tuning.cv_plan_s", "rules.rules_s",
+                 "pipeline.predict_tables_s", "pipeline.score_tables_s",
+                 "pipeline.write_s", "pipeline.csv_mb_written"):
+        assert layers[name] > 0, name
 
 
 @pytest.mark.xfail(strict=True, reason="count fits run through fit_zinbs, which "

@@ -116,6 +116,36 @@ class TestBuildDataset:
         with pytest.raises(DataError, match="area fraction"):
             build_dataset(**cols)
 
+    @pytest.mark.parametrize("name, key, at", [
+        ("clim_temp", "climate", (2, 0)),
+        ("clim_precip", "climate", (3, 1)),
+        ("lc1", "land_cover", (2, 0)),
+        ("lc18", "land_cover", (1, 17)),
+        ("altitude", "altitude", 3),
+    ])
+    def test_rejects_nan_covariate(self, tmp_path, name, key, at):
+        # write_csv would write the NaN as NA, and ingest would then
+        # reject the file it wrote
+        cols = make_grid_columns(nx=2, ny=2)
+        cols[key][at] = np.nan
+        index = at[0] if isinstance(at, tuple) else at
+        with pytest.raises(DataError, match=rf"column {name} may not be missing "
+                           rf"\(NaN\) at index {index}$"):
+            build_dataset(**cols)
+        if key != "land_cover":
+            # an infinite value is kept, and round-trips through a file
+            cols[key][at] = -np.inf
+            path = tmp_path / "inf.csv"
+            write_csv(build_dataset(**cols), path)
+            assert ingest(path).covariate(name)[index] == -np.inf
+
+    @pytest.mark.parametrize("value", [1.5, -1e-9, np.inf])
+    def test_rejects_land_cover_outside_the_unit_interval(self, value):
+        cols = make_grid_columns(nx=2, ny=2)
+        cols["land_cover"][1, 4] = value
+        with pytest.raises(DataError, match=r"land-cover fractions must lie in \[0,1\]"):
+            build_dataset(**cols)
+
     def test_covariate_lookup(self, grid_ds):
         np.testing.assert_array_equal(grid_ds.covariate("altitude"), grid_ds.altitude)
         np.testing.assert_array_equal(grid_ds.covariate("clim_temp"),
@@ -191,6 +221,11 @@ class TestIngest:
     def test_missing_coordinate_rejected(self, tmp_path):
         rows = [f",40.25,6,2000,0.9,3,120.5,800,{LC},14.2"]
         with pytest.raises(IngestError, match="lon"):
+            ingest(_write(tmp_path, rows))
+
+    def test_nan_covariate_rejected(self, tmp_path):
+        rows = [f"-100.25,40.25,6,2000,0.9,3,120.5,nan,{LC},14.2"]
+        with pytest.raises(IngestError, match="column altitude may not be missing"):
             ingest(_write(tmp_path, rows))
 
     def test_fractional_month_rejected(self, tmp_path):
@@ -358,10 +393,10 @@ def _reference_write_csv(dataset, path):
 
 
 def test_write_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
-    """NaN counts and burnt areas (and a NaN or infinite covariate, which
-    build_dataset lets through), -0.0, a subnormal, whole-number floats
-    and a climate name that needs quoting, over blocks of 3 rows with a
-    short last block."""
+    """NaN counts and burnt areas, infinite covariates (build_dataset
+    rejects a NaN one), -0.0, a subnormal, whole-number floats and a
+    climate name that needs quoting, over blocks of 3 rows with a short
+    last block."""
     monkeypatch.setattr(data, "WRITE_BLOCK", 3)
     cols = make_grid_columns(nx=4, ny=2, years=(2000, 2001),
                              cnt_missing_frac=0.3, ba_missing_frac=0.3, seed=9)
@@ -370,7 +405,7 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, monkeypatch):
     cols["lon"][1] = -0.0
     cols["altitude"][:4] = [-0.0, 800.0, 2.0 ** -1074, 1e300]
     cols["land_cover"][2, :3] = [2.0 ** -1074, 0.0, 1.0]
-    cols["climate"][3] = [np.nan, np.inf]
+    cols["climate"][3] = [-np.inf, np.inf]
     cols["climate"][4] = [14.0, -np.inf]
     cols["climate_names"] = ("clim_temp", 'clim "wet, or not"')
     ds = build_dataset(**cols)

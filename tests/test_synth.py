@@ -120,32 +120,9 @@ def test_round_trip_through_csv(tmp_path):
     np.testing.assert_allclose(ds.capacity, again.capacity, rtol=1e-12)
 
 
-def test_smooth_field_interpolates_between_regimes():
-    spec = SyntheticSpec(nx=16, ny=16, field_scale_km=300.0,
-                         cnt_regimes=(ZinbParams(0.2, 2.0, 1.0),
-                                      ZinbParams(0.5, 20.0, 2.0)),
-                         ba_regimes=((-4.0, 0.8), (-2.0, 1.2)),
-                         cnt_missing_rate=0.0, ba_missing_rate=0.0)
-    _, truth = generate(spec, seed=11)
-    mu = truth.mu.reshape(16, 16)
-    assert mu.min() >= 2.0 and mu.max() <= 20.0
-    assert mu.max() - mu.min() > 5.0
-    assert truth.pi.min() >= 0.2 and truth.pi.max() <= 0.5
-    # three waves of half-wavelength L drift at most pi/(2 L) per km,
-    # nothing like the full-range jump a block border produces
-    step_km = 0.5 * 111.2
-    bound = (np.pi / (2.0 * 300.0)) * step_km * np.sqrt(2.0) * 18.0
-    jump = max(np.abs(np.diff(mu, axis=0)).max(),
-               np.abs(np.diff(mu, axis=1)).max())
-    assert jump < bound < 18.0
-    assert truth.marginal_block_km == 300.0
-
-
 def test_infeasible_specs_rejected():
     with pytest.raises(DataError, match="scale"):
         SyntheticSpec(nx=4, ny=4, block_km=500.0)
-    with pytest.raises(DataError, match="scale"):
-        SyntheticSpec(nx=4, ny=4, field_scale_km=500.0)
     with pytest.raises(DataError, match="overlap"):
         SyntheticSpec(mask_overlap=1.5)
     with pytest.raises(DataError, match="rates"):
@@ -163,7 +140,6 @@ def test_border_stripes_straddle_the_band_border():
     np.testing.assert_array_equal(cols, [border, border + 1])
     # full-height stripe, one masked column per side
     assert ds.cnt_missing.size == 2 * spec.ny
-    assert truth.marginal_block_km == 300.0
 
 
 def test_border_stripe_surrogates_sit_one_column_out():
@@ -196,9 +172,6 @@ def test_short_border_stripes_avoid_the_grid_edge_rows():
 def test_border_stripe_layout_validation():
     with pytest.raises(DataError, match="bands"):
         SyntheticSpec(mask_layout="border_stripes")
-    with pytest.raises(DataError, match="bands"):
-        SyntheticSpec(regime_layout="bands", mask_layout="border_stripes",
-                      field_scale_km=400.0)
     with pytest.raises(DataError, match="mask layout"):
         SyntheticSpec(mask_layout="stripes")
     # the only border sits too close to the lon edge to host a stripe
@@ -207,11 +180,3 @@ def test_border_stripe_layout_validation():
                          cnt_missing_rate=0.1, ba_missing_rate=0.05)
     with pytest.raises(DataError, match="border"):
         generate(edge, seed=0)
-
-
-def test_threshold_overrides_flow_to_dataset():
-    spec = SyntheticSpec(nx=6, ny=6, cnt_thresholds=(0.0, 1.0, 3.0),
-                         ba_thresholds=(0.0, 50.0, 5000.0))
-    ds, _ = generate(spec, seed=14)
-    np.testing.assert_array_equal(ds.cnt_thresholds, [0.0, 1.0, 3.0])
-    np.testing.assert_array_equal(ds.ba_thresholds, [0.0, 50.0, 5000.0])

@@ -331,6 +331,50 @@ def test_surrogate_with_an_empty_sample_is_left_out(monkeypatch, variable):
         assert cv_score(ds, specs, plan, cfg, k2=k2) == expected
 
 
+@pytest.mark.parametrize("variable", ["cnt", "ba"])
+def test_cv_never_hands_the_kernel_a_month_lone_surrogate(monkeypatch, variable):
+    # month 7 has one observed row, the surrogate of every month-7 pair
+    cols = make_grid_columns(nx=5, ny=5, months=(7, 6), seed=43,
+                             cnt_missing_frac=0.2, ba_missing_frac=0.2)
+    july = np.flatnonzero(cols["month"] == 7)
+    lone = int(july[0])
+    cols[variable][july] = np.nan
+    cols[variable][lone] = 3.0
+    ds = build_dataset(**cols)
+    plan = build_cv_plan(ds, variable)
+    assert lone in {s for _, s in plan.pairs}
+
+    seen, kernel = [], tuning._fitted_rows
+
+    def spy(ds, centers, *args):
+        seen.extend(np.asarray(centers).tolist())
+        return kernel(ds, centers, *args)
+
+    monkeypatch.setattr(tuning, "_fitted_rows", spy)
+    monkeypatch.setattr(tuning, "CV_CHUNK", 4)
+    cfg = ScoreConfig(ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds)
+    cv_score(ds, [NeighborhoodSpec(radius_km=80.0)], plan, cfg, k2=0.5)
+    assert sorted(seen) == sorted({s for _, s in plan.pairs} - {lone})
+
+
+@pytest.mark.parametrize("variable", ["cnt", "ba"])
+def test_kernel_raises_on_an_empty_sample_before_any_fit(monkeypatch, variable):
+    # ids run month 7 before month 6, and month 6 has no observed value
+    cols = make_grid_columns(nx=3, ny=3, months=(7, 6), seed=12,
+                             cnt_missing_frac=0.3, ba_missing_frac=0.3)
+    cols[variable][cols["month"] == 6] = np.nan
+    ds = build_dataset(**cols)
+    centers = np.flatnonzero(ds.month == 7)[:4].tolist() + [int(np.argmax(ds.month == 6))]
+    fits = []
+    monkeypatch.setattr(tuning, "fit_zinbs", lambda *args: fits.append(args))
+    monkeypatch.setattr(tuning, "fit_mixtures", lambda *args: fits.append(args))
+    grid = ds.cnt_thresholds if variable == "cnt" else ds.ba_thresholds
+    specs = [NeighborhoodSpec(radius_km=r) for r in (80.0, 250.0)]
+    with pytest.raises(DataError, match=f"no observed {variable} values for month 6$"):
+        list(tuning._fitted_rows(ds, centers, variable, specs, (0.5,), grid))
+    assert fits == []
+
+
 def test_burnt_area_cv_needs_a_level():
     ds = _ds(nx=4, ny=4, seed=9, ba_missing_frac=0.2)
     with pytest.raises(DataError):
